@@ -11,7 +11,6 @@ from .binning import (
     CodeConfig,
     Codebook,
     SimulationSummary,
-    TrialOutcome,
     decode_rx1,
     decode_rx2,
     encode,
@@ -90,7 +89,6 @@ __all__ = [
     "ScenarioFile",
     "SimulationSummary",
     "SweepPoint",
-    "TrialOutcome",
     "UnboundedPolytopeError",
     "ValidationError",
     "achievability_constraint_system",

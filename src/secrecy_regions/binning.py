@@ -12,6 +12,7 @@ summing channel likelihoods over every (w0, q, q') for each (w1, w2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -109,21 +110,18 @@ class Codebook:
     def channel(self) -> DiscreteChannel:
         return self.config.channel
 
+    @cached_property
+    def _joint(self) -> np.ndarray:
+        # p(u, v1, v2, y1, y2): built once, since the decoders ask every trial
+        return self.config.aux.output_joint(self.channel)
+
     def reference_rx1(self) -> np.ndarray:
         """p(u, v1, v2, y1) used by the legitimate receiver's typicality test."""
-        return _joint_uvvy(self.config.aux, self.channel).sum(axis=4)
+        return self._joint.sum(axis=4)
 
     def reference_rx2(self) -> np.ndarray:
         """p(u, y2) used by the second receiver's typicality test."""
-        return _joint_uvvy(self.config.aux, self.channel).sum(axis=(1, 2, 3))
-
-
-def _joint_uvvy(aux: AuxiliaryChain, ch: DiscreteChannel) -> np.ndarray:
-    """p(u, v1, v2, y1, y2) with channel inputs marginalized out."""
-    p_y_given_v = np.einsum(
-        "ax,by,xycd->abcd", aux.p_x1_given_v1, aux.p_x2_given_v2, ch.transition
-    )
-    return np.einsum("u,uab,abcd->uabcd", aux.p_u.probs, aux.p_v1v2_given_u, p_y_given_v)
+        return self._joint.sum(axis=(1, 2, 3))
 
 
 def generate_codebook(cfg: CodeConfig) -> Codebook:
@@ -258,22 +256,6 @@ def posterior_w1w2(cb: Codebook, y2: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """One simulated transmission: decoder outputs, error flags, and the
-    eavesdropper's exact posterior over the message pair."""
-
-    sent: tuple
-    decoded_rx1: tuple | None
-    decoded_rx2: int | None
-    error_rx1: bool
-    error_rx2: bool
-    posterior: np.ndarray = field(repr=False)
-
-    def equivocation_bits(self) -> float:
-        return entropy_bits(self.posterior)
-
-
-@dataclass(frozen=True)
 class SimulationSummary:
     n: int
     trials: int
@@ -283,46 +265,27 @@ class SimulationSummary:
     secrecy_gap: float
 
 
-def run_trial(
-    cb: Codebook,
-    rng_msg: np.random.Generator,
-    rng_enc: np.random.Generator,
-    rng_ch: np.random.Generator,
-) -> TrialOutcome:
+def _transmissions(cb: Codebook, trials: int, rng_msg, rng_enc, rng_ch):
+    """Yield ((w0, w1, w2), y1, y2) for `trials` uniformly drawn message
+    triples, each encoded and sent through the channel."""
     cfg = cb.config
-    w0 = int(rng_msg.integers(cfg.m0))
-    w1 = int(rng_msg.integers(cfg.m1))
-    w2 = int(rng_msg.integers(cfg.m2))
-    x1, x2, _, _ = encode(cb, w0, w1, w2, rng_enc)
-    y1, y2 = transmit(cb, x1, x2, rng_ch)
-    d1 = decode_rx1(cb, y1)
-    d2 = decode_rx2(cb, y2)
-    post = posterior_w1w2(cb, y2)
-    return TrialOutcome(
-        sent=(w0, w1, w2),
-        decoded_rx1=d1,
-        decoded_rx2=d2,
-        error_rx1=d1 != (w0, w1, w2),
-        error_rx2=d2 != w0,
-        posterior=post,
-    )
-
-
-def equivocation_exact(cb: Codebook, trials: int, seed: int) -> float:
-    """Monte Carlo average of the exact per-trial posterior entropy, in bits
-    per channel use."""
-    cfg = cb.config
-    ss = np.random.SeedSequence(seed).spawn(3)
-    rng_msg, rng_enc, rng_ch = (np.random.default_rng(s) for s in ss)
-    total = 0.0
     for _ in range(trials):
         w0 = int(rng_msg.integers(cfg.m0))
         w1 = int(rng_msg.integers(cfg.m1))
         w2 = int(rng_msg.integers(cfg.m2))
         x1, x2, _, _ = encode(cb, w0, w1, w2, rng_enc)
-        _, y2 = transmit(cb, x1, x2, rng_ch)
+        y1, y2 = transmit(cb, x1, x2, rng_ch)
+        yield (w0, w1, w2), y1, y2
+
+
+def equivocation_exact(cb: Codebook, trials: int, seed: int) -> float:
+    """Monte Carlo average of the exact per-trial posterior entropy, in bits
+    per channel use."""
+    rngs = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
+    total = 0.0
+    for _, _, y2 in _transmissions(cb, trials, *rngs):
         total += entropy_bits(posterior_w1w2(cb, y2))
-    return total / (trials * cfg.n)
+    return total / (trials * cb.config.n)
 
 
 def run_simulation(cfg: CodeConfig, trials: int) -> SimulationSummary:
@@ -335,11 +298,10 @@ def run_simulation(cfg: CodeConfig, trials: int) -> SimulationSummary:
     rng_msg = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
     err1 = err2 = 0
     eq_total = 0.0
-    for _ in range(trials):
-        out = run_trial(cb, rng_msg, rng_enc, rng_ch)
-        err1 += out.error_rx1
-        err2 += out.error_rx2
-        eq_total += out.equivocation_bits()
+    for sent, y1, y2 in _transmissions(cb, trials, rng_msg, rng_enc, rng_ch):
+        err1 += decode_rx1(cb, y1) != sent
+        err2 += decode_rx2(cb, y2) != sent[0]
+        eq_total += entropy_bits(posterior_w1w2(cb, y2))
     eq_rate = eq_total / (trials * cfg.n)
     return SimulationSummary(
         n=cfg.n,

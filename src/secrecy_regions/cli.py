@@ -76,18 +76,22 @@ def _region_summary(region: RateRegion) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _write_region(sf: ScenarioFile, region: RateRegion) -> list:
+    """The scenario's region CSV and, when asked for, its JSON summary."""
+    written = [sf.data["output"]]
+    _write_csv(written[0], REGION_COLUMNS, _region_rows(region))
+    if "summary" in sf.data:
+        _write_json(sf.data["summary"], {region.kind: _region_summary(region)})
+        written.append(sf.data["summary"])
+    return written
+
+
 def _run_gaussian(sf: ScenarioFile) -> list:
     kind = {"inner": "g_inner", "outer": "g_outer", "cmac": "cmac"}[sf.data["bound"]]
     region = sweep_gaussian(
         sf.gaussian_scenario(), kind, sf.resolution(), r0_rho_coeff=sf.r0_rho_coeff()
     )
-    out = sf.data["output"]
-    _write_csv(out, REGION_COLUMNS, _region_rows(region))
-    written = [out]
-    if "summary" in sf.data:
-        _write_json(sf.data["summary"], {kind: _region_summary(region)})
-        written.append(sf.data["summary"])
-    return written
+    return _write_region(sf, region)
 
 
 def _run_dm(sf: ScenarioFile) -> list:
@@ -97,17 +101,11 @@ def _run_dm(sf: ScenarioFile) -> list:
         sf.grid_spec(),
         workers=sf.data.get("workers"),
     )
-    out = sf.data["output"]
-    _write_csv(out, REGION_COLUMNS, _region_rows(region))
-    written = [out]
-    if "summary" in sf.data:
-        _write_json(sf.data["summary"], {region.kind: _region_summary(region)})
-        written.append(sf.data["summary"])
-    return written
+    return _write_region(sf, region)
 
 
 def _run_simulate(sf: ScenarioFile) -> list:
-    trials = int(sf.data["trials"])
+    trials = sf.data["trials"]
     rows = []
     for n in sf.blocklengths():
         s = run_simulation(sf.code_config(n=n), trials)
@@ -118,9 +116,9 @@ def _run_simulate(sf: ScenarioFile) -> list:
 
 def _run_fm_check(sf: ScenarioFile) -> list:
     ch = sf.discrete_channel()
-    rng = np.random.default_rng(int(sf.data.get("seed", 0)))
+    rng = np.random.default_rng(sf.data.get("seed", 0))
     report = []
-    for i in range(int(sf.data["chains"])):
+    for i in range(sf.data["chains"]):
         aux = random_inner_chain(ch, rng)
         report.append({"chain": i, "equal": bool(fm_matches_direct(aux, ch))})
     payload = {"chains": len(report), "all_equal": all(r["equal"] for r in report), "results": report}

@@ -25,19 +25,10 @@ from .geometry import (
     RateRegion,
     batch_vertices,
 )
-from .info import DiscreteChannel, FiniteDistribution, entropy_bits
+from .info import DiscreteChannel, FiniteDistribution, check_distribution, entropy_bits
 
 MAX_AUX_ALPHABET = 3
 PRODUCT_TOL = 1e-12
-
-
-def _check_conditional(table: np.ndarray, what: str) -> None:
-    flat = table.reshape(-1, table.shape[-1])
-    if np.any(flat < 0):
-        raise ValidationError(f"{what} has negative entries")
-    sums = flat.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-12):
-        raise ValidationError(f"{what} rows do not sum to 1")
 
 
 @dataclass(frozen=True)
@@ -67,9 +58,9 @@ class AuxiliaryChain:
             raise ValidationError("p(v1,v2|u) must have one slice per u symbol")
         if px1.shape[0] != pv.shape[1] or px2.shape[0] != pv.shape[2]:
             raise ValidationError("p(x|v) rows must match the v alphabets")
-        _check_conditional(pv.reshape(pv.shape[0], -1), "p(v1,v2|u)")
-        _check_conditional(px1, "p(x1|v1)")
-        _check_conditional(px2, "p(x2|v2)")
+        check_distribution(pv, "p(v1,v2|u)", rows=pv.shape[0])
+        check_distribution(px1, "p(x1|v1)", rows=px1.shape[0])
+        check_distribution(px2, "p(x2|v2)", rows=px2.shape[0])
         if self.kind == "inner":
             for u in range(pv.shape[0]):
                 slice_u = pv[u]
@@ -98,6 +89,14 @@ class AuxiliaryChain:
     @property
     def v2_size(self) -> int:
         return self.p_v1v2_given_u.shape[2]
+
+    def output_joint(self, ch: DiscreteChannel) -> np.ndarray:
+        """p(u, v1, v2, y1, y2) through `ch`, with the channel inputs
+        marginalized out."""
+        return _joint5(
+            self.p_u.probs, self.p_v1v2_given_u, self.p_x1_given_v1, self.p_x2_given_v2,
+            ch.transition,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +141,7 @@ def _entropies(joint5: np.ndarray) -> dict:
 def chain_information(aux: AuxiliaryChain, ch: DiscreteChannel) -> dict:
     """All conditional mutual informations (bits) the region inequalities and
     the raw achievability constraint system need, for one chain."""
-    j = _joint5(aux.p_u.probs, aux.p_v1v2_given_u, aux.p_x1_given_v1, aux.p_x2_given_v2, ch.transition)
-    h = _entropies(j)
+    h = _entropies(aux.output_joint(ch))
     return {
         "I(U;Y1)": h["u"] + h["y1"] - h["uy1"],
         "I(U;Y2)": h["u"] + h["y2"] - h["uy2"],
@@ -193,8 +191,7 @@ def region_bounds(aux: AuxiliaryChain, ch: DiscreteChannel, kind: str) -> np.nda
     """The five right-hand sides (b0, b1, b2, b12, b012), clamped at zero."""
     if kind not in ("dm_inner", "dm_outer"):
         raise ValidationError(f"unknown dm bound kind {kind!r}")
-    j = _joint5(aux.p_u.probs, aux.p_v1v2_given_u, aux.p_x1_given_v1, aux.p_x2_given_v2, ch.transition)
-    return _bounds_from_entropies(_entropies(j), kind)
+    return _bounds_from_entropies(_entropies(aux.output_joint(ch)), kind)
 
 
 def inner_corner_triples(aux: AuxiliaryChain, ch: DiscreteChannel) -> list:
@@ -417,7 +414,8 @@ def sweep_region(
 ) -> RateRegion:
     """Sweep every grid chain, collect all corner triples, and return the
     Pareto frontier with chain-index provenance.  Deterministic given the
-    grid; worker partitioning only splits the bound evaluation.
+    grid; worker partitioning only splits the bound evaluation.  The pool
+    never has more workers than chains or CPUs.
     """
     if sweep_class not in ("inner", "outer"):
         raise ValidationError(f"sweep class must be inner or outer, got {sweep_class!r}")
@@ -428,7 +426,9 @@ def sweep_region(
             f"grid enumerates {total} chains, above the cap of {grid.max_chains}"
         )
     workers = workers if workers is not None else default_workers()
-    workers = max(1, min(workers, total))
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+    workers = min(workers, total, os.cpu_count() or 1)
 
     if workers == 1:
         bounds = _bounds_slice(ch.transition, grid, sweep_class, kind, 0, total)

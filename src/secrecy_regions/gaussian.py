@@ -10,7 +10,9 @@ channel use; every secrecy difference is clamped at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +39,9 @@ class GaussianScenario:
 
     def __post_init__(self):
         for name in ("p1", "p2", "sigma1_sq", "sigma2_sq"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real) or not 0 < v < math.inf:
+                raise ValidationError(f"{name} must be a finite number > 0, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -107,9 +107,6 @@ class RateRegion:
         if self.kind not in CONSTRAINT_PATTERNS:
             raise ValidationError(f"unknown bound kind {self.kind!r}")
 
-    def frontier_triples(self) -> list:
-        return [RateTriple(*p) for p in self.points]
-
     def max_sum_rate(self) -> float:
         """Largest r1 + r2 on the frontier (0 for an empty region)."""
         if len(self.points) == 0:
@@ -234,38 +231,23 @@ def fm_eliminate(system: HalfspaceSystem, var: str) -> HalfspaceSystem:
 
 
 def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-    """Vertices of {x in R^3 : A x <= b} from all feasible basic solutions.
-
-    Near-singular 3x3 subsystems (|det| < 1e-12) are skipped; their vertices,
-    when real, are produced by neighbouring non-degenerate triples.  Raises
-    UnboundedPolytopeError when the polytope escapes the sanity box.
+    """Vertices of {x in R^3 : A x <= b}: the feasible basic solutions from
+    batch_vertices, with the 64-bit sanity box added and duplicates merged
+    on the tolerance grid.  Raises UnboundedPolytopeError when the polytope
+    escapes the sanity box.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[1] != 3:
         raise ValidationError("vertex enumeration expects 3 rate variables")
-    box_a = np.eye(3)
-    box_b = np.full(3, SANITY_BOX_BITS)
-    Af = np.vstack([A, box_a])
-    bf = np.concatenate([b, box_b])
-
-    m = len(bf)
-    combos = np.array(list(combinations(range(m), 3)))
-    sub_a = Af[combos]
-    sub_b = bf[combos]
-    dets = np.linalg.det(sub_a)
-    ok = np.abs(dets) > 1e-12
-    if not ok.any():
-        return np.zeros((0, 3))
-    cand = np.linalg.solve(sub_a[ok], sub_b[ok][..., None])[..., 0]
-    feas = (cand @ Af.T <= bf + tol).all(axis=1)
-    verts = cand[feas]
+    verts, _ = batch_vertices(
+        np.vstack([A, np.eye(3)]), np.concatenate([b, np.full(3, SANITY_BOX_BITS)]), tol
+    )
     if len(verts) == 0:
         return np.zeros((0, 3))
     if np.any(verts > SANITY_BOX_BITS - 1e-6):
         raise UnboundedPolytopeError("polytope reaches the 64-bit sanity box")
-    verts = np.unique(np.round(verts / tol) * tol, axis=0)
-    return verts
+    return np.unique(np.round(verts / tol) * tol, axis=0)
 
 
 def batch_vertices(A: np.ndarray, B: np.ndarray, tol: float = GEOM_TOL):
@@ -273,20 +255,18 @@ def batch_vertices(A: np.ndarray, B: np.ndarray, tol: float = GEOM_TOL):
 
     A is (m, 3); B is (N, m), one right-hand-side row per polytope.  Returns
     (points, owner) where owner[i] is the row of B that produced points[i].
-    Bounds are assumed finite, so no sanity box is added.
+    Near-singular 3x3 subsystems (|det| < 1e-12) are skipped; their vertices,
+    when real, come from neighbouring non-degenerate triples.  Bounds are
+    assumed finite, so no sanity box is added.
     """
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    m = A.shape[0]
+    combos = np.array(list(combinations(range(A.shape[0]), 3)))
+    subs = A[combos]
+    regular = np.abs(np.linalg.det(subs)) >= 1e-12
     pts, owners = [], []
-    n = B.shape[0]
-    for combo in combinations(range(m), 3):
-        sub = A[list(combo)]
-        det = np.linalg.det(sub)
-        if abs(det) < 1e-12:
-            continue
-        inv = np.linalg.inv(sub)
-        cand = B[:, list(combo)] @ inv.T  # (N, 3)
+    for combo, inv in zip(combos[regular], np.linalg.inv(subs[regular])):
+        cand = B[:, combo] @ inv.T  # (N, 3)
         feas = (cand @ A.T <= B + tol).all(axis=1)
         if feas.any():
             pts.append(cand[feas])
@@ -333,21 +313,6 @@ class Polytope3:
 # ---------------------------------------------------------------------------
 # Pareto frontiers, projection, membership
 # ---------------------------------------------------------------------------
-
-
-def _dominated_by_any(points: np.ndarray, others: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Mask of points component-wise dominated (>= everywhere, > somewhere)
-    by some row of `others`."""
-    if len(others) == 0 or len(points) == 0:
-        return np.zeros(len(points), dtype=bool)
-    out = np.empty(len(points), dtype=bool)
-    block = max(1, 2_000_000 // len(others))  # bound the broadcast working set
-    for s in range(0, len(points), block):
-        p = points[s : s + block]
-        ge = others[None, :, :] >= p[:, None, :] - tol
-        gt = others[None, :, :] > p[:, None, :] + tol
-        out[s : s + block] = (ge.all(axis=2) & gt.any(axis=2)).any(axis=1)
-    return out
 
 
 def _stair_covers(stair_r1, stair_r2, r1, r2) -> bool:
@@ -406,14 +371,19 @@ def _pareto_mask(points: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return keep
 
 
+def _as_points(points) -> np.ndarray:
+    """An array of rate rows from an array or a list of RateTriple."""
+    if isinstance(points, (list, tuple)) and points and isinstance(points[0], RateTriple):
+        points = [p.as_array() for p in points]
+    return np.atleast_2d(np.asarray(points, dtype=float))
+
+
 def pareto_frontier(points, tol: float = 0.0) -> np.ndarray:
     """Component-wise non-dominated subset, in stable (r0, r1, r2) order.
 
     Accepts an (N, 2) or (N, 3) array, or a list of RateTriple.
     """
-    if isinstance(points, (list, tuple)) and points and isinstance(points[0], RateTriple):
-        points = np.array([[p.r0, p.r1, p.r2] for p in points])
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _as_points(points)
     if pts.size == 0:
         return np.zeros((0, 3))
     pts = np.unique(pts, axis=0)
@@ -464,19 +434,6 @@ class FrontierAccumulator:
         return RateRegion(kind, pts[order], recs[order], np.atleast_2d(bound_rows))
 
 
-def region_membership(kind: str, bound_rows: np.ndarray, p, tol: float = GEOM_TOL) -> bool:
-    """True when p satisfies all defining inequalities of at least one sweep
-    point's polytope."""
-    A = CONSTRAINT_PATTERNS[kind]
-    nb = A.shape[0] - 3
-    p = np.asarray(p, dtype=float)
-    if (p < -tol).any():
-        return False
-    lhs = A[:nb] @ p  # (nb,)
-    B = np.atleast_2d(bound_rows)
-    return bool((lhs[None, :] <= B + tol).all(axis=1).any())
-
-
 def contains(outer: RateRegion, p, tol: float = GEOM_TOL) -> bool:
     """Membership of a rate triple in a swept region: dominated by some
     frontier point, or inside some sweep point's halfspace system."""
@@ -487,16 +444,16 @@ def contains(outer: RateRegion, p, tol: float = GEOM_TOL) -> bool:
         return False
     if len(outer.points) and (outer.points >= p[None, :] - tol).all(axis=1).any():
         return True
-    return region_membership(outer.kind, outer.bound_rows, p, tol)
+    A = CONSTRAINT_PATTERNS[outer.kind]
+    lhs = A[: A.shape[0] - 3] @ p  # (nb,); the non-negativity rows were checked above
+    return bool((lhs[None, :] <= np.atleast_2d(outer.bound_rows) + tol).all(axis=1).any())
 
 
 def project(points, axis: str) -> np.ndarray:
     """Drop the named rate coordinate and return the 2-D Pareto frontier."""
     if axis not in RATE_VARS:
         raise ValidationError(f"axis must be one of {RATE_VARS}")
-    if isinstance(points, (list, tuple)) and points and isinstance(points[0], RateTriple):
-        points = np.array([[p.r0, p.r1, p.r2] for p in points])
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _as_points(points)
     if pts.size == 0:
         return np.zeros((0, 2))
     keep = [i for i, v in enumerate(RATE_VARS) if v != axis]

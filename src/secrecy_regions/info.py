@@ -19,12 +19,17 @@ NORMALIZATION_TOL = 1e-12
 _LN2 = np.log(2.0)
 
 
-def _check_distribution(p: np.ndarray, what: str) -> None:
+def check_distribution(p: np.ndarray, what: str, rows: int = 1) -> None:
+    """Raise unless p, split into `rows` equal rows, holds one probability
+    vector per row: no negative entries, each row summing to 1."""
     if np.any(p < 0):
         raise ValidationError(f"{what} has negative entries")
-    total = float(p.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValidationError(f"{what} sums to {total!r}, not 1 within {NORMALIZATION_TOL}")
+    sums = p.reshape(rows, -1).sum(axis=1)
+    bad = ~(np.abs(sums - 1.0) <= NORMALIZATION_TOL)  # NaN sums are bad too
+    if bad.any():
+        raise ValidationError(
+            f"{what} sums to {float(sums[bad][0])!r}, not 1 within {NORMALIZATION_TOL}"
+        )
 
 
 def entropy_bits(p: np.ndarray) -> float:
@@ -46,7 +51,7 @@ class FiniteDistribution:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("probabilities must form a non-empty vector")
-        _check_distribution(p, "distribution")
+        check_distribution(p, "distribution")
 
     def __len__(self) -> int:
         return self.probs.size
@@ -82,9 +87,7 @@ class DiscreteChannel:
         object.__setattr__(self, "transition", t)
         if t.ndim != 4:
             raise ValidationError("channel transition must be a 4-index table")
-        for x1 in range(t.shape[0]):
-            for x2 in range(t.shape[1]):
-                _check_distribution(t[x1, x2], f"channel slice ({x1},{x2})")
+        check_distribution(t, "channel slice p(y1,y2|x1,x2)", rows=t.shape[0] * t.shape[1])
 
     @property
     def x1_size(self) -> int:
@@ -127,7 +130,7 @@ class JointDistribution:
             raise ValidationError("variable names do not match table rank")
         if len(set(names)) != len(names):
             raise ValidationError("duplicate variable names")
-        _check_distribution(m, "joint distribution")
+        check_distribution(m, "joint distribution")
 
     def _axes(self, group) -> tuple:
         unknown = [v for v in group if v not in self.names]

@@ -45,11 +45,32 @@ _GRID_KEYS = ("u_size", "v1_size", "v2_size", "resolution", "max_chains")
 _AUX_KEYS = ("p_u", "p_v1_given_u", "p_v2_given_u", "p_x1_given_v1", "p_x2_given_v2")
 _CODE_KEYS = ("n", "r0", "r1", "r2", "r1p", "r2p", "typicality_eps", "seed")
 
+# Integer fields and their smallest allowed value, per scenario kind.
+_COUNTS = {
+    "gaussian": {"resolution": 2},
+    "dm": {},
+    "simulate": {"trials": 1},
+    "fm-check": {"chains": 1, "seed": 0},
+}
+_GRID_COUNTS = {key: 1 for key in _GRID_KEYS}
+_CODE_COUNTS = {"n": 1, "seed": 0}
+
 
 def _require_mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{where}: expected a mapping, got {type(value).__name__}")
     return value
+
+
+def _check_count(value, where: str, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValidationError(f"{where}: expected an integer >= {low}, got {value!r}")
+
+
+def _check_counts(data: dict, minimums: dict, where: str) -> None:
+    for key, low in minimums.items():
+        if key in data:
+            _check_count(data[key], f"{where}{key}", low)
 
 
 def _check_keys(data: dict, required, optional, where: str) -> None:
@@ -73,6 +94,7 @@ class ScenarioFile:
             raise ValidationError(f"scenario kind must be one of {KINDS}, got {self.kind!r}")
         schema = _SCHEMAS[self.kind]
         _check_keys(self.data, schema["required"], schema["optional"], f"kind {self.kind}")
+        _check_counts(self.data, _COUNTS[self.kind], "")
         if self.kind == "gaussian":
             sc = _require_mapping(self.data["scenario"], "scenario")
             _check_keys(sc, _SCENARIO_KEYS, (), "scenario")
@@ -83,9 +105,16 @@ class ScenarioFile:
                 raise ValidationError("dm bound must be inner or outer")
             if "grid" in self.data:
                 _check_keys(_require_mapping(self.data["grid"], "grid"), (), _GRID_KEYS, "grid")
+                _check_counts(self.data["grid"], _GRID_COUNTS, "grid.")
         elif self.kind == "simulate":
             _check_keys(_require_mapping(self.data["aux"], "aux"), _AUX_KEYS, (), "aux")
             _check_keys(_require_mapping(self.data["code"], "code"), ("n",), _CODE_KEYS, "code")
+            _check_counts(self.data["code"], _CODE_COUNTS, "code.")
+            lengths = self.blocklengths()
+            if not isinstance(lengths, list) or not lengths:
+                raise ValidationError("blocklengths: expected a non-empty list")
+            for n in lengths:
+                _check_count(n, "blocklengths", 1)
 
     # -- construction and round-tripping ------------------------------------
 
@@ -115,7 +144,7 @@ class ScenarioFile:
         return GaussianScenario(**self.data["scenario"])
 
     def resolution(self) -> int:
-        return int(self.data.get("resolution", 101))
+        return self.data.get("resolution", 101)
 
     def r0_rho_coeff(self) -> float:
         return float(self.data.get("r0_rho_coeff", R0_RHO_COEFF_DERIVATION))
@@ -146,4 +175,4 @@ class ScenarioFile:
         )
 
     def blocklengths(self) -> list:
-        return [int(n) for n in self.data.get("blocklengths", [self.data["code"]["n"]])]
+        return self.data.get("blocklengths", [self.data["code"]["n"]])

@@ -1,9 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import secrecy_regions
 from secrecy_regions import ScenarioFile, ValidationError
 from secrecy_regions.cli import main, run_figure, run_scenario
 from conftest import degraded_binary_channel, reveal_both_channel
@@ -20,6 +23,34 @@ def gaussian_scenario_text(output, summary=None, **extra):
     if summary is not None:
         data["summary"] = str(summary)
     return yaml.safe_dump(data)
+
+
+def simulate_data(output):
+    return {
+        "kind": "simulate",
+        "channel": reveal_both_channel(0.25).transition.tolist(),
+        "aux": {
+            "p_u": [1.0],
+            "p_v1_given_u": [[0.5, 0.5]],
+            "p_v2_given_u": [[0.5, 0.5]],
+            "p_x1_given_v1": [[1.0, 0.0], [0.0, 1.0]],
+            "p_x2_given_v2": [[1.0, 0.0], [0.0, 1.0]],
+        },
+        "code": {"n": 4, "r1": 0.25, "r2": 0.25, "r1p": 0.1887, "seed": 5},
+        "blocklengths": [4, 8],
+        "trials": 25,
+        "output": str(output),
+    }
+
+
+def fm_check_data(output):
+    return {
+        "kind": "fm-check",
+        "channel": degraded_binary_channel().transition.tolist(),
+        "chains": 5,
+        "seed": 3,
+        "output": str(output),
+    }
 
 
 # -- scenario parsing -------------------------------------------------------
@@ -94,22 +125,7 @@ def test_run_gaussian_scenario_writes_csv(tmp_path):
 
 def test_run_simulate_scenario(tmp_path):
     out = tmp_path / "sim.csv"
-    data = {
-        "kind": "simulate",
-        "channel": reveal_both_channel(0.25).transition.tolist(),
-        "aux": {
-            "p_u": [1.0],
-            "p_v1_given_u": [[0.5, 0.5]],
-            "p_v2_given_u": [[0.5, 0.5]],
-            "p_x1_given_v1": [[1.0, 0.0], [0.0, 1.0]],
-            "p_x2_given_v2": [[1.0, 0.0], [0.0, 1.0]],
-        },
-        "code": {"n": 4, "r1": 0.25, "r2": 0.25, "r1p": 0.1887, "seed": 5},
-        "blocklengths": [4, 8],
-        "trials": 25,
-        "output": str(out),
-    }
-    run_scenario(ScenarioFile.parse(yaml.safe_dump(data)))
+    run_scenario(ScenarioFile.parse(yaml.safe_dump(simulate_data(out))))
     lines = out.read_text().splitlines()
     assert lines[0] == "n,trials,pe1,pe2,equivocation_bits_per_use,secrecy_gap"
     assert len(lines) == 3
@@ -118,14 +134,7 @@ def test_run_simulate_scenario(tmp_path):
 
 def test_run_fm_check_scenario(tmp_path):
     out = tmp_path / "fm.json"
-    data = {
-        "kind": "fm-check",
-        "channel": degraded_binary_channel().transition.tolist(),
-        "chains": 5,
-        "seed": 3,
-        "output": str(out),
-    }
-    run_scenario(ScenarioFile.parse(yaml.safe_dump(data)))
+    run_scenario(ScenarioFile.parse(yaml.safe_dump(fm_check_data(out))))
     report = json.loads(out.read_text())
     assert report["chains"] == 5
     assert report["all_equal"] is True
@@ -194,6 +203,43 @@ def test_exit_code_cap_exceeded(tmp_path):
     path = tmp_path / "s.yaml"
     path.write_text(yaml.safe_dump(data))
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("power", [float("nan"), float("inf"), "lots"])
+def test_non_finite_or_text_power_is_validation_exit(tmp_path, power):
+    data = yaml.safe_load(gaussian_scenario_text(tmp_path / "r.csv"))
+    data["scenario"]["p1"] = power
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "build, field, value",
+    [(fm_check_data, "chains", -3), (simulate_data, "trials", 0),
+     (lambda out: {"kind": "gaussian", **MINIMAL_GAUSSIAN, "output": str(out)}, "resolution", 2.7)],
+)
+def test_bad_count_field_is_validation_exit(tmp_path, build, field, value):
+    data = build(tmp_path / "out")
+    data[field] = value
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_scenarios_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 4
+    for block in blocks:
+        ScenarioFile.parse(block)
+
+
+def test_public_names_resolve():
+    for name in secrecy_regions.__all__:
+        assert getattr(secrecy_regions, name) is not None
 
 
 def test_cli_gaussian_inner_subcommand(tmp_path):

@@ -21,6 +21,7 @@ from secrecy_regions import (
     region_bounds,
     sweep_region,
 )
+from secrecy_regions import dm
 from secrecy_regions.dm import random_inner_chain, simplex_grid
 from secrecy_regions.geometry import contains
 from conftest import (
@@ -197,6 +198,37 @@ def test_sweep_deterministic_and_worker_invariant(degraded_channel):
     b = sweep_region(degraded_channel, "inner", grid, workers=2)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.records, b.records)
+
+
+def test_sweep_workers_validated_and_clamped(monkeypatch, degraded_channel):
+    """The pool gets at most os.cpu_count() workers; no real process starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(dm, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(dm.os, "cpu_count", lambda: 3)
+    grid = GridSpec(u_size=1, v1_size=2, v2_size=2, resolution=3)
+    wide = sweep_region(degraded_channel, "inner", grid, workers=100_000)
+    assert sizes == [3]
+    serial = sweep_region(degraded_channel, "inner", grid, workers=1)
+    assert np.array_equal(wide.points, serial.points)
+    assert np.array_equal(wide.records, serial.records)
+    for bad in ("two", 0, -1, 2.5, True):
+        with pytest.raises(ValidationError, match="workers"):
+            sweep_region(degraded_channel, "inner", grid, workers=bad)
+    assert sizes == [3]
 
 
 def test_sweep_refinement_monotone(degraded_channel):

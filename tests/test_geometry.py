@@ -15,13 +15,7 @@ from secrecy_regions import (
     pareto_frontier,
     project,
 )
-from secrecy_regions.geometry import (
-    GEOM_TOL,
-    _dominated_by_any,
-    batch_vertices,
-    contains,
-    region_membership,
-)
+from secrecy_regions.geometry import GEOM_TOL, batch_vertices, contains
 
 
 def test_rate_triple_clamps_tiny_negatives():
@@ -58,12 +52,18 @@ def test_unbounded_polytope_detected():
 def test_batch_vertices_matches_single():
     A = np.vstack([np.eye(3), [1.0, 1.0, 1.0], -np.eye(3)])
     rhs = np.array([[0.5, 0.7, 0.3, 1.0, 0, 0, 0], [1.0, 1.0, 1.0, 1.5, 0, 0, 0]])
+    # box corners under the sum plane, plus where the plane cuts the box edges
+    expected = [
+        [(0, 0, 0), (.5, 0, 0), (0, .7, 0), (0, 0, .3), (.5, 0, .3), (0, .7, .3),
+         (.5, .5, 0), (.3, .7, 0), (.5, .2, .3)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, .5, 0), (1, 0, .5),
+         (.5, 1, 0), (0, 1, .5), (.5, 0, 1), (0, .5, 1)],
+    ]
     pts, owner = batch_vertices(A, rhs)
     for i in range(2):
-        direct = enumerate_vertices(A, rhs[i])
         mine = np.unique(np.round(pts[owner == i] / GEOM_TOL) * GEOM_TOL, axis=0)
-        assert len(mine) == len(direct)
-        for v in direct:
+        assert len(mine) == len(expected[i])
+        for v in expected[i]:
             assert np.min(np.abs(mine - v).sum(axis=1)) < 1e-8
 
 
@@ -154,17 +154,13 @@ def test_project_drops_axis():
     assert np.allclose(f, np.array([[0.4, 0.9], [1.0, 0.2]]))
 
 
-def test_dominated_by_any_blocks():
-    others = np.array([[1.0, 1.0, 1.0]])
-    pts = np.tile(np.array([[0.5, 0.5, 0.5]]), (5000, 1))
-    assert _dominated_by_any(pts, others).all()
-
-
 def test_polytope_from_bounds_and_membership():
     poly = Polytope3.from_bounds("dm_inner", np.array([0.5, 0.4, 0.3, 0.6, 1.0]))
     assert poly.contains_point([0.5, 0.3, 0.2])
     assert not poly.contains_point([0.5, 0.4, 0.3])  # violates the pair bound
-    assert region_membership("dm_inner", np.array([[0.5, 0.4, 0.3, 0.6, 1.0]]), [0.5, 0.3, 0.2])
+    bounds = np.array([[0.5, 0.4, 0.3, 0.6, 1.0]])
+    region = RateRegion("dm_inner", np.zeros((0, 3)), np.zeros((0, 1)), bounds)
+    assert contains(region, [0.5, 0.3, 0.2])
 
 
 def test_region_contains_uses_bound_rows():
