@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dm import AuxiliaryChain
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, ValidationError, is_finite_real
 from .info import DiscreteChannel, entropy_bits
 
 MAX_BLOCKLENGTH = 16
@@ -52,10 +52,13 @@ class CodeConfig:
         if not 1 <= self.n <= MAX_BLOCKLENGTH:
             raise ValidationError(f"blocklength must be in 1..{MAX_BLOCKLENGTH}")
         for name in ("r0", "r1", "r2", "r1p", "r2p"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"rate {name} must be non-negative")
-        if self.typicality_eps <= 0:
-            raise ValidationError("typicality_eps must be positive")
+            v = getattr(self, name)
+            if not is_finite_real(v) or v < 0:
+                raise ValidationError(f"rate {name} must be a finite number >= 0, got {v!r}")
+        if not is_finite_real(self.typicality_eps) or self.typicality_eps <= 0:
+            raise ValidationError(
+                f"typicality_eps must be a finite number > 0, got {self.typicality_eps!r}"
+            )
         if self.aux.kind != "inner":
             raise ValidationError("the binning scheme requires an inner-class chain")
         if (

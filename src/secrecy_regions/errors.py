@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the number check shared across the package."""
+
+import math
+from numbers import Real
 
 
 class ValidationError(ValueError):
@@ -11,3 +14,8 @@ class CapExceededError(RuntimeError):
 
 class UnboundedPolytopeError(RuntimeError):
     """A rate polytope escaped the sanity box and is treated as unbounded."""
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite real number; False for NaN, inf, bool or non-numbers."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)

@@ -10,14 +10,12 @@ channel use; every secrecy difference is clamped at zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError, is_finite_real
 from .geometry import CONSTRAINT_PATTERNS, FrontierAccumulator, RateRegion, batch_vertices
 
 # Coefficient on the rho*sqrt(P1*P2) term in the numerator of the outer R0
@@ -26,6 +24,11 @@ from .geometry import CONSTRAINT_PATTERNS, FrontierAccumulator, RateRegion, batc
 # the variants can be compared side by side.
 R0_RHO_COEFF_AS_PRINTED = 1.0
 R0_RHO_COEFF_DERIVATION = 2.0
+
+# Largest sweep grid (resolution**3 for g_outer, resolution**2 otherwise).
+# A grid point costs about 100 bytes at peak, so this is about 200 MB; it
+# admits g_outer up to resolution 125 and g_inner/cmac up to 1414.
+MAX_GRID_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,7 @@ class GaussianScenario:
     def __post_init__(self):
         for name in ("p1", "p2", "sigma1_sq", "sigma2_sq"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Real) or not 0 < v < math.inf:
+            if not is_finite_real(v) or v <= 0:
                 raise ValidationError(f"{name} must be a finite number > 0, got {v!r}")
 
 
@@ -179,6 +182,13 @@ def sweep_gaussian(
     """
     if kind not in ("g_inner", "g_outer", "cmac"):
         raise ValidationError(f"unknown Gaussian sweep kind {kind!r}")
+    if not is_finite_real(r0_rho_coeff):
+        raise ValidationError(f"r0_rho_coeff must be a finite number, got {r0_rho_coeff!r}")
+    points = resolution ** (3 if kind == "g_outer" else 2)
+    if points > MAX_GRID_POINTS:
+        raise CapExceededError(
+            f"{kind} grid has {points} points, above the cap of {MAX_GRID_POINTS}"
+        )
     g = _sweep_grid(resolution)
     if kind == "g_outer":
         beta1, beta2, rho = (x.ravel() for x in np.meshgrid(g, g, g, indexing="ij"))

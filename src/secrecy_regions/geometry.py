@@ -335,20 +335,15 @@ def _stair_insert(stair_r1, stair_r2, r1, r2) -> None:
     stair_r2[lo:hi] = [r2]
 
 
-def _pareto_mask(points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Mask of rows not component-wise dominated by any other distinct row.
+def _staircase(p: np.ndarray) -> np.ndarray:
+    """Mask over rows p, sorted by (-r0, -r1, -r2), of those that no earlier
+    row weakly dominates: the Pareto-maximal rows, the first of equal ones.
 
     Plane-sweep over descending r0 with a 2-D maxima staircase on (r1, r2);
-    O(n log n), so million-point sweeps stay cheap.  Rows are expected to be
-    distinct; tol > 0 quantizes coordinates before comparing.
+    O(n log n), but every row costs a few Python-level steps.
     """
-    pts = points if tol <= 0 else np.round(points / tol)
-    n = len(pts)
+    n = len(p)
     keep = np.zeros(n, dtype=bool)
-    if n == 0:
-        return keep
-    order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
-    p = pts[order]
     stair_r1: list = []  # ascending r1
     stair_r2: list = []  # strictly descending r2
     i = 0
@@ -362,12 +357,68 @@ def _pareto_mask(points: np.ndarray, tol: float = 0.0) -> np.ndarray:
             r1, r2 = p[g, 1], p[g, 2]
             dominated = best_r2 >= r2 or _stair_covers(stair_r1, stair_r2, r1, r2)
             if not dominated:
-                keep[order[g]] = True
+                keep[g] = True
                 survivors.append((r1, r2))
             best_r2 = max(best_r2, r2)
         for r1, r2 in survivors:
             _stair_insert(stair_r1, stair_r2, r1, r2)
         i = j
+    return keep
+
+
+# Below this many rows the staircase alone is cheaper than a filter round.
+_FILTER_MIN_ROWS = 512
+# r1 thresholds per filter round; each costs a few vectorized passes.
+_FILTER_THRESHOLDS = 16
+
+
+def _threshold_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Rows (r1, r2), sorted by (-r0, -r1, -r2), that an earlier row weakly
+    dominates, found with a few r1 thresholds; it may miss some, never adds.
+
+    For a threshold t, the running maximum of r2 over rows with r1 >= t
+    covers every row whose r1 <= t; each row is tested against the smallest
+    threshold at or above its r1.  O(n) memory: one threshold at a time.
+    """
+    n = len(r1)
+    q = (np.arange(1, _FILTER_THRESHOLDS + 1) * (n - 1)) // _FILTER_THRESHOLDS
+    thresholds = np.unique(np.partition(r1, q)[q])  # the last one is max(r1)
+    # row 0 has nothing before it; the others grouped by threshold
+    bucket = np.searchsorted(thresholds, r1[1:])
+    members = 1 + np.argsort(bucket, kind="stable")
+    edges = np.concatenate([[0], np.cumsum(np.bincount(bucket, minlength=len(thresholds)))])
+    dominated = np.zeros(n, dtype=bool)
+    for t, lo, hi in zip(thresholds, edges[:-1], edges[1:]):
+        rows = members[lo:hi]
+        # NaN marks "no such row yet", and fmax skips it
+        best = np.fmax.accumulate(np.where(r1 >= t, r2, np.nan))
+        dominated[rows] = best[rows - 1] >= r2[rows]
+    return dominated
+
+
+def _pareto_mask(points: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """Mask of rows not component-wise dominated by any other distinct row;
+    of equal rows the first is kept.  tol > 0 quantizes before comparing.
+
+    Sort-filter skyline (Chomicki et al. 2003, "Skyline with presorting"):
+    after one (-r0, -r1, -r2) sort every dominator of a row comes before
+    it, and vectorized threshold rounds drop rows that are certainly
+    dominated.  Dominance is transitive, so the staircase run on the rows
+    left, still in sorted order, gives the same mask as on all of them.
+    """
+    pts = points if tol <= 0 else np.round(points / tol)
+    n = len(pts)
+    keep = np.zeros(n, dtype=bool)
+    order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
+    left = np.arange(n)  # positions in sorted order
+    while len(left) >= _FILTER_MIN_ROWS:
+        p = pts[order[left]]
+        dominated = _threshold_filter(p[:, 1], p[:, 2])
+        left = left[~dominated]
+        if 2 * dominated.sum() < len(dominated):
+            break  # a further round would not pay for itself
+    rest = order[left]
+    keep[rest[_staircase(pts[rest])]] = True
     return keep
 
 
@@ -409,9 +460,15 @@ class FrontierAccumulator:
 
     @staticmethod
     def _dedupe(pts: np.ndarray, recs: np.ndarray):
+        """The first row of each group equal on the GEOM_TOL grid, in input
+        order: the rows np.unique(..., axis=0, return_index=True) would
+        pick, since the lexsort is stable and -0.0 equals +0.0 in both."""
         rounded = np.round(pts / GEOM_TOL) * GEOM_TOL
-        _, first = np.unique(rounded, axis=0, return_index=True)
-        first = np.sort(first)
+        order = np.lexsort(rounded.T[::-1])
+        r = rounded[order]
+        start = np.ones(len(r), dtype=bool)
+        start[1:] = (r[1:] != r[:-1]).any(axis=1)
+        first = np.sort(order[start])
         return pts[first], recs[first]
 
     def add(self, points: np.ndarray, records: np.ndarray) -> None:

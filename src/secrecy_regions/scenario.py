@@ -15,7 +15,7 @@ import yaml
 
 from .binning import CodeConfig
 from .dm import AuxiliaryChain, GridSpec
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_real
 from .gaussian import R0_RHO_COEFF_DERIVATION, GaussianScenario
 from .info import DiscreteChannel, FiniteDistribution
 
@@ -100,6 +100,9 @@ class ScenarioFile:
             _check_keys(sc, _SCENARIO_KEYS, (), "scenario")
             if self.data["bound"] not in ("inner", "outer", "cmac"):
                 raise ValidationError("gaussian bound must be inner, outer, or cmac")
+            coeff = self.data.get("r0_rho_coeff", R0_RHO_COEFF_DERIVATION)
+            if not is_finite_real(coeff):
+                raise ValidationError(f"r0_rho_coeff must be a finite number, got {coeff!r}")
         elif self.kind == "dm":
             if self.data["bound"] not in ("inner", "outer"):
                 raise ValidationError("dm bound must be inner or outer")

@@ -229,6 +229,50 @@ def test_bad_count_field_is_validation_exit(tmp_path, build, field, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "lots"])
+@pytest.mark.parametrize(
+    "field", ["r0", "r1", "r2", "r1p", "r2p", "typicality_eps", "r0_rho_coeff"]
+)
+def test_non_finite_or_text_number_is_validation_exit(tmp_path, field, value):
+    out = tmp_path / "out"
+    if field == "r0_rho_coeff":
+        data = {"kind": "gaussian", **MINIMAL_GAUSSIAN, "bound": "outer", "resolution": 5,
+                "r0_rho_coeff": value, "output": str(out)}
+    else:
+        data = simulate_data(out)
+        data["code"][field] = value
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 1
+    assert not out.exists()
+
+
+def test_cli_r0_rho_coeff_nan_is_validation_exit(tmp_path):
+    out = tmp_path / "r.csv"
+    code = main(
+        [
+            "gaussian-outer",
+            "--p1", "1", "--p2", "1",
+            "--sigma1-sq", "0.1", "--sigma2-sq", "0.3",
+            "--resolution", "5", "--r0-rho-coeff", "nan",
+            "--output", str(out),
+        ]
+    )
+    assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["inner", "outer", "cmac"])
+def test_gaussian_grid_cap_is_cap_exit(tmp_path, bound):
+    # 10**6 per axis cannot be allocated at all; the cap must refuse it first
+    data = {"kind": "gaussian", **MINIMAL_GAUSSIAN, "bound": bound, "resolution": 10**6,
+            "output": str(tmp_path / "r.csv")}
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 2
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_readme_scenarios_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.S)

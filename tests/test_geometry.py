@@ -15,7 +15,14 @@ from secrecy_regions import (
     pareto_frontier,
     project,
 )
-from secrecy_regions.geometry import GEOM_TOL, batch_vertices, contains
+from secrecy_regions.geometry import (
+    GEOM_TOL,
+    FrontierAccumulator,
+    _pareto_mask,
+    _staircase,
+    batch_vertices,
+    contains,
+)
 
 
 def test_rate_triple_clamps_tiny_negatives():
@@ -119,25 +126,68 @@ def test_fm_preserves_feasible_projections():
 
 
 def _brute_frontier(pts):
-    keep = []
-    for i, p in enumerate(pts):
-        dominated = any(
-            np.all(q >= p) and np.any(q > p) for j, q in enumerate(pts) if j != i
-        )
-        if not dominated:
-            keep.append(p)
-    return np.unique(np.array(keep), axis=0)
+    """Rows of pts that no other row dominates (>= everywhere, > somewhere)."""
+    keep = [
+        p for p in pts if not ((pts >= p).all(axis=1) & (pts > p).any(axis=1)).any()
+    ]
+    return np.unique(np.array(keep).reshape(-1, 3), axis=0)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 60))
-@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3000))
+@settings(max_examples=30, deadline=None)
 def test_pareto_frontier_matches_bruteforce(seed, count):
+    # 24 levels per axis: up to 3000 distinct rows, so the vectorized
+    # filter runs as well as the staircase
     rng = np.random.default_rng(seed)
-    pts = rng.integers(0, 4, size=(count, 3)).astype(float) / 3.0
+    pts = rng.integers(0, 24, size=(count, 3)).astype(float) / 23.0
     fast = pareto_frontier(pts)
     brute = _brute_frontier(np.unique(pts, axis=0))
-    assert fast.shape == brute.shape
-    assert np.allclose(np.sort(fast, axis=0), np.sort(brute, axis=0))
+    assert np.array_equal(fast, brute)  # both in (r0, r1, r2) row order
+
+
+def _staircase_only_mask(points, tol):
+    """_pareto_mask without its vectorized filter rounds."""
+    q = points if tol <= 0 else np.round(points / tol)
+    order = np.lexsort((-q[:, 2], -q[:, 1], -q[:, 0]))
+    keep = np.zeros(len(q), dtype=bool)
+    keep[order[_staircase(q[order])]] = True
+    return keep
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4000),
+    levels=st.integers(1, 60),
+    on_plane=st.booleans(),
+    jitter=st.booleans(),
+    tol=st.sampled_from([0.0, 1e-3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_pareto_mask_matches_staircase(seed, n, levels, on_plane, jitter, tol):
+    # integer-grid coordinates repeat r0/r1/r2 values and whole rows; rows
+    # on a plane are mostly mutually non-dominated, so few are filtered
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, levels + 1, size=(n, 3)).astype(float)
+    if on_plane:
+        pts[:, 2] = 2 * levels - pts[:, 0] - pts[:, 1]
+    pts = pts * 1e-3
+    if jitter:
+        pts = pts + rng.choice([0.0, 1e-12], size=pts.shape)
+    assert np.array_equal(_pareto_mask(pts, tol), _staircase_only_mask(pts, tol))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2000))
+@settings(max_examples=40, deadline=None)
+def test_dedupe_picks_the_rows_np_unique_picks(seed, n):
+    rng = np.random.default_rng(seed)
+    # values that round to -0.0 and +0.0, and neighbours one grid step apart
+    values = np.array([-0.0, 0.0, -1e-12, 1e-12, 0.5, 0.5 + GEOM_TOL, 0.5 - GEOM_TOL, 1.0])
+    pts = rng.choice(values, size=(n, 3))
+    recs = np.arange(n, dtype=float)[:, None]
+    _, first = np.unique(np.round(pts / GEOM_TOL) * GEOM_TOL, axis=0, return_index=True)
+    kept, kept_recs = FrontierAccumulator._dedupe(pts, recs)
+    assert np.array_equal(kept_recs[:, 0], np.sort(first))
+    assert np.array_equal(kept, pts[np.sort(first)])
 
 
 def test_pareto_frontier_accepts_triples():
