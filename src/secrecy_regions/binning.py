@@ -196,6 +196,11 @@ def decode_rx1(cb: Codebook, y1: np.ndarray, eps: float | None = None):
 
     Returns (w0, w1, w2) when exactly one codeword tuple is typical with
     y1^n; any other outcome (zero or several candidates) returns None.
+
+    Peak memory: per common message it compares rows = m1*m1p*m2*m2p
+    composite codes of length n against all k = |U||V1||V2||Y1| cells, a
+    boolean tensor of rows*n*k bytes, beside rows*n*8 bytes of int64 codes.
+    run_simulation bounds m0*rows by posterior_cap before any allocation.
     """
     cfg = cb.config
     eps = cfg.typicality_eps if eps is None else eps
@@ -230,15 +235,21 @@ def decode_rx2(cb: Codebook, y2: np.ndarray, eps: float | None = None):
     return int(hits[0]) if len(hits) == 1 else None
 
 
-def posterior_w1w2(cb: Codebook, y2: np.ndarray) -> np.ndarray:
-    """Exact eavesdropper posterior P(w1, w2 | y2^n, codebook), marginalized
-    over the common message and both bin indices."""
-    cfg = cb.config
+def _check_tuple_cap(cfg: CodeConfig) -> None:
+    """Refuse a configuration whose m0*m1*m1p*m2*m2p codeword tuples exceed
+    posterior_cap; decode_rx1 and posterior_w1w2 each scan all of them."""
     tuples = cfg.m0 * cfg.m1 * cfg.m1p * cfg.m2 * cfg.m2p
     if tuples > cfg.posterior_cap:
         raise CapExceededError(
             f"posterior enumeration needs {tuples} tuples, above the cap of {cfg.posterior_cap}"
         )
+
+
+def posterior_w1w2(cb: Codebook, y2: np.ndarray) -> np.ndarray:
+    """Exact eavesdropper posterior P(w1, w2 | y2^n, codebook), marginalized
+    over the common message and both bin indices."""
+    cfg = cb.config
+    _check_tuple_cap(cfg)
     aux = cfg.aux
     w2_given_v = np.einsum(
         "ax,by,xyd->abd", aux.p_x1_given_v1, aux.p_x2_given_v2, cb.channel.y2_marginal()
@@ -284,6 +295,7 @@ def _transmissions(cb: Codebook, trials: int, rng_msg, rng_enc, rng_ch):
 def equivocation_exact(cb: Codebook, trials: int, seed: int) -> float:
     """Monte Carlo average of the exact per-trial posterior entropy, in bits
     per channel use."""
+    _check_tuple_cap(cb.config)
     rngs = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
     total = 0.0
     for _, _, y2 in _transmissions(cb, trials, *rngs):
@@ -295,6 +307,7 @@ def run_simulation(cfg: CodeConfig, trials: int) -> SimulationSummary:
     """Full per-configuration run: one codebook, `trials` transmissions,
     empirical error rates, and the measured equivocation rate.
     Deterministic given (cfg, trials)."""
+    _check_tuple_cap(cfg)
     cb = generate_codebook(cfg)
     rng_enc = encoder_rng(cfg)
     rng_ch = channel_rng(cfg)

@@ -25,7 +25,13 @@ from .geometry import (
     RateRegion,
     batch_vertices,
 )
-from .info import DiscreteChannel, FiniteDistribution, check_distribution, entropy_bits
+from .info import (
+    DiscreteChannel,
+    FiniteDistribution,
+    check_distribution,
+    entropy_bits,
+    float_table,
+)
 
 MAX_AUX_ALPHABET = 3
 PRODUCT_TOL = 1e-12
@@ -46,15 +52,15 @@ class AuxiliaryChain:
     kind: str = "outer"
 
     def __post_init__(self):
-        pv = np.asarray(self.p_v1v2_given_u, dtype=float)
-        px1 = np.asarray(self.p_x1_given_v1, dtype=float)
-        px2 = np.asarray(self.p_x2_given_v2, dtype=float)
+        pv = float_table(self.p_v1v2_given_u, "p(v1,v2|u)", 3)
+        px1 = float_table(self.p_x1_given_v1, "p(x1|v1)", 2)
+        px2 = float_table(self.p_x2_given_v2, "p(x2|v2)", 2)
         object.__setattr__(self, "p_v1v2_given_u", pv)
         object.__setattr__(self, "p_x1_given_v1", px1)
         object.__setattr__(self, "p_x2_given_v2", px2)
         if self.kind not in ("inner", "outer"):
             raise ValidationError(f"chain kind must be inner or outer, got {self.kind!r}")
-        if pv.ndim != 3 or pv.shape[0] != len(self.p_u):
+        if pv.shape[0] != len(self.p_u):
             raise ValidationError("p(v1,v2|u) must have one slice per u symbol")
         if px1.shape[0] != pv.shape[1] or px2.shape[0] != pv.shape[2]:
             raise ValidationError("p(x|v) rows must match the v alphabets")
@@ -73,8 +79,8 @@ class AuxiliaryChain:
     @classmethod
     def inner(cls, p_u, p_v1_given_u, p_v2_given_u, p_x1_given_v1, p_x2_given_v2):
         """Inner-class chain from per-u product factors."""
-        pv1 = np.asarray(p_v1_given_u, dtype=float)
-        pv2 = np.asarray(p_v2_given_u, dtype=float)
+        pv1 = float_table(p_v1_given_u, "p(v1|u)", 2)
+        pv2 = float_table(p_v2_given_u, "p(v2|u)", 2)
         joint = np.einsum("ua,ub->uab", pv1, pv2)
         return cls(p_u, joint, p_x1_given_v1, p_x2_given_v2, kind="inner")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -106,6 +107,22 @@ class RateRegion:
     def __post_init__(self):
         if self.kind not in CONSTRAINT_PATTERNS:
             raise ValidationError(f"unknown bound kind {self.kind!r}")
+
+    @cached_property
+    def query_rows(self) -> np.ndarray:
+        """The bound rows that membership queries scan, computed on first use.
+
+        Every row shares the left-hand side A[:nb] @ p, so a row r that
+        another row s weakly dominates (r <= s component-wise) never decides
+        a query: lhs <= r + tol implies lhs <= s + tol for any tol.  With
+        three bound columns (g_outer, resolution**3 rows) those rows are
+        dropped, the first of equal rows kept.  With four or five the exact
+        skyline costs more than the scans it saves, so all rows stay.
+        """
+        rows = np.atleast_2d(self.bound_rows)
+        if rows.shape[1] != 3:
+            return rows
+        return rows[_pareto_mask(rows)]
 
     def max_sum_rate(self) -> float:
         """Largest r1 + r2 on the frontier (0 for an empty region)."""
@@ -493,7 +510,8 @@ class FrontierAccumulator:
 
 def contains(outer: RateRegion, p, tol: float = GEOM_TOL) -> bool:
     """Membership of a rate triple in a swept region: dominated by some
-    frontier point, or inside some sweep point's halfspace system."""
+    frontier point, or inside some sweep point's halfspace system.  The
+    scan runs over outer.query_rows, the non-dominated bound rows."""
     if isinstance(p, RateTriple):
         p = p.as_array()
     p = np.asarray(p, dtype=float)
@@ -503,7 +521,7 @@ def contains(outer: RateRegion, p, tol: float = GEOM_TOL) -> bool:
         return True
     A = CONSTRAINT_PATTERNS[outer.kind]
     lhs = A[: A.shape[0] - 3] @ p  # (nb,); the non-negativity rows were checked above
-    return bool((lhs[None, :] <= np.atleast_2d(outer.bound_rows) + tol).all(axis=1).any())
+    return bool((lhs[None, :] <= outer.query_rows + tol).all(axis=1).any())
 
 
 def project(points, axis: str) -> np.ndarray:

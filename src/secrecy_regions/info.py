@@ -1,9 +1,9 @@
 """Finite distributions, discrete channels, and exact entropy / mutual
 information evaluation in bits.
 
-Everything here is a pure function over small dense numpy tables; alphabets
-are expected to stay at four symbols or fewer per variable, so a full joint
-over seven variables is at most 4**7 entries.
+Everything here is a pure function over small dense numpy tables; channel
+alphabets are capped at MAX_CHANNEL_ALPHABET symbols per variable, so a full
+joint over seven variables is at most 4**7 entries.
 """
 
 from __future__ import annotations
@@ -16,7 +16,20 @@ from scipy.special import xlogy
 from .errors import ValidationError
 
 NORMALIZATION_TOL = 1e-12
+MAX_CHANNEL_ALPHABET = 4
 _LN2 = np.log(2.0)
+
+
+def float_table(value, what: str, ndim: int) -> np.ndarray:
+    """value as a float array with exactly ndim axes, or a ValidationError
+    (text, ragged nesting and a wrong rank all arrive from scenario files)."""
+    try:
+        table = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a table of numbers: {exc}") from exc
+    if table.ndim != ndim:
+        raise ValidationError(f"{what} must be a {ndim}-index table, got {table.ndim} indices")
+    return table
 
 
 def check_distribution(p: np.ndarray, what: str, rows: int = 1) -> None:
@@ -47,9 +60,9 @@ class FiniteDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = float_table(self.probs, "probabilities", 1)
         object.__setattr__(self, "probs", p)
-        if p.ndim != 1 or p.size == 0:
+        if p.size == 0:
             raise ValidationError("probabilities must form a non-empty vector")
         check_distribution(p, "distribution")
 
@@ -76,17 +89,20 @@ def entropy(d: FiniteDistribution) -> float:
 class DiscreteChannel:
     """Joint transition law p(y1, y2 | x1, x2) on finite alphabets.
 
-    transition has shape (|X1|, |X2|, |Y1|, |Y2|) and every (x1, x2) slice
-    is a probability table over (y1, y2).
+    transition has shape (|X1|, |X2|, |Y1|, |Y2|), each at most
+    MAX_CHANNEL_ALPHABET, and every (x1, x2) slice is a probability table
+    over (y1, y2).
     """
 
     transition: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.transition, dtype=float)
+        t = float_table(self.transition, "channel transition", 4)
         object.__setattr__(self, "transition", t)
-        if t.ndim != 4:
-            raise ValidationError("channel transition must be a 4-index table")
+        if max(t.shape) > MAX_CHANNEL_ALPHABET:
+            raise ValidationError(
+                f"channel alphabets {t.shape} exceed {MAX_CHANNEL_ALPHABET} symbols per variable"
+            )
         check_distribution(t, "channel slice p(y1,y2|x1,x2)", rows=t.shape[0] * t.shape[1])
 
     @property

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 import yaml
 
 from .binning import CodeConfig
@@ -95,6 +94,9 @@ class ScenarioFile:
         schema = _SCHEMAS[self.kind]
         _check_keys(self.data, schema["required"], schema["optional"], f"kind {self.kind}")
         _check_counts(self.data, _COUNTS[self.kind], "")
+        for key in ("output", "summary"):
+            if key in self.data and not isinstance(self.data[key], str):
+                raise ValidationError(f"{key}: expected a file path, got {self.data[key]!r}")
         if self.kind == "gaussian":
             sc = _require_mapping(self.data["scenario"], "scenario")
             _check_keys(sc, _SCENARIO_KEYS, (), "scenario")
@@ -153,7 +155,7 @@ class ScenarioFile:
         return float(self.data.get("r0_rho_coeff", R0_RHO_COEFF_DERIVATION))
 
     def discrete_channel(self) -> DiscreteChannel:
-        return DiscreteChannel(np.asarray(self.data["channel"], dtype=float))
+        return DiscreteChannel(self.data["channel"])
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(**self.data.get("grid", {}))
@@ -161,11 +163,11 @@ class ScenarioFile:
     def auxiliary_chain(self) -> AuxiliaryChain:
         a = self.data["aux"]
         return AuxiliaryChain.inner(
-            FiniteDistribution(np.asarray(a["p_u"], dtype=float)),
-            np.asarray(a["p_v1_given_u"], dtype=float),
-            np.asarray(a["p_v2_given_u"], dtype=float),
-            np.asarray(a["p_x1_given_v1"], dtype=float),
-            np.asarray(a["p_x2_given_v2"], dtype=float),
+            FiniteDistribution(a["p_u"]),
+            a["p_v1_given_u"],
+            a["p_v2_given_u"],
+            a["p_x1_given_v1"],
+            a["p_x2_given_v2"],
         )
 
     def code_config(self, n: int | None = None) -> CodeConfig:

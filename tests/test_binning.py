@@ -192,6 +192,29 @@ def test_posterior_cap():
         posterior_w1w2(cb, np.zeros(4, dtype=int))
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("called before the tuple cap was checked")
+
+
+def test_oversized_config_refused_before_allocation(monkeypatch):
+    # m1*m1p = m2*m2p = 2^15 at n = 16 passes the codebook cap (about 2^20
+    # symbols), but decode_rx1 would build a 2^30 x 16 tensor of codes
+    cfg = make_config(n=16, r1=0.5, r1p=0.4375, r2=0.5, r2p=0.4375)
+    assert cfg.m1 * cfg.m1p == cfg.m2 * cfg.m2p == 2**15
+    assert 16 * (1 + 2 * 2**15) <= cfg.codebook_cap
+    monkeypatch.setattr("secrecy_regions.binning.generate_codebook", _refuse)
+    monkeypatch.setattr("secrecy_regions.binning.decode_rx1", _refuse)
+    with pytest.raises(CapExceededError, match="tuples"):
+        run_simulation(cfg, trials=1)
+
+
+def test_equivocation_checks_the_tuple_cap_first(monkeypatch):
+    cb = generate_codebook(make_config(r1p=0.5, posterior_cap=4))
+    monkeypatch.setattr("secrecy_regions.binning.encode", _refuse)
+    with pytest.raises(CapExceededError):
+        equivocation_exact(cb, trials=1, seed=0)
+
+
 def test_equivocation_useless_eavesdropper():
     """y2 carries nothing: the posterior stays uniform, so the equivocation
     rate equals the realized message rate exactly."""

@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import secrecy_regions
 from secrecy_regions import ScenarioFile, ValidationError
@@ -273,6 +277,31 @@ def test_gaussian_grid_cap_is_cap_exit(tmp_path, bound):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_oversized_simulation_is_cap_exit_before_codebook(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("codebook generated before the tuple cap was checked")
+
+    monkeypatch.setattr("secrecy_regions.binning.generate_codebook", refuse)
+    data = simulate_data(tmp_path / "out")
+    data["code"].update(n=16, r1=0.5, r1p=0.4375, r2=0.5, r2p=0.4375)
+    data["blocklengths"] = [16]
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_channel_alphabet_above_cap_is_validation_exit(tmp_path):
+    t = np.zeros((2, 2, 5, 2))
+    t[:, :, 0, 0] = 1.0
+    data = fm_check_data(tmp_path / "out")
+    data["channel"] = t.tolist()
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_scenarios_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.S)
@@ -303,3 +332,64 @@ def test_cli_gaussian_inner_subcommand(tmp_path):
 
 def test_cli_usage_error_is_validation_exit():
     assert main(["gaussian-inner", "--p1", "1"]) == 1
+
+
+# -- mutated scenarios ------------------------------------------------------
+
+
+def dm_data(output):
+    return {
+        "kind": "dm",
+        "bound": "inner",
+        "channel": degraded_binary_channel().transition.tolist(),
+        "grid": {"u_size": 1, "v1_size": 2, "v2_size": 2, "resolution": 2, "max_chains": 1000},
+        "workers": 1,
+        "output": str(output),
+        "summary": str(output) + ".json",
+    }
+
+
+def gaussian_data(output):
+    return {"kind": "gaussian", **MINIMAL_GAUSSIAN, "bound": "outer", "resolution": 4,
+            "r0_rho_coeff": 1.0, "output": str(output), "summary": str(output) + ".json"}
+
+
+def _field_paths(data, prefix=()):
+    """Every key of a scenario, nested ones too, and the first item of each list."""
+    for key, value in data.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+        elif isinstance(value, list):
+            yield prefix + (key, 0)
+
+
+# Type and finiteness values only: `trials` and other counts have no upper
+# cap, so a huge value would run, not fail.
+_MUTANT_VALUES = (float("nan"), float("inf"), float("-inf"), "text", None, [1, 2], -1, 0, 2.7)
+_BUILDERS = (gaussian_data, dm_data, fm_check_data, simulate_data)
+_MUTATIONS = [
+    (build, path, value)
+    for build in _BUILDERS
+    for path in _field_paths(build("out"))
+    for value in _MUTANT_VALUES
+]
+
+
+@given(st.sampled_from(_MUTATIONS))
+@settings(max_examples=600, deadline=None)
+def test_mutated_scenario_exits_cleanly(mutation):
+    build, path, value = mutation
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a mutated output path is written relative to here
+        try:
+            data = build(Path(tmp) / "out")
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            Path("s.yaml").write_text(yaml.safe_dump(data))
+            assert main(["run", "s.yaml"]) in (0, 1, 2)
+        finally:
+            os.chdir(cwd)

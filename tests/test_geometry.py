@@ -15,7 +15,9 @@ from secrecy_regions import (
     pareto_frontier,
     project,
 )
+from secrecy_regions import GaussianScenario, GridSpec, sweep_gaussian, sweep_region
 from secrecy_regions.geometry import (
+    CONSTRAINT_PATTERNS,
     GEOM_TOL,
     FrontierAccumulator,
     _pareto_mask,
@@ -23,6 +25,7 @@ from secrecy_regions.geometry import (
     batch_vertices,
     contains,
 )
+from conftest import degraded_binary_channel
 
 
 def test_rate_triple_clamps_tiny_negatives():
@@ -219,3 +222,98 @@ def test_region_contains_uses_bound_rows():
     assert contains(region, [0.4, 0.1, 0.1])
     assert not contains(region, [0.6, 0.0, 0.0])
     assert not contains(region, [-0.1, 0.0, 0.0])
+
+
+def _full_scan_contains(region, p, tol):
+    """contains as it was before query_rows: a scan over every bound row."""
+    p = np.asarray(p, dtype=float)
+    if (p < -tol).any():
+        return False
+    if len(region.points) and (region.points >= p[None, :] - tol).all(axis=1).any():
+        return True
+    A = CONSTRAINT_PATTERNS[region.kind]
+    lhs = A[: A.shape[0] - 3] @ p
+    return bool((lhs[None, :] <= np.atleast_2d(region.bound_rows) + tol).all(axis=1).any())
+
+
+def _queries(region, rng, count):
+    """Frontier points and points on each row's faces, scaled by 1 - 1e-9,
+    1 and 1 + 1e-9, plus uniform random points over the bounding box."""
+    rows = np.atleast_2d(region.bound_rows)
+    r0 = np.maximum(rows[:, 0], 0.0)
+    pair = np.maximum(np.minimum(rows[:, 1], rows[:, 2] - r0), 0.0)
+    split = rng.uniform(0.0, 1.0, len(rows))
+    faces = np.column_stack([r0, split * pair, (1 - split) * pair])
+    base = np.vstack([region.points.reshape(-1, 3), faces])
+    base = base[rng.choice(len(base), size=min(count, len(base)), replace=False)]
+    top = max(float(np.abs(rows).max()), 1e-3) * 1.1
+    random = rng.uniform(0.0, top, size=(count, 3))
+    return np.vstack([base * (1 - 1e-9), base, base * (1 + 1e-9), random])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.8, 1.25),
+    resolution=st.integers(2, 9),
+    tol=st.sampled_from([0.0, GEOM_TOL]),
+)
+@settings(max_examples=25, deadline=None)
+def test_contains_matches_full_scan_on_outer_sweeps(seed, scale, resolution, tol):
+    sc = GaussianScenario(scale, 2.0 - scale, 0.1 * scale, 0.3 / scale)
+    region = sweep_gaussian(sc, "g_outer", resolution)
+    rng = np.random.default_rng(seed)
+    for p in _queries(region, rng, 60):
+        assert contains(region, p, tol) == _full_scan_contains(region, p, tol)
+
+
+_LEVELS = np.array(
+    [-0.0, 0.0, 0.125, 0.25, np.nextafter(0.25, 1.0), np.nextafter(0.5, 0.0), 0.5,
+     0.75, np.nextafter(0.75, 1.0), 1.0]
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 1500),
+    trade_off=st.booleans(),
+    tol=st.sampled_from([0.0, GEOM_TOL]),
+)
+@settings(max_examples=40, deadline=None)
+def test_contains_matches_full_scan_on_hand_built_rows(seed, n, trade_off, tol):
+    # few levels: duplicate rows and rows equal in two columns are common;
+    # -0.0 beside +0.0, and values one ulp apart.  With trade_off the third
+    # column falls as the first two rise, so dozens of rows survive pruning.
+    rng = np.random.default_rng(seed)
+    top = len(_LEVELS) - 1
+    idx = rng.integers(0, top + 1, size=(n, 3))
+    if trade_off:
+        idx[:, 2] = np.clip(2 * top - idx[:, 0] - idx[:, 1] - rng.integers(0, 2, n), 0, top)
+    rows = _LEVELS[idx]
+    region = RateRegion("g_outer", np.zeros((0, 3)), np.zeros((0, 3)), rows)
+    for p in _queries(region, rng, 60):
+        assert contains(region, p, tol) == _full_scan_contains(region, p, tol)
+    kept = region.query_rows
+    # every dropped row is weakly dominated by a kept one; no kept row by another
+    for r in rows:
+        assert (kept >= r).all(axis=1).any()
+    for i, r in enumerate(kept):
+        others = np.delete(kept, i, axis=0)
+        assert not (others >= r).all(axis=1).any()
+
+
+def test_sweeps_leave_query_rows_uncomputed():
+    outer = sweep_gaussian(GaussianScenario(1.0, 1.0, 0.1, 0.3), "g_outer", 7)
+    dm = sweep_region(degraded_binary_channel(), "inner", GridSpec(1, 2, 2, 2), workers=1)
+    for region in (outer, dm):
+        assert "query_rows" not in region.__dict__
+    contains(outer, [0.0, 0.1, 0.1])
+    assert "query_rows" in outer.__dict__
+    assert len(outer.query_rows) < len(outer.bound_rows)
+
+
+@pytest.mark.parametrize("kind", ["cmac", "g_inner", "dm_inner", "dm_outer"])
+def test_four_and_five_column_rows_are_not_pruned(kind):
+    nb = CONSTRAINT_PATTERNS[kind].shape[0] - 3
+    rows = np.vstack([np.full(nb, 0.5), np.full(nb, 0.25), np.full(nb, 0.5)])
+    region = RateRegion(kind, np.zeros((0, 3)), np.zeros((0, 1)), rows)
+    assert np.array_equal(region.query_rows, rows)

@@ -56,6 +56,20 @@ def test_channel_validation():
         DiscreteChannel(t_bad)
 
 
+@pytest.mark.parametrize("axis", range(4))
+def test_channel_alphabet_cap(axis):
+    def channel_with(size):
+        shape = [2, 2, 2, 2]
+        shape[axis] = size
+        t = np.zeros(shape)
+        t[..., 0, 0] = 1.0  # every slice a valid distribution: only the size can be wrong
+        return t
+
+    assert DiscreteChannel(channel_with(4)).transition.shape[axis] == 4
+    with pytest.raises(ValidationError, match="exceed 4 symbols"):
+        DiscreteChannel(channel_with(5))
+
+
 def test_channel_marginals_shapes():
     ch = degraded_binary_channel()
     assert ch.y1_marginal().shape == (2, 2, 2)
