@@ -261,44 +261,6 @@ def cmac(**kw):
     _gaussian_command("cmac", **kw)
 
 
-def _scenario_file_command(expected_kind, path, bound=None):
-    sf = ScenarioFile.load(path)
-    if sf.kind != expected_kind:
-        raise ValidationError(f"scenario kind {sf.kind!r}, expected {expected_kind!r}")
-    if bound is not None and sf.data.get("bound") != bound:
-        raise ValidationError(f"scenario bound {sf.data.get('bound')!r}, expected {bound!r}")
-    for written in run_scenario(sf):
-        click.echo(written)
-
-
-@cli.command("dm-inner")
-@click.argument("path", type=click.Path(exists=True))
-def dm_inner(path):
-    """Sweep the discrete achievable region from a dm scenario file."""
-    _scenario_file_command("dm", path, bound="inner")
-
-
-@cli.command("dm-outer")
-@click.argument("path", type=click.Path(exists=True))
-def dm_outer(path):
-    """Sweep the discrete converse region from a dm scenario file."""
-    _scenario_file_command("dm", path, bound="outer")
-
-
-@cli.command("fm-check")
-@click.argument("path", type=click.Path(exists=True))
-def fm_check(path):
-    """Check projection equivalence over random chains from a scenario file."""
-    _scenario_file_command("fm-check", path)
-
-
-@cli.command("simulate")
-@click.argument("path", type=click.Path(exists=True))
-def simulate(path):
-    """Run the binning simulator from a simulate scenario file."""
-    _scenario_file_command("simulate", path)
-
-
 @cli.command("figure")
 @click.argument("which", type=click.Choice(["fig2", "fig3", "fig4"]))
 @click.option("--out-dir", type=click.Path(), default=".", show_default=True)

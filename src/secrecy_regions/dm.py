@@ -1,11 +1,16 @@
-"""Discrete-memoryless rate-region bounds: per-chain evaluation of the
-achievable (inner) and converse (outer) inequality sets, and grid sweeps
-over auxiliary-chain distributions.
+"""Discrete-memoryless rate-region bounds: the achievable (inner) and
+converse (outer) inequality sets of auxiliary chains, and grid sweeps over
+auxiliary-chain distributions.
 
 An auxiliary chain is the factored input distribution
 p(u) p(v1,v2|u) p(x1|v1) p(x2|v2); the inner class additionally requires
-p(v1,v2|u) = p(v1|u) p(v2|u).  Chain evaluation is pure, so sweeps may be
-partitioned across workers and merged by set union.
+p(v1,v2|u) = p(v1|u) p(v2|u).  One evaluator works on a block of chains at
+once: the joint p(u,v1,v2,y1,y2), the marginal entropies, the information
+terms and the five bounds all carry a leading chain axis, and a single chain
+is a block of one.  Sweeps decode a block of grid indices at a time, so no
+Python work is done per chain.  No sum runs over the chain axis, and a
+chain's bounds come out the same bits however the chains are split into
+blocks or across workers; the tests compare both.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.special import xlogy
 
 from .errors import CapExceededError, ValidationError
 from .geometry import (
@@ -26,10 +32,10 @@ from .geometry import (
     batch_vertices,
 )
 from .info import (
+    _LN2,
     DiscreteChannel,
     FiniteDistribution,
     check_distribution,
-    entropy_bits,
     float_table,
 )
 
@@ -64,6 +70,10 @@ class AuxiliaryChain:
             raise ValidationError("p(v1,v2|u) must have one slice per u symbol")
         if px1.shape[0] != pv.shape[1] or px2.shape[0] != pv.shape[2]:
             raise ValidationError("p(x|v) rows must match the v alphabets")
+        if max(pv.shape) > MAX_AUX_ALPHABET:
+            raise ValidationError(
+                f"auxiliary alphabets (u, v1, v2) = {pv.shape} exceed {MAX_AUX_ALPHABET} symbols"
+            )
         check_distribution(pv, "p(v1,v2|u)", rows=pv.shape[0])
         check_distribution(px1, "p(x1|v1)", rows=px1.shape[0])
         check_distribution(px2, "p(x2|v2)", rows=px2.shape[0])
@@ -99,55 +109,64 @@ class AuxiliaryChain:
     def output_joint(self, ch: DiscreteChannel) -> np.ndarray:
         """p(u, v1, v2, y1, y2) through `ch`, with the channel inputs
         marginalized out."""
-        return _joint5(
-            self.p_u.probs, self.p_v1v2_given_u, self.p_x1_given_v1, self.p_x2_given_v2,
-            ch.transition,
-        )
+        tables = (self.p_u.probs, self.p_v1v2_given_u, self.p_x1_given_v1, self.p_x2_given_v2)
+        return _joint5(*(t[None] for t in tables), ch.transition)[0]
 
 
 # ---------------------------------------------------------------------------
-# Chain evaluation
+# Chain evaluation, over a block of chains at once
 # ---------------------------------------------------------------------------
 
+# The marginals of p(u, v1, v2, y1, y2) whose entropies the information terms
+# use, as the joint axes they keep (0 u, 1 v1, 2 v2, 3 y1, 4 y2).  Each entry
+# comes after the larger marginals it is summed from.
 _SUBSETS = {
-    "u": (0,),
-    "y1": (3,),
-    "y2": (4,),
+    "uv1v2y1": (0, 1, 2, 3),
+    "uv1v2y2": (0, 1, 2, 4),
+    "uv1v2": (0, 1, 2),
+    "uv1y1": (0, 1, 3),
+    "uv2y1": (0, 2, 3),
+    "v1v2y1": (1, 2, 3),
+    "uv1y2": (0, 1, 4),
+    "uv2y2": (0, 2, 4),
     "uv1": (0, 1),
     "uv2": (0, 2),
     "uy1": (0, 3),
     "uy2": (0, 4),
     "v1v2": (1, 2),
-    "uv1v2": (0, 1, 2),
-    "uv1y1": (0, 1, 3),
-    "uv1y2": (0, 1, 4),
-    "uv2y1": (0, 2, 3),
-    "uv2y2": (0, 2, 4),
-    "uv1v2y1": (0, 1, 2, 3),
-    "uv1v2y2": (0, 1, 2, 4),
-    "v1v2y1": (1, 2, 3),
+    "u": (0,),
+    "y1": (3,),
+    "y2": (4,),
 }
 
 
 def _joint5(p_u, p_v1v2, p_x1, p_x2, transition) -> np.ndarray:
-    """p(u, v1, v2, y1, y2) with the channel inputs marginalized out."""
-    p_y_given_v = np.einsum("ax,by,xycd->abcd", p_x1, p_x2, transition, optimize=True)
-    return np.einsum("u,uab,abcd->uabcd", p_u, p_v1v2, p_y_given_v)
+    """p(u, v1, v2, y1, y2) per chain, with the channel inputs summed out.
+    Every table but the transition has a leading chain axis."""
+    p_y_v1x2 = (p_x1[:, :, :, None, None, None] * transition).sum(axis=2)
+    p_y_v = (p_x2[:, None, :, :, None, None] * p_y_v1x2[:, :, None]).sum(axis=3)
+    return p_u[:, :, None, None, None, None] * p_v1v2[..., None, None] * p_y_v[:, None]
 
 
-def _entropies(joint5: np.ndarray) -> dict:
-    all_axes = set(range(5))
-    out = {}
+def _entropies(joint: np.ndarray) -> dict:
+    """Entropy in bits of every marginal in _SUBSETS, one value per chain.
+    `joint` has axes (chain, u, v1, v2, y1, y2).  Each marginal is summed out
+    of the smallest one already built that contains it, one axis at a time."""
+    tables = {(0, 1, 2, 3, 4): joint}
+    h = {}
     for name, keep in _SUBSETS.items():
-        drop = tuple(sorted(all_axes - set(keep)))
-        out[name] = entropy_bits(joint5.sum(axis=drop))
-    return out
+        source = min((k for k in tables if set(keep) <= set(k)), key=len)
+        table = tables[source]
+        for pos in reversed([i for i, axis in enumerate(source) if axis not in keep]):
+            table = table.sum(axis=1 + pos)
+        tables[keep] = table
+        h[name] = -xlogy(table, table).reshape(len(table), -1).sum(axis=1) / _LN2
+    return h
 
 
-def chain_information(aux: AuxiliaryChain, ch: DiscreteChannel) -> dict:
-    """All conditional mutual informations (bits) the region inequalities and
-    the raw achievability constraint system need, for one chain."""
-    h = _entropies(aux.output_joint(ch))
+def _information(h: dict) -> dict:
+    """The conditional mutual informations (bits) from the marginal
+    entropies; works per chain or on arrays over a block of chains."""
     return {
         "I(U;Y1)": h["u"] + h["y1"] - h["uy1"],
         "I(U;Y2)": h["u"] + h["y2"] - h["uy2"],
@@ -166,38 +185,35 @@ def chain_information(aux: AuxiliaryChain, ch: DiscreteChannel) -> dict:
     }
 
 
-def _bounds_from_entropies(h: dict, kind: str) -> np.ndarray:
-    pos = lambda x: max(x, 0.0)
-    b12 = pos(h["uy1"] - h["uv1v2y1"] - h["uy2"] + h["uv1v2y2"])
-    b012 = pos(
-        h["v1v2"] + h["y1"] - h["v1v2y1"]
-        - (h["uv1v2"] + h["uy2"] - h["uv1v2y2"] - h["u"])
-    )
+def _bounds(joint: np.ndarray, kind: str) -> np.ndarray:
+    """(b0, b1, b2, b12, b012) per chain, each clamped at zero: differences
+    of the information terms of the chains' joints."""
+    mi = _information(_entropies(joint))
     if kind == "dm_inner":
-        b0 = h["u"] + h["y2"] - h["uy2"]
-        b1 = pos(
-            (h["uv1v2"] + h["uv2y1"] - h["uv1v2y1"] - h["uv2"])
-            - (h["uv1"] + h["uy2"] - h["uv1y2"] - h["u"])
-        )
-        b2 = pos(
-            (h["uv1v2"] + h["uv1y1"] - h["uv1v2y1"] - h["uv1"])
-            - (h["uv2"] + h["uy2"] - h["uv2y2"] - h["u"])
-        )
+        b0 = mi["I(U;Y2)"]
+        b1 = mi["I(V1;Y1|V2,U)"] - mi["I(V1;Y2|U)"]
+        b2 = mi["I(V2;Y1|V1,U)"] - mi["I(V2;Y2|U)"]
     else:
-        b0 = min(
-            h["u"] + h["y1"] - h["uy1"],
-            h["u"] + h["y2"] - h["uy2"],
-        )
-        b1 = pos(h["uy1"] - h["uv1y1"] - h["uy2"] + h["uv1y2"])
-        b2 = pos(h["uy1"] - h["uv2y1"] - h["uy2"] + h["uv2y2"])
-    return np.array([max(b0, 0.0), b1, b2, b12, b012])
+        b0 = np.minimum(mi["I(U;Y1)"], mi["I(U;Y2)"])
+        b1 = mi["I(V1;Y1|U)"] - mi["I(V1;Y2|U)"]
+        b2 = mi["I(V2;Y1|U)"] - mi["I(V2;Y2|U)"]
+    b12 = mi["I(V1,V2;Y1|U)"] - mi["I(V1,V2;Y2|U)"]
+    b012 = mi["I(V1,V2;Y1)"] - mi["I(V1,V2;Y2|U)"]
+    return np.maximum(np.stack([b0, b1, b2, b12, b012], axis=1), 0.0)
+
+
+def chain_information(aux: AuxiliaryChain, ch: DiscreteChannel) -> dict:
+    """All conditional mutual informations (bits) the region inequalities and
+    the raw achievability constraint system need, for one chain."""
+    mi = _information(_entropies(aux.output_joint(ch)[None]))
+    return {name: float(value[0]) for name, value in mi.items()}
 
 
 def region_bounds(aux: AuxiliaryChain, ch: DiscreteChannel, kind: str) -> np.ndarray:
     """The five right-hand sides (b0, b1, b2, b12, b012), clamped at zero."""
     if kind not in ("dm_inner", "dm_outer"):
         raise ValidationError(f"unknown dm bound kind {kind!r}")
-    return _bounds_from_entropies(_entropies(aux.output_joint(ch)), kind)
+    return _bounds(aux.output_joint(ch)[None], kind)[0]
 
 
 def inner_corner_triples(aux: AuxiliaryChain, ch: DiscreteChannel) -> list:
@@ -356,50 +372,60 @@ def chain_count(grid: GridSpec, ch: DiscreteChannel, sweep_class: str) -> int:
     return count
 
 
-def _chain_tables(blocks, grid: GridSpec, sweep_class: str, index: int):
+def _chain_tables(blocks, grid: GridSpec, sweep_class: str, index: np.ndarray):
+    """(p_u, p_v1v2, p_x1, p_x2) of the grid chains at `index`, an array of
+    chain indices, each table with a leading chain axis.  An index is a
+    mixed-radix number whose last digit picks from the last block."""
     digits = []
     for b in reversed(blocks):
-        index, d = divmod(index, len(b))
+        index, d = np.divmod(index, len(b))
         digits.append(d)
-    digits.reverse()
-    pos = 0
-    p_u = blocks[pos][digits[pos]]
-    pos += 1
+    rows = iter([b[d] for b, d in zip(blocks, reversed(digits))])
+
+    def take(count):
+        return np.stack([next(rows) for _ in range(count)], axis=1)
+
+    p_u = next(rows)
     if sweep_class == "inner":
-        pv1 = np.array([blocks[pos + u][digits[pos + u]] for u in range(grid.u_size)])
-        pos += grid.u_size
-        pv2 = np.array([blocks[pos + u][digits[pos + u]] for u in range(grid.u_size)])
-        pos += grid.u_size
-        p_v1v2 = np.einsum("ua,ub->uab", pv1, pv2)
+        pv1, pv2 = take(grid.u_size), take(grid.u_size)
+        p_v1v2 = pv1[:, :, :, None] * pv2[:, :, None, :]
     else:
-        p_v1v2 = np.array(
-            [blocks[pos + u][digits[pos + u]] for u in range(grid.u_size)]
-        ).reshape(grid.u_size, grid.v1_size, grid.v2_size)
-        pos += grid.u_size
-    px1 = np.array([blocks[pos + v][digits[pos + v]] for v in range(grid.v1_size)])
-    pos += grid.v1_size
-    px2 = np.array([blocks[pos + v][digits[pos + v]] for v in range(grid.v2_size)])
-    return p_u, p_v1v2, px1, px2
+        p_v1v2 = take(grid.u_size).reshape(-1, grid.u_size, grid.v1_size, grid.v2_size)
+    return p_u, p_v1v2, take(grid.v1_size), take(grid.v2_size)
 
 
 def chain_at(grid: GridSpec, ch: DiscreteChannel, sweep_class: str, index: int) -> AuxiliaryChain:
     """Materialize grid chain `index` as an AuxiliaryChain."""
     blocks = _chain_blocks(grid, ch, sweep_class)
-    p_u, p_v1v2, px1, px2 = _chain_tables(blocks, grid, sweep_class, index)
+    tables = _chain_tables(blocks, grid, sweep_class, np.array([index]))
+    p_u, p_v1v2, px1, px2 = (t[0] for t in tables)
     return AuxiliaryChain(
         FiniteDistribution(p_u), p_v1v2, px1, px2,
         kind="inner" if sweep_class == "inner" else "outer",
     )
 
 
+# Cells in the largest table one block of chains builds; about 1 MB.
+_BLOCK_CELLS = 1 << 17
+
+
+def _block_chains(grid: GridSpec, transition: np.ndarray) -> int:
+    """Chains per evaluation block.  Per chain, the largest table is one of
+    the x1 and x2 products _joint5 sums over, or the joint itself."""
+    x1, x2, y1, y2 = transition.shape
+    largest = max(x1 * x2, grid.v2_size * x2, grid.u_size * grid.v2_size)
+    return max(1, _BLOCK_CELLS // (largest * grid.v1_size * y1 * y2))
+
+
 def _bounds_slice(transition, grid: GridSpec, sweep_class: str, kind: str, start: int, stop: int):
+    """Bounds of chains start..stop-1, evaluated a fixed-size block at a time."""
     blocks = _chain_blocks(grid, DiscreteChannel(transition), sweep_class)
-    out = np.empty((stop - start, 5))
-    for i, index in enumerate(range(start, stop)):
-        p_u, p_v1v2, px1, px2 = _chain_tables(blocks, grid, sweep_class, index)
-        j = _joint5(p_u, p_v1v2, px1, px2, transition)
-        out[i] = _bounds_from_entropies(_entropies(j), kind)
-    return out
+    step = _block_chains(grid, transition)
+    parts = []
+    for first in range(start, stop, step):
+        tables = _chain_tables(blocks, grid, sweep_class, np.arange(first, min(first + step, stop)))
+        parts.append(_bounds(_joint5(*tables, transition), kind))
+    return np.concatenate(parts)
 
 
 def default_workers() -> int:

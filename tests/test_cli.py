@@ -302,6 +302,21 @@ def test_channel_alphabet_above_cap_is_validation_exit(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("wide", ["u", "v1", "v2"])
+def test_aux_alphabet_above_cap_is_validation_exit(tmp_path, wide):
+    data = simulate_data(tmp_path / "out")
+    aux = data["aux"]
+    if wide == "u":
+        aux.update(p_u=[0.25] * 4, p_v1_given_u=[[0.5, 0.5]] * 4, p_v2_given_u=[[0.5, 0.5]] * 4)
+    else:
+        aux[f"p_{wide}_given_u"] = [[0.25] * 4]
+        aux[f"p_x{wide[1]}_given_{wide}"] = [[1.0, 0.0], [0.0, 1.0]] * 2
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_scenarios_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.S)

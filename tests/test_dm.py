@@ -193,11 +193,30 @@ def test_sweep_cap_refused(degraded_channel):
 
 
 def test_sweep_deterministic_and_worker_invariant(degraded_channel):
-    grid = GridSpec(u_size=1, v1_size=2, v2_size=2, resolution=3)
+    grid = GridSpec(u_size=1, v1_size=2, v2_size=2, resolution=5)
+    # several evaluation blocks, and the two worker slices split one of them
+    assert chain_count(grid, degraded_channel, "inner") > 2 * dm._block_chains(
+        grid, degraded_channel.transition
+    )
     a = sweep_region(degraded_channel, "inner", grid, workers=1)
     b = sweep_region(degraded_channel, "inner", grid, workers=2)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.records, b.records)
+    assert a.bound_rows.tobytes() == b.bound_rows.tobytes()
+
+
+@pytest.mark.parametrize("sweep_class", ["inner", "outer"])
+def test_sweep_rows_match_single_chain_bounds(degraded_channel, sweep_class):
+    """Row i of a sweep is region_bounds of chain_at(i): the block evaluator
+    decodes every grid index the way chain_at does."""
+    grid = GridSpec(u_size=1, v1_size=2, v2_size=2, resolution=3)
+    kind = f"dm_{sweep_class}"
+    rows = sweep_region(degraded_channel, sweep_class, grid, workers=1).bound_rows
+    assert len(rows) == chain_count(grid, degraded_channel, sweep_class) > 700
+    for i, row in enumerate(rows):
+        aux = chain_at(grid, degraded_channel, sweep_class, i)
+        expected = region_bounds(aux, degraded_channel, kind)
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
 
 def test_sweep_workers_validated_and_clamped(monkeypatch, degraded_channel):
