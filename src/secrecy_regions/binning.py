@@ -22,13 +22,17 @@ from .errors import CapExceededError, ValidationError, is_finite_real
 from .info import DiscreteChannel, entropy_bits
 
 MAX_BLOCKLENGTH = 16
+MAX_TRIALS = 100_000
 DEFAULT_CODEBOOK_CAP = 1 << 21  # total codeword symbols
 DEFAULT_POSTERIOR_CAP = 1 << 19  # index tuples per posterior enumeration
 
 
 def _message_count(n: int, rate: float) -> int:
     # floor of 2^(n*rate), guarded against float droop just below an integer
-    return max(1, int(np.floor(2.0 ** (n * rate) * (1.0 + 1e-12))))
+    try:
+        return max(1, int(np.floor(2.0 ** (n * rate) * (1.0 + 1e-12))))
+    except OverflowError:
+        raise CapExceededError(f"rate {rate} at n={n} needs more than 2^1024 messages") from None
 
 
 @dataclass(frozen=True)
@@ -307,6 +311,8 @@ def run_simulation(cfg: CodeConfig, trials: int) -> SimulationSummary:
     """Full per-configuration run: one codebook, `trials` transmissions,
     empirical error rates, and the measured equivocation rate.
     Deterministic given (cfg, trials)."""
+    if trials > MAX_TRIALS:
+        raise CapExceededError(f"{trials} trials, above the cap of {MAX_TRIALS}")
     _check_tuple_cap(cfg)
     cb = generate_codebook(cfg)
     rng_enc = encoder_rng(cfg)

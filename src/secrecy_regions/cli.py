@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from .binning import run_simulation
-from .dm import fm_matches_direct, random_inner_chain, sweep_region
+from .dm import fm_matches_direct, fm_region_polytope, random_inner_chain, sweep_region
 from .errors import CapExceededError, UnboundedPolytopeError, ValidationError
 from .gaussian import R0_RHO_COEFF_DERIVATION, GaussianScenario, sweep_gaussian
 from .geometry import RateRegion, project
@@ -23,6 +23,7 @@ from .scenario import ScenarioFile
 
 REGION_COLUMNS = ("bound_kind", "r0", "r1", "r2", "beta1", "beta2", "rho")
 SIM_COLUMNS = ("n", "trials", "pe1", "pe2", "equivocation_bits_per_use", "secrecy_gap")
+MAX_FM_CHAINS = 100_000
 
 
 def _fmt(x) -> str:
@@ -114,13 +115,27 @@ def _run_simulate(sf: ScenarioFile) -> list:
     return [sf.data["output"]]
 
 
+def _fm_verdict(equal: bool, aux, ch) -> str:
+    """Why a chain is or is not equal.  The projection is empty exactly when
+    it excludes the origin, since only its r >= 0 rows have a negative rate
+    coefficient; an empty projection is a raw system with no solution, which
+    the direct bounds hide by clamping at zero."""
+    if equal:
+        return "equal"
+    empty = not fm_region_polytope(aux, ch).contains_point(np.zeros(3))
+    return "raw_infeasible" if empty else "mismatch"
+
+
 def _run_fm_check(sf: ScenarioFile) -> list:
+    if sf.data["chains"] > MAX_FM_CHAINS:
+        raise CapExceededError(f"{sf.data['chains']} chains, above the cap of {MAX_FM_CHAINS}")
     ch = sf.discrete_channel()
     rng = np.random.default_rng(sf.data.get("seed", 0))
     report = []
     for i in range(sf.data["chains"]):
         aux = random_inner_chain(ch, rng)
-        report.append({"chain": i, "equal": bool(fm_matches_direct(aux, ch))})
+        equal = bool(fm_matches_direct(aux, ch))
+        report.append({"chain": i, "equal": equal, "verdict": _fm_verdict(equal, aux, ch)})
     payload = {"chains": len(report), "all_equal": all(r["equal"] for r in report), "results": report}
     _write_json(sf.data["output"], payload)
     return [sf.data["output"]]

@@ -11,13 +11,25 @@ is a block of one.  Sweeps decode a block of grid indices at a time, so no
 Python work is done per chain.  No sum runs over the chain axis, and a
 chain's bounds come out the same bits however the chains are split into
 blocks or across workers; the tests compare both.
+
+The Fourier-Motzkin check derives the inner region a second way, from the
+binning scheme's raw system over (r0, r1, r2, r1p, r2p).  Its coefficients
+do not depend on the chain, so the bin rates are eliminated once per process
+with every right-hand side carried as a variable over 8 information terms
+(_fm_table, 21 rows); a chain's projection is that table times its terms.
+A chain whose projection differs from the direct polytope is raw_infeasible
+when the projection is empty: the raw system has no non-negative solution,
+while the direct bounds, clamped at zero, still give a polytope.  Any other
+difference is a mismatch.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -27,8 +39,10 @@ from .errors import CapExceededError, ValidationError
 from .geometry import (
     CONSTRAINT_PATTERNS,
     FrontierAccumulator,
+    HalfspaceSystem,
     Polytope3,
     RateRegion,
+    _prune_pairwise,
     batch_vertices,
 )
 from .info import (
@@ -40,6 +54,7 @@ from .info import (
 )
 
 MAX_AUX_ALPHABET = 3
+MAX_CHAINS = 300_000
 PRODUCT_TOL = 1e-12
 
 
@@ -185,10 +200,9 @@ def _information(h: dict) -> dict:
     }
 
 
-def _bounds(joint: np.ndarray, kind: str) -> np.ndarray:
+def _bounds(mi: dict, kind: str) -> np.ndarray:
     """(b0, b1, b2, b12, b012) per chain, each clamped at zero: differences
-    of the information terms of the chains' joints."""
-    mi = _information(_entropies(joint))
+    of the chains' information terms."""
     if kind == "dm_inner":
         b0 = mi["I(U;Y2)"]
         b1 = mi["I(V1;Y1|V2,U)"] - mi["I(V1;Y2|U)"]
@@ -213,7 +227,7 @@ def region_bounds(aux: AuxiliaryChain, ch: DiscreteChannel, kind: str) -> np.nda
     """The five right-hand sides (b0, b1, b2, b12, b012), clamped at zero."""
     if kind not in ("dm_inner", "dm_outer"):
         raise ValidationError(f"unknown dm bound kind {kind!r}")
-    return _bounds(aux.output_joint(ch)[None], kind)[0]
+    return _bounds(_information(_entropies(aux.output_joint(ch)[None])), kind)[0]
 
 
 def inner_corner_triples(aux: AuxiliaryChain, ch: DiscreteChannel) -> list:
@@ -237,46 +251,70 @@ def outer_corner_triples(aux: AuxiliaryChain, ch: DiscreteChannel) -> list:
 
 RAW_VARS = ("r0", "r1", "r2", "r1p", "r2p")
 
+# The binning scheme's raw system over RAW_VARS, one (coefficients, relation,
+# right-hand-side information term) per row; None stands for 0.
+_RAW_ROWS = (
+    # r1p + r2p pinned to the eavesdropper's conditional rate (slack -> 0)
+    ((0, 0, 0, 1, 1), "==", "I(V1,V2;Y2|U)"),
+    # reliable decoding at the legitimate receiver / of the common message
+    ((1, 0, 0, 0, 0), "<=", "I(U;Y2)"),
+    ((0, 1, 0, 1, 0), "<=", "I(V1;Y1|V2,U)"),
+    ((0, 0, 1, 0, 1), "<=", "I(V2;Y1|V1,U)"),
+    ((0, 1, 1, 1, 1), "<=", "I(V1,V2;Y1|U)"),
+    ((1, 1, 1, 1, 1), "<=", "I(U,V1,V2;Y1)"),
+    # eavesdropper can resolve the bin indices given the messages
+    ((0, 0, 0, 1, 0), "<=", "I(V1;Y2|V2,U)"),
+    ((0, 0, 0, 0, 1), "<=", "I(V2;Y2|V1,U)"),
+    ((0, 0, 0, 1, 1), "<=", "I(V1,V2;Y2|U)"),
+) + tuple((tuple(-float(i == k) for i in range(5)), "<=", None) for k in range(5))
+_RAW_TERMS = tuple(dict.fromkeys(term for _, _, term in _RAW_ROWS if term))
 
-def achievability_constraint_system(aux: AuxiliaryChain, ch: DiscreteChannel) -> "HalfspaceSystem":
+
+def _binning_terms(aux: AuxiliaryChain, ch: DiscreteChannel) -> dict:
+    """The information terms of one inner-class chain, arrays of one value."""
+    if aux.kind != "inner":
+        raise ValidationError("the binning scheme requires an inner-class chain")
+    return _information(_entropies(aux.output_joint(ch)[None]))
+
+
+def achievability_constraint_system(aux: AuxiliaryChain, ch: DiscreteChannel) -> HalfspaceSystem:
     """The raw constraint system of the binning scheme for one inner-class
     chain: the rate-split equality on the bin rates, the decoding constraints
     at the legitimate receiver, the eavesdropper bin-decoding constraints,
-    and non-negativity.  Eliminating r1p and r2p reproduces the direct
-    five-inequality region.
+    and non-negativity.  Eliminating r1p and r2p from it chain by chain is
+    the reference for the table that _fm_table derives once.
     """
-    if aux.kind != "inner":
-        raise ValidationError("the binning scheme requires an inner-class chain")
-    mi = chain_information(aux, ch)
-    rows = [
-        # r1p + r2p pinned to the eavesdropper's conditional rate (slack -> 0)
-        ((0, 0, 0, 1, 1), "==", mi["I(V1,V2;Y2|U)"]),
-        # reliable decoding at the legitimate receiver / of the common message
-        ((1, 0, 0, 0, 0), "<=", mi["I(U;Y2)"]),
-        ((0, 1, 0, 1, 0), "<=", mi["I(V1;Y1|V2,U)"]),
-        ((0, 0, 1, 0, 1), "<=", mi["I(V2;Y1|V1,U)"]),
-        ((0, 1, 1, 1, 1), "<=", mi["I(V1,V2;Y1|U)"]),
-        ((1, 1, 1, 1, 1), "<=", mi["I(U,V1,V2;Y1)"]),
-        # eavesdropper can resolve the bin indices given the messages
-        ((0, 0, 0, 1, 0), "<=", mi["I(V1;Y2|V2,U)"]),
-        ((0, 0, 0, 0, 1), "<=", mi["I(V2;Y2|V1,U)"]),
-        ((0, 0, 0, 1, 1), "<=", mi["I(V1,V2;Y2|U)"]),
-    ]
-    rows += [(tuple(-1.0 if i == k else 0.0 for i in range(5)), "<=", 0.0) for k in range(5)]
-    from .geometry import HalfspaceSystem
+    mi = _binning_terms(aux, ch)
+    rows = tuple((c, rel, float(mi[t][0]) if t else 0.0) for c, rel, t in _RAW_ROWS)
+    return HalfspaceSystem(RAW_VARS, rows)
 
-    return HalfspaceSystem(RAW_VARS, tuple(rows))
+
+@cache
+def _fm_table():
+    """(A, T): the raw system with r1p and r2p eliminated once, for every
+    chain, by carrying each right-hand-side term as a variable (the FME-IT
+    method of Gattegno, Goldfeld & Permuter 2016).  A chain's projection is
+    A r <= T @ terms, with the terms in _RAW_TERMS order."""
+    from .geometry import fm_eliminate
+
+    rows = tuple(
+        (c + tuple(-float(t == name) for name in _RAW_TERMS), rel, 0.0) for c, rel, t in _RAW_ROWS
+    )
+    system = HalfspaceSystem(RAW_VARS + _RAW_TERMS, rows)
+    A, _ = fm_eliminate(fm_eliminate(system, "r1p"), "r2p").to_arrays()
+    return A[:, :3], -A[:, 3:]
+
+
+def _fm_polytope(mi: dict) -> Polytope3:
+    """The table evaluated at one chain's terms, parallel rows merged."""
+    A, T = _fm_table()
+    return Polytope3(*_prune_pairwise(A, T @ [mi[name][0] for name in _RAW_TERMS]))
 
 
 def fm_region_polytope(aux: AuxiliaryChain, ch: DiscreteChannel) -> Polytope3:
-    """Project the raw constraint system onto (r0, r1, r2) by eliminating
-    both bin rates with Fourier-Motzkin."""
-    from .geometry import fm_eliminate
-
-    system = achievability_constraint_system(aux, ch)
-    system = fm_eliminate(system, "r1p")
-    system = fm_eliminate(system, "r2p")
-    return Polytope3.from_system(system)
+    """The raw constraint system projected onto (r0, r1, r2), both bin rates
+    eliminated by Fourier-Motzkin."""
+    return _fm_polytope(_binning_terms(aux, ch))
 
 
 def random_inner_chain(
@@ -304,8 +342,9 @@ def random_inner_chain(
 def fm_matches_direct(aux: AuxiliaryChain, ch: DiscreteChannel, tol: float = 1e-9) -> bool:
     """Mutual vertex containment of the Fourier-Motzkin projection and the
     direct five-inequality polytope for one inner-class chain."""
-    direct = Polytope3.from_bounds("dm_inner", region_bounds(aux, ch, "dm_inner"))
-    projected = fm_region_polytope(aux, ch)
+    mi = _binning_terms(aux, ch)
+    direct = Polytope3.from_bounds("dm_inner", _bounds(mi, "dm_inner")[0])
+    projected = _fm_polytope(mi)
     return all(projected.contains_point(v, tol) for v in direct.vertices()) and all(
         direct.contains_point(v, tol) for v in projected.vertices()
     )
@@ -340,7 +379,7 @@ class GridSpec:
     v1_size: int = 2
     v2_size: int = 2
     resolution: int = 3
-    max_chains: int = 300_000
+    max_chains: int = MAX_CHAINS
 
     def __post_init__(self):
         for name in ("u_size", "v1_size", "v2_size"):
@@ -349,27 +388,31 @@ class GridSpec:
                 raise ValidationError(f"{name}={v} outside 1..{MAX_AUX_ALPHABET}")
         if self.resolution < 1:
             raise ValidationError("resolution must be >= 1")
+        if not 1 <= self.max_chains <= MAX_CHAINS:
+            raise ValidationError(f"max_chains={self.max_chains} outside 1..{MAX_CHAINS}")
+
+
+def _block_cells(grid: GridSpec, ch: DiscreteChannel, sweep_class: str) -> list:
+    """The number of cells of each per-parameter distribution of a chain."""
+    if sweep_class == "inner":
+        v_cells = [grid.v1_size] * grid.u_size + [grid.v2_size] * grid.u_size
+    else:
+        v_cells = [grid.v1_size * grid.v2_size] * grid.u_size
+    return [grid.u_size, *v_cells, *[ch.x1_size] * grid.v1_size, *[ch.x2_size] * grid.v2_size]
 
 
 def _chain_blocks(grid: GridSpec, ch: DiscreteChannel, sweep_class: str):
     """Per-parameter option tables; a chain is one choice from every block."""
-    k = grid.resolution
-    blocks = [simplex_grid(grid.u_size, k)]
-    if sweep_class == "inner":
-        blocks += [simplex_grid(grid.v1_size, k)] * grid.u_size
-        blocks += [simplex_grid(grid.v2_size, k)] * grid.u_size
-    else:
-        blocks += [simplex_grid(grid.v1_size * grid.v2_size, k)] * grid.u_size
-    blocks += [simplex_grid(ch.x1_size, k)] * grid.v1_size
-    blocks += [simplex_grid(ch.x2_size, k)] * grid.v2_size
-    return blocks
+    cells = _block_cells(grid, ch, sweep_class)
+    tables = {c: simplex_grid(c, grid.resolution) for c in set(cells)}
+    return [tables[c] for c in cells]
 
 
 def chain_count(grid: GridSpec, ch: DiscreteChannel, sweep_class: str) -> int:
-    count = 1
-    for b in _chain_blocks(grid, ch, sweep_class):
-        count *= len(b)
-    return count
+    """Grid chains, counted without building a table: simplex_grid(c, k)
+    has comb(k - 1 + c - 1, c - 1) rows."""
+    steps = grid.resolution - 1
+    return math.prod(math.comb(steps + c - 1, c - 1) for c in _block_cells(grid, ch, sweep_class))
 
 
 def _chain_tables(blocks, grid: GridSpec, sweep_class: str, index: np.ndarray):
@@ -424,7 +467,7 @@ def _bounds_slice(transition, grid: GridSpec, sweep_class: str, kind: str, start
     parts = []
     for first in range(start, stop, step):
         tables = _chain_tables(blocks, grid, sweep_class, np.arange(first, min(first + step, stop)))
-        parts.append(_bounds(_joint5(*tables, transition), kind))
+        parts.append(_bounds(_information(_entropies(_joint5(*tables, transition))), kind))
     return np.concatenate(parts)
 
 

@@ -45,6 +45,7 @@ class GaussianScenario:
             v = getattr(self, name)
             if not is_finite_real(v) or v <= 0:
                 raise ValidationError(f"{name} must be a finite number > 0, got {v!r}")
+            object.__setattr__(self, name, float(v))  # a huge int product overflows numpy
 
 
 @dataclass(frozen=True)

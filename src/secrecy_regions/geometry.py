@@ -185,29 +185,19 @@ class HalfspaceSystem:
 
 
 def _prune_pairwise(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL):
-    """Drop rows dominated by another row with the same (normalized)
-    coefficient vector but a smaller or equal constant, plus trivial
-    0 <= nonneg rows.  Infeasibility markers (0 <= negative) are kept.
+    """Of rows whose coefficient vectors are positive multiples of one
+    another keep the one with the smallest scaled constant (the first of
+    equal ones), and drop trivial 0 <= nonneg rows; infeasibility markers
+    (0 <= negative) are kept.  A row is scaled by its largest absolute
+    coefficient, which maps exact multiples to the same floats.
     """
-    keep = []
-    norms = np.linalg.norm(A, axis=1)
-    for i in range(len(b)):
-        if norms[i] < tol:
-            if b[i] < -tol:
-                keep.append(i)  # infeasible marker
-            continue
-        ai, bi = A[i] / norms[i], b[i] / norms[i]
-        dominated = False
-        for j in keep + list(range(i + 1, len(b))):
-            if j == i or norms[j] < tol:
-                continue
-            aj, bj = A[j] / norms[j], b[j] / norms[j]
-            if np.allclose(ai, aj, atol=tol):
-                if bj < bi - tol or (abs(bj - bi) <= tol and j < i):
-                    dominated = True
-                    break
-        if not dominated:
-            keep.append(i)
+    scale = np.abs(A).max(axis=1, initial=0.0)
+    rows = np.nonzero(scale >= tol)[0]
+    rows = rows[np.argsort(b[rows] / scale[rows], kind="stable")]
+    # np.unique keeps the first of equal rows when asked for their indices
+    _, first = np.unique(A[rows] / scale[rows, None], axis=0, return_index=True)
+    markers = np.nonzero((scale < tol) & (b < -tol))[0]
+    keep = np.sort(np.concatenate([rows[first], markers]))
     return A[keep], b[keep]
 
 
@@ -218,28 +208,16 @@ def fm_eliminate(system: HalfspaceSystem, var: str) -> HalfspaceSystem:
     if var not in system.variables:
         raise ValidationError(f"variable {var!r} not in system")
     j = system.variables.index(var)
-    ineqs = system.inequality_rows()
-    upper, lower, passthrough = [], [], []
-    for c, rhs in ineqs:
-        if c[j] > GEOM_TOL:
-            upper.append((c / c[j], rhs / c[j]))
-        elif c[j] < -GEOM_TOL:
-            lower.append((c / -c[j], rhs / -c[j]))
-        else:
-            passthrough.append((c, rhs))
-    combined = [(cu + cl, ru + rl) for cu, ru in upper for cl, rl in lower]
-    rows = passthrough + combined
-
-    keep_idx = [k for k in range(len(system.variables)) if k != j]
-    if rows:
-        A = np.array([c[keep_idx] for c, _ in rows]).reshape(len(rows), len(keep_idx))
-        b = np.array([rhs for _, rhs in rows])
-        A, b = _prune_pairwise(A, b)
-    else:
-        A = np.zeros((0, len(keep_idx)))
-        b = np.zeros(0)
+    A, b = system.to_arrays()
+    col = A[:, j]
+    up, low = col > GEOM_TOL, col < -GEOM_TOL
+    Au, bu = A[up] / col[up, None], b[up] / col[up]
+    Al, bl = A[low] / -col[low, None], b[low] / -col[low]
+    A = np.vstack([A[~(up | low)], (Au[:, None] + Al[None]).reshape(-1, A.shape[1])])
+    b = np.concatenate([b[~(up | low)], (bu[:, None] + bl[None]).ravel()])
+    A, b = _prune_pairwise(np.delete(A, j, axis=1), b)
     new_vars = tuple(v for v in system.variables if v != var)
-    return HalfspaceSystem(new_vars, tuple((A[i], "<=", b[i]) for i in range(len(b))))
+    return HalfspaceSystem(new_vars, tuple(zip(A, ["<="] * len(b), b)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +227,10 @@ def fm_eliminate(system: HalfspaceSystem, var: str) -> HalfspaceSystem:
 
 def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
     """Vertices of {x in R^3 : A x <= b}: the feasible basic solutions from
-    batch_vertices, with the 64-bit sanity box added and duplicates merged
-    on the tolerance grid.  Raises UnboundedPolytopeError when the polytope
-    escapes the sanity box.
+    batch_vertices, with the 64-bit sanity box added and one real vertex
+    kept per cell of the tolerance grid; a vertex snapped to the grid could
+    move past a constraint by up to tol.  Raises UnboundedPolytopeError when
+    the polytope escapes the sanity box.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -264,7 +243,20 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL) -> n
         return np.zeros((0, 3))
     if np.any(verts > SANITY_BOX_BITS - 1e-6):
         raise UnboundedPolytopeError("polytope reaches the 64-bit sanity box")
-    return np.unique(np.round(verts / tol) * tol, axis=0)
+    return verts[_grid_cells(verts, tol)]
+
+
+def _grid_cells(pts: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
+    """Index of the first row in each cell of the tol grid, cells in
+    lexicographic order: the rows np.unique(rounded, axis=0,
+    return_index=True) would pick, since the lexsort is stable and -0.0
+    equals +0.0 in both."""
+    rounded = np.round(pts / tol) * tol
+    order = np.lexsort(rounded.T[::-1])
+    r = rounded[order]
+    start = np.ones(len(r), dtype=bool)
+    start[1:] = (r[1:] != r[:-1]).any(axis=1)
+    return order[start]
 
 
 def batch_vertices(A: np.ndarray, B: np.ndarray, tol: float = GEOM_TOL):
@@ -299,13 +291,6 @@ class Polytope3:
 
     A: np.ndarray
     b: np.ndarray
-
-    @classmethod
-    def from_system(cls, system: HalfspaceSystem) -> "Polytope3":
-        if set(system.variables) != set(RATE_VARS):
-            raise ValidationError("Polytope3 requires variables (r0, r1, r2)")
-        A, b = system.to_arrays(RATE_VARS)
-        return cls(A, b)
 
     @classmethod
     def from_bounds(cls, kind: str, bounds) -> "Polytope3":
@@ -478,14 +463,8 @@ class FrontierAccumulator:
     @staticmethod
     def _dedupe(pts: np.ndarray, recs: np.ndarray):
         """The first row of each group equal on the GEOM_TOL grid, in input
-        order: the rows np.unique(..., axis=0, return_index=True) would
-        pick, since the lexsort is stable and -0.0 equals +0.0 in both."""
-        rounded = np.round(pts / GEOM_TOL) * GEOM_TOL
-        order = np.lexsort(rounded.T[::-1])
-        r = rounded[order]
-        start = np.ones(len(r), dtype=bool)
-        start[1:] = (r[1:] != r[:-1]).any(axis=1)
-        first = np.sort(order[start])
+        order."""
+        first = np.sort(_grid_cells(pts))
         return pts[first], recs[first]
 
     def add(self, points: np.ndarray, records: np.ndarray) -> None:

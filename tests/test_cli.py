@@ -266,6 +266,15 @@ def test_cli_r0_rho_coeff_nan_is_validation_exit(tmp_path):
     assert not out.exists()
 
 
+def test_huge_integer_powers_run(tmp_path):
+    # 10**12 * 10**12 overflows int64, and numpy cannot take sqrt of the Python int
+    data = gaussian_data(tmp_path / "r.csv")
+    data["scenario"].update(p1=10**12, p2=10**12)
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 0
+
+
 @pytest.mark.parametrize("bound", ["inner", "outer", "cmac"])
 def test_gaussian_grid_cap_is_cap_exit(tmp_path, bound):
     # 10**6 per axis cannot be allocated at all; the cap must refuse it first
@@ -289,6 +298,58 @@ def test_oversized_simulation_is_cap_exit_before_codebook(tmp_path, monkeypatch)
     path.write_text(yaml.safe_dump(data))
     assert main(["run", str(path)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("drawn before the cap was checked")
+
+
+@pytest.mark.parametrize(
+    "build, field, value, draw",
+    [
+        (simulate_data, ("trials",), 10**12, "secrecy_regions.binning.generate_codebook"),
+        (simulate_data, ("code", "r1"), 300, "secrecy_regions.binning.generate_codebook"),
+        (simulate_data, ("code", "r2p"), 10**12, "secrecy_regions.binning.generate_codebook"),
+        (fm_check_data, ("chains",), 10**12, "secrecy_regions.cli.random_inner_chain"),
+    ],
+)
+def test_oversized_request_is_cap_exit_before_drawing(tmp_path, monkeypatch, build, field, value,
+                                                      draw):
+    monkeypatch.setattr(draw, _refuse)
+    data = build(tmp_path / "out")
+    node = data
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_dm_max_chains_above_cap_is_validation_exit(tmp_path):
+    data = dm_data(tmp_path / "out")
+    data["grid"]["max_chains"] = 10**15
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_fm_check_verdicts_say_why(tmp_path):
+    """On a random channel the unequal chains are the ones whose raw system
+    is infeasible (the zero clamp), not elimination mismatches."""
+    channel = np.random.default_rng(7).dirichlet(np.ones(4), size=4).reshape(2, 2, 2, 2)
+    data = fm_check_data(tmp_path / "out.json")
+    data.update(channel=channel.tolist(), chains=20, seed=1)
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 0
+    report = json.loads((tmp_path / "out.json").read_text())
+    verdicts = [r["verdict"] for r in report["results"]]
+    assert all((v == "equal") == r["equal"] for v, r in zip(verdicts, report["results"]))
+    assert verdicts.count("raw_infeasible") > 0 and verdicts.count("mismatch") == 0
+    assert report["all_equal"] is False
 
 
 def test_channel_alphabet_above_cap_is_validation_exit(tmp_path):
@@ -365,8 +426,10 @@ def dm_data(output):
 
 
 def gaussian_data(output):
-    return {"kind": "gaussian", **MINIMAL_GAUSSIAN, "bound": "outer", "resolution": 4,
-            "r0_rho_coeff": 1.0, "output": str(output), "summary": str(output) + ".json"}
+    # a copy of the nested scenario, so that a mutation does not outlive its example
+    return {"kind": "gaussian", **MINIMAL_GAUSSIAN, "scenario": dict(MINIMAL_GAUSSIAN["scenario"]),
+            "bound": "outer", "resolution": 4, "r0_rho_coeff": 1.0, "output": str(output),
+            "summary": str(output) + ".json"}
 
 
 def _field_paths(data, prefix=()):
@@ -379,9 +442,11 @@ def _field_paths(data, prefix=()):
             yield prefix + (key, 0)
 
 
-# Type and finiteness values only: `trials` and other counts have no upper
-# cap, so a huge value would run, not fail.
-_MUTANT_VALUES = (float("nan"), float("inf"), float("-inf"), "text", None, [1, 2], -1, 0, 2.7)
+# Type and finiteness values, and one huge number: every count and rate that
+# sets the amount of work has an upper cap, so 10**12 must not start a long run.
+_MUTANT_VALUES = (
+    float("nan"), float("inf"), float("-inf"), "text", None, [1, 2], -1, 0, 2.7, 10**12
+)
 _BUILDERS = (gaussian_data, dm_data, fm_check_data, simulate_data)
 _MUTATIONS = [
     (build, path, value)

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrecy_regions import (
     AuxiliaryChain,
@@ -21,9 +28,10 @@ from secrecy_regions import (
     region_bounds,
     sweep_region,
 )
-from secrecy_regions import dm
+from secrecy_regions import dm, geometry
+from secrecy_regions.cli import main
 from secrecy_regions.dm import random_inner_chain, simplex_grid
-from secrecy_regions.geometry import contains
+from secrecy_regions.geometry import Polytope3, contains, fm_eliminate
 from conftest import (
     degraded_binary_channel,
     identity_uniform_chain,
@@ -145,6 +153,66 @@ def test_fm_projection_equals_direct_region(degraded_channel, rng):
         assert fm_matches_direct(aux, degraded_channel)
 
 
+def _same_vertices(a, b, tol=1e-9):
+    """Every vertex of a within tol (max norm) of one of b, and back."""
+    def near(p, q):
+        return all(np.abs(q - v).max(axis=1).min() <= tol for v in p) if len(q) else not len(p)
+
+    return near(a, b) and near(b, a)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_fm_table_matches_per_chain_elimination(seed, k):
+    """The table eliminated once, evaluated at a chain, has the vertices of
+    that chain's own raw system with r1p and r2p eliminated."""
+    rng = np.random.default_rng(seed)
+    ch = DiscreteChannel(rng.dirichlet(np.ones(k * k), size=k * k).reshape(k, k, k, k))
+    aux = random_inner_chain(ch, rng, *(int(n) for n in rng.integers(1, 4, size=3)))
+    system = fm_eliminate(fm_eliminate(achievability_constraint_system(aux, ch), "r1p"), "r2p")
+    oracle = Polytope3(*system.to_arrays(("r0", "r1", "r2"))).vertices()
+    assert _same_vertices(fm_region_polytope(aux, ch).vertices(), oracle)
+
+
+def test_fm_table_is_derived_once_per_process(monkeypatch, tmp_path, degraded_channel):
+    code = "import secrecy_regions.cli\nfrom secrecy_regions import dm\n"
+    code += "print(dm._fm_table.cache_info().misses)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "0"  # nothing is eliminated at import
+
+    calls = []
+    real = geometry.fm_eliminate
+    monkeypatch.setattr(geometry, "fm_eliminate", lambda s, v: calls.append(v) or real(s, v))
+    dm._fm_table.cache_clear()
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump({
+        "kind": "fm-check", "channel": degraded_channel.transition.tolist(), "chains": 50,
+        "seed": 3, "output": str(tmp_path / "out.json"),
+    }))
+    assert main(["run", str(path)]) == 0
+    assert calls == ["r1p", "r2p"]
+
+    A, T = dm._fm_table()
+    assert A.shape == (21, 3) and T.shape == (21, len(dm._RAW_TERMS)) == (21, 8)
+    # only the r >= 0 rows have a negative rate coefficient, so a projection
+    # that excludes the origin is empty: the fm-check verdicts rely on this
+    negative = A[(A < 0).any(axis=1)]
+    assert sorted(map(tuple, negative)) == [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+
+
+def test_fm_snapped_vertex_is_not_a_mismatch():
+    """Vertices snapped to the 1e-9 grid could cross a face of the other
+    polytope by more than 1e-9; the real vertices are inside it within 1e-9."""
+    t = np.random.default_rng(102).dirichlet(np.ones(9), size=9).reshape(3, 3, 3, 3)
+    ch = DiscreteChannel(t)
+    rng = np.random.default_rng(2)
+    for _ in range(85):
+        aux = random_inner_chain(ch, rng)
+    assert fm_matches_direct(aux, ch)
+
+
 def test_fm_polytope_vertices_feasible(degraded_channel):
     aux = identity_uniform_chain(u_size=2)
     poly = fm_region_polytope(aux, degraded_channel)
@@ -190,6 +258,35 @@ def test_sweep_cap_refused(degraded_channel):
     grid = GridSpec(u_size=3, v1_size=3, v2_size=3, resolution=5, max_chains=1000)
     with pytest.raises(CapExceededError):
         sweep_region(degraded_channel, "inner", grid)
+
+
+@pytest.mark.parametrize("sweep_class", ["inner", "outer"])
+def test_chain_count_matches_grid_tables(sweep_class):
+    rng = np.random.default_rng(5)
+    ch = DiscreteChannel(rng.dirichlet(np.ones(6), size=6).reshape(3, 2, 3, 2))
+    for shape in ((1, 1, 1), (1, 2, 3), (2, 2, 2), (3, 1, 2)):
+        for resolution in (1, 2, 3):
+            grid = GridSpec(*shape, resolution=resolution)
+            blocks = dm._chain_blocks(grid, ch, sweep_class)
+            assert chain_count(grid, ch, sweep_class) == np.prod([len(b) for b in blocks])
+
+
+@pytest.mark.parametrize("resolution", [100, 300, 10**9])
+def test_chain_cap_checked_before_any_table(monkeypatch, resolution):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid table was built before the chain cap was checked")
+
+    monkeypatch.setattr(dm, "simplex_grid", refuse)
+    ch = DiscreteChannel(np.full((4, 4, 4, 4), 1 / 16))
+    grid = GridSpec(u_size=2, v1_size=2, v2_size=2, resolution=resolution)
+    with pytest.raises(CapExceededError):
+        sweep_region(ch, "inner", grid, workers=1)
+
+
+@pytest.mark.parametrize("max_chains", [0, dm.MAX_CHAINS + 1, 10**15])
+def test_grid_max_chains_only_lowers_the_cap(max_chains):
+    with pytest.raises(ValidationError):
+        GridSpec(max_chains=max_chains)
 
 
 def test_sweep_deterministic_and_worker_invariant(degraded_channel):

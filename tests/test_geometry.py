@@ -21,6 +21,7 @@ from secrecy_regions.geometry import (
     GEOM_TOL,
     FrontierAccumulator,
     _pareto_mask,
+    _prune_pairwise,
     _staircase,
     batch_vertices,
     contains,
@@ -114,6 +115,16 @@ def test_fm_eliminate_equality_row():
     lower = max(rhs / c for c, rhs in zip(A[:, 0], b) if c < 0)
     assert upper == pytest.approx(1.0)
     assert lower == pytest.approx(0.6)
+
+
+def test_prune_pairwise_keeps_tightest_of_parallel_rows():
+    A = np.array([[1, 1], [2, 2], [0, 0], [0, 0], [1, 0], [3, 0], [-1, -1], [1, 3]], float)
+    b = np.array([3.0, 4.0, 1.0, -1.0, 1.0, 3.0, 5.0, 2.0])
+    kept_A, kept_b = _prune_pairwise(A, b)
+    # (2,2) <= 4 beats (1,1) <= 3; (1,0) <= 1 and (3,0) <= 3 tie, the first stays;
+    # 0 <= 1 goes and the infeasibility marker 0 <= -1 stays
+    np.testing.assert_array_equal(kept_A, A[[1, 3, 4, 6, 7]])
+    np.testing.assert_array_equal(kept_b, b[[1, 3, 4, 6, 7]])
 
 
 def test_fm_preserves_feasible_projections():
