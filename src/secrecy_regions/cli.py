@@ -96,12 +96,7 @@ def _run_gaussian(sf: ScenarioFile) -> list:
 
 
 def _run_dm(sf: ScenarioFile) -> list:
-    region = sweep_region(
-        sf.discrete_channel(),
-        sf.data["bound"],
-        sf.grid_spec(),
-        workers=sf.data.get("workers"),
-    )
+    region = sweep_region(sf.discrete_channel(), sf.data["bound"], sf.grid_spec())
     return _write_region(sf, region)
 
 

@@ -204,11 +204,11 @@ def sweep_gaussian(
         params = np.column_stack([beta1, beta2, np.full_like(beta1, np.nan)])
 
     A = CONSTRAINT_PATTERNS[kind]
-    nb = A.shape[0] - 3
     acc = FrontierAccumulator(record_width=3)
     chunk = 20000
     for start in range(0, len(bounds), chunk):
-        B = np.hstack([bounds[start : start + chunk], np.zeros((min(chunk, len(bounds) - start), 3))])
-        pts, owner = batch_vertices(A[: nb + 3], B)
+        rows = bounds[start : start + chunk]
+        B = np.hstack([rows, np.zeros((len(rows), 3))])
+        pts, owner = batch_vertices(A, B)
         acc.add(pts, params[start : start + chunk][owner])
     return acc.finish(kind, bounds)

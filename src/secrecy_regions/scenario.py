@@ -28,7 +28,7 @@ _SCHEMAS = {
     },
     "dm": {
         "required": ("channel", "bound", "output"),
-        "optional": ("grid", "summary", "workers"),
+        "optional": ("grid", "summary", "workers"),  # workers: accepted, no effect
     },
     "simulate": {
         "required": ("channel", "aux", "code", "trials", "output"),
@@ -47,7 +47,7 @@ _CODE_KEYS = ("n", "r0", "r1", "r2", "r1p", "r2p", "typicality_eps", "seed")
 # Integer fields and their smallest allowed value, per scenario kind.
 _COUNTS = {
     "gaussian": {"resolution": 2},
-    "dm": {},
+    "dm": {"workers": 1},
     "simulate": {"trials": 1},
     "fm-check": {"chains": 1, "seed": 0},
 }

@@ -1,14 +1,12 @@
+import concurrent.futures
 import json
-import os
+import multiprocessing.process
 import re
-import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import secrecy_regions
 from secrecy_regions import ScenarioFile, ValidationError
@@ -456,20 +454,53 @@ _MUTATIONS = [
 ]
 
 
-@given(st.sampled_from(_MUTATIONS))
-@settings(max_examples=600, deadline=None)
-def test_mutated_scenario_exits_cleanly(mutation):
-    build, path, value = mutation
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # a mutated output path is written relative to here
-        try:
-            data = build(Path(tmp) / "out")
-            node = data
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
-            Path("s.yaml").write_text(yaml.safe_dump(data))
-            assert main(["run", "s.yaml"]) in (0, 1, 2)
-        finally:
-            os.chdir(cwd)
+def test_mutated_scenario_exits_cleanly(tmp_path, monkeypatch):
+    """Every mutation in _MUTATIONS, in order, exits 0, 1 or 2."""
+    for i, (build, path, value) in enumerate(_MUTATIONS):
+        work = tmp_path / str(i)
+        work.mkdir()
+        monkeypatch.chdir(work)  # a mutated output path is written relative to here
+        data = build(work / "out")
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        Path("s.yaml").write_text(yaml.safe_dump(data))
+        assert main(["run", "s.yaml"]) in (0, 1, 2), (build.__name__, path, value)
+
+
+def _run_dm(tmp_path, name, **extra):
+    """Run dm_data without `workers`, updated with `extra`, as <name>.csv."""
+    data = dm_data(tmp_path / f"{name}.csv")
+    del data["workers"]
+    data.update(extra)
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return main(["run", str(path)])
+
+
+def _dm_outputs(tmp_path, name):
+    return [(tmp_path / f"{name}{ext}").read_bytes() for ext in (".csv", ".csv.json")]
+
+
+def test_dm_workers_key_is_validated_and_ignored(tmp_path):
+    """`workers` still parses as a count field, and has no effect: a sweep
+    runs in one process."""
+    assert _run_dm(tmp_path, "plain") == 0
+    expected = _dm_outputs(tmp_path, "plain")
+    for i, bad in enumerate(("two", 0, -1, 2.5, True, None)):
+        assert _run_dm(tmp_path, f"bad{i}", workers=bad) == 1
+        assert not (tmp_path / f"bad{i}.csv").exists()
+    for good in (1, 2, 10**12):
+        assert _run_dm(tmp_path, f"w{good}", workers=good) == 0
+        assert _dm_outputs(tmp_path, f"w{good}") == expected
+
+
+def test_dm_sweep_starts_no_process(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dm sweep started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    for bound in ("inner", "outer"):
+        assert _run_dm(tmp_path, bound, bound=bound) == 0

@@ -280,7 +280,7 @@ def test_chain_cap_checked_before_any_table(monkeypatch, resolution):
     ch = DiscreteChannel(np.full((4, 4, 4, 4), 1 / 16))
     grid = GridSpec(u_size=2, v1_size=2, v2_size=2, resolution=resolution)
     with pytest.raises(CapExceededError):
-        sweep_region(ch, "inner", grid, workers=1)
+        sweep_region(ch, "inner", grid)
 
 
 @pytest.mark.parametrize("max_chains", [0, dm.MAX_CHAINS + 1, 10**15])
@@ -289,17 +289,19 @@ def test_grid_max_chains_only_lowers_the_cap(max_chains):
         GridSpec(max_chains=max_chains)
 
 
-def test_sweep_deterministic_and_worker_invariant(degraded_channel):
+def test_sweep_deterministic_and_block_invariant(monkeypatch, degraded_channel):
     grid = GridSpec(u_size=1, v1_size=2, v2_size=2, resolution=5)
-    # several evaluation blocks, and the two worker slices split one of them
-    assert chain_count(grid, degraded_channel, "inner") > 2 * dm._block_chains(
-        grid, degraded_channel.transition
-    )
-    a = sweep_region(degraded_channel, "inner", grid, workers=1)
-    b = sweep_region(degraded_channel, "inner", grid, workers=2)
-    assert np.array_equal(a.points, b.points)
-    assert np.array_equal(a.records, b.records)
-    assert a.bound_rows.tobytes() == b.bound_rows.tobytes()
+    default = sweep_region(degraded_channel, "inner", grid)
+    rerun = sweep_region(degraded_channel, "inner", grid)
+    # many small blocks, the last one shorter than the rest
+    monkeypatch.setattr(dm, "_BLOCK_CELLS", dm._BLOCK_CELLS // 5)
+    step = dm._block_chains(grid, degraded_channel.transition)
+    total = chain_count(grid, degraded_channel, "inner")
+    assert total > 8 * step and total % step
+    small = sweep_region(degraded_channel, "inner", grid)
+    for other in (rerun, small):
+        for name in ("bound_rows", "points", "records"):
+            assert getattr(other, name).tobytes() == getattr(default, name).tobytes()
 
 
 @pytest.mark.parametrize("sweep_class", ["inner", "outer"])
@@ -308,43 +310,12 @@ def test_sweep_rows_match_single_chain_bounds(degraded_channel, sweep_class):
     decodes every grid index the way chain_at does."""
     grid = GridSpec(u_size=1, v1_size=2, v2_size=2, resolution=3)
     kind = f"dm_{sweep_class}"
-    rows = sweep_region(degraded_channel, sweep_class, grid, workers=1).bound_rows
+    rows = sweep_region(degraded_channel, sweep_class, grid).bound_rows
     assert len(rows) == chain_count(grid, degraded_channel, sweep_class) > 700
     for i, row in enumerate(rows):
         aux = chain_at(grid, degraded_channel, sweep_class, i)
         expected = region_bounds(aux, degraded_channel, kind)
         np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
-
-
-def test_sweep_workers_validated_and_clamped(monkeypatch, degraded_channel):
-    """The pool gets at most os.cpu_count() workers; no real process starts."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(dm, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(dm.os, "cpu_count", lambda: 3)
-    grid = GridSpec(u_size=1, v1_size=2, v2_size=2, resolution=3)
-    wide = sweep_region(degraded_channel, "inner", grid, workers=100_000)
-    assert sizes == [3]
-    serial = sweep_region(degraded_channel, "inner", grid, workers=1)
-    assert np.array_equal(wide.points, serial.points)
-    assert np.array_equal(wide.records, serial.records)
-    for bad in ("two", 0, -1, 2.5, True):
-        with pytest.raises(ValidationError, match="workers"):
-            sweep_region(degraded_channel, "inner", grid, workers=bad)
-    assert sizes == [3]
 
 
 def test_sweep_refinement_monotone(degraded_channel):

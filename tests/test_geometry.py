@@ -314,7 +314,7 @@ def test_contains_matches_full_scan_on_hand_built_rows(seed, n, trade_off, tol):
 
 def test_sweeps_leave_query_rows_uncomputed():
     outer = sweep_gaussian(GaussianScenario(1.0, 1.0, 0.1, 0.3), "g_outer", 7)
-    dm = sweep_region(degraded_binary_channel(), "inner", GridSpec(1, 2, 2, 2), workers=1)
+    dm = sweep_region(degraded_binary_channel(), "inner", GridSpec(1, 2, 2, 2))
     for region in (outer, dm):
         assert "query_rows" not in region.__dict__
     contains(outer, [0.0, 0.1, 0.1])
