@@ -14,7 +14,6 @@ from .binning import (
     decode_rx1,
     decode_rx2,
     encode,
-    equivocation_exact,
     generate_codebook,
     posterior_w1w2,
     run_simulation,
@@ -105,7 +104,6 @@ __all__ = [
     "entropy",
     "entropy_bits",
     "enumerate_vertices",
-    "equivocation_exact",
     "fm_eliminate",
     "fm_matches_direct",
     "fm_region_polytope",

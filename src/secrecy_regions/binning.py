@@ -23,8 +23,9 @@ from .info import DiscreteChannel, entropy_bits
 
 MAX_BLOCKLENGTH = 16
 MAX_TRIALS = 100_000
-DEFAULT_CODEBOOK_CAP = 1 << 21  # total codeword symbols
-DEFAULT_POSTERIOR_CAP = 1 << 19  # index tuples per posterior enumeration
+MAX_CODEBOOK_SYMBOLS = 1 << 21  # u, v1 and v2 symbols of one codebook
+MAX_TUPLES = 1 << 19  # codeword tuples m0*m1*m1p*m2*m2p that each trial scans
+SCAN_CELLS = 1 << 20  # count cells per block of a typicality scan, bounding its arrays
 
 
 def _message_count(n: int, rate: float) -> int:
@@ -37,7 +38,7 @@ def _message_count(n: int, rate: float) -> int:
 
 @dataclass(frozen=True)
 class CodeConfig:
-    """Blocklength, nominal rates, auxiliary chain, and simulator knobs."""
+    """Blocklength, nominal rates, auxiliary chain, typicality slack and seed."""
 
     n: int
     r0: float
@@ -49,8 +50,6 @@ class CodeConfig:
     channel: DiscreteChannel
     typicality_eps: float = 0.1
     seed: int = 0
-    codebook_cap: int = DEFAULT_CODEBOOK_CAP
-    posterior_cap: int = DEFAULT_POSTERIOR_CAP
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_BLOCKLENGTH:
@@ -118,28 +117,71 @@ class Codebook:
         return self.config.channel
 
     @cached_property
-    def _joint(self) -> np.ndarray:
-        # p(u, v1, v2, y1, y2): built once, since the decoders ask every trial
-        return self.config.aux.output_joint(self.channel)
-
     def reference_rx1(self) -> np.ndarray:
         """p(u, v1, v2, y1) used by the legitimate receiver's typicality test."""
-        return self._joint.sum(axis=4)
+        return self.config.aux.output_joint(self.channel).sum(axis=4)
 
+    @cached_property
     def reference_rx2(self) -> np.ndarray:
         """p(u, y2) used by the second receiver's typicality test."""
-        return self._joint.sum(axis=(1, 2, 3))
+        return self.config.aux.output_joint(self.channel).sum(axis=(1, 2, 3))
+
+    @cached_property
+    def tuples(self) -> np.ndarray:
+        """(M0, M1*M1p, M2*M2p, n) composite symbol (u*|V1| + v1)*|V2| + v2 of
+        every codeword tuple at every position; refused above MAX_TUPLES."""
+        cfg, aux, n = self.config, self.config.aux, self.config.n
+        _check_tuple_cap(cfg)
+        a = (self.u[:, None, :] * aux.v1_size + self.v1.reshape(cfg.m0, -1, n)) * aux.v2_size
+        return a[:, :, None, :] + self.v2.reshape(cfg.m0, 1, -1, n)
+
+    @cached_property
+    def _log_y2(self) -> np.ndarray:
+        # log p(y2 | v1, v2), one row per composite symbol of `tuples`
+        aux = self.config.aux
+        w2_given_v = np.einsum(
+            "ax,by,xyd->abd", aux.p_x1_given_v1, aux.p_x2_given_v2, self.channel.y2_marginal()
+        )
+        with np.errstate(divide="ignore"):
+            log_w2 = np.log(w2_given_v)
+        return np.broadcast_to(log_w2, (aux.u_size, *log_w2.shape)).reshape(-1, log_w2.shape[-1])
+
+
+def _check_tuple_cap(cfg: CodeConfig) -> None:
+    """Refuse a configuration whose m0*m1*m1p*m2*m2p codeword tuples exceed
+    MAX_TUPLES; decode_rx1 and posterior_w1w2 each scan all of them."""
+    tuples = cfg.m0 * cfg.m1 * cfg.m1p * cfg.m2 * cfg.m2p
+    if tuples > MAX_TUPLES:
+        raise CapExceededError(
+            f"the codeword scan needs {tuples} tuples, above the cap of {MAX_TUPLES}"
+        )
+
+
+def _check_symbol_cap(cfg: CodeConfig) -> None:
+    total_symbols = cfg.n * (cfg.m0 + cfg.m0 * cfg.m1 * cfg.m1p + cfg.m0 * cfg.m2 * cfg.m2p)
+    if total_symbols > MAX_CODEBOOK_SYMBOLS:
+        raise CapExceededError(
+            f"codebook needs {total_symbols} symbols, above the cap of {MAX_CODEBOOK_SYMBOLS}"
+        )
+
+
+def check_simulation(cfg: CodeConfig, trials: int) -> None:
+    """Refuse a run before anything is drawn: trials that are not an integer
+    >= 1 (ValidationError), or more than MAX_TRIALS trials, MAX_TUPLES codeword
+    tuples or MAX_CODEBOOK_SYMBOLS codebook symbols (CapExceededError)."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    if trials > MAX_TRIALS:
+        raise CapExceededError(f"{trials} trials, above the cap of {MAX_TRIALS}")
+    _check_tuple_cap(cfg)
+    _check_symbol_cap(cfg)
 
 
 def generate_codebook(cfg: CodeConfig) -> Codebook:
     """Draw the codebook from the auxiliary chain, i.i.d. across positions
     and conditioned per symbol on the governing u codeword."""
+    _check_symbol_cap(cfg)
     n, m0, m1, m2, m1p, m2p = cfg.n, cfg.m0, cfg.m1, cfg.m2, cfg.m1p, cfg.m2p
-    total_symbols = n * (m0 + m0 * m1 * m1p + m0 * m2 * m2p)
-    if total_symbols > cfg.codebook_cap:
-        raise CapExceededError(
-            f"codebook needs {total_symbols} symbols, above the cap of {cfg.codebook_cap}"
-        )
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
     aux = cfg.aux
     p_v1_u = aux.p_v1v2_given_u.sum(axis=2)
@@ -190,9 +232,15 @@ def _typical_mask(codes: np.ndarray, ref: np.ndarray, n: int, eps: float) -> np.
     every empirical cell frequency is within eps of the reference."""
     k = ref.size
     flat = codes.reshape(-1, n)
-    counts = (flat[:, :, None] == np.arange(k)).sum(axis=1)
-    dev = np.abs(counts / n - ref.ravel()[None, :]).max(axis=1)
-    return (dev <= eps).reshape(codes.shape[:-1])
+    mask = np.empty(len(flat), dtype=bool)
+    step = max(1, SCAN_CELLS // k)
+    for start in range(0, len(flat), step):
+        block = flat[start : start + step]
+        rows = len(block)
+        cells = block + k * np.arange(rows)[:, None]  # row r counts into bins r*k .. r*k + k - 1
+        counts = np.bincount(cells.ravel(), minlength=rows * k).reshape(rows, k)
+        mask[start : start + rows] = np.abs(counts / n - ref.ravel()).max(axis=1) <= eps
+    return mask.reshape(codes.shape[:-1])
 
 
 def decode_rx1(cb: Codebook, y1: np.ndarray, eps: float | None = None):
@@ -201,73 +249,40 @@ def decode_rx1(cb: Codebook, y1: np.ndarray, eps: float | None = None):
     Returns (w0, w1, w2) when exactly one codeword tuple is typical with
     y1^n; any other outcome (zero or several candidates) returns None.
 
-    Peak memory: per common message it compares rows = m1*m1p*m2*m2p
-    composite codes of length n against all k = |U||V1||V2||Y1| cells, a
-    boolean tensor of rows*n*k bytes, beside rows*n*8 bytes of int64 codes.
-    run_simulation bounds m0*rows by posterior_cap before any allocation.
+    Peak memory: the cached `tuples` table (m0*m1*m1p*m2*m2p tuples x n
+    int64 symbols), one more array of that size for the trial's codes, and
+    per block of tuples one int64 count array of rows x |U||V1||V2||Y1|
+    cells with its float deviations; SCAN_CELLS caps the cells per block.
+    MAX_TUPLES bounds the tuples before any of this is allocated.
     """
     cfg = cb.config
     eps = cfg.typicality_eps if eps is None else eps
-    ref = cb.reference_rx1()
-    nu, nv1, nv2, ny1 = ref.shape
-    n = cfg.n
-    hits = []
-    for w0 in range(cfg.m0):
-        c_u = cb.u[w0] * nv1  # (n,)
-        a = (c_u[None, :] + cb.v1[w0].reshape(-1, n)) * nv2  # (M1*M1p, n)
-        b = cb.v2[w0].reshape(-1, n)  # (M2*M2p, n)
-        codes = (a[:, None, :] + b[None, :, :]) * ny1 + y1[None, None, :]
-        mask = _typical_mask(codes, ref, n, eps)
-        for ai, bi in zip(*np.nonzero(mask)):
-            hits.append((w0, ai // cfg.m1p, bi // cfg.m2p))
-            if len(hits) > 1:
-                return None
-    if len(hits) == 1:
-        return hits[0]
-    return None
+    ref = cb.reference_rx1
+    mask = _typical_mask(cb.tuples * ref.shape[-1] + y1, ref, cfg.n, eps)
+    hits = np.argwhere(mask)
+    if len(hits) != 1:
+        return None
+    w0, a, b = (int(i) for i in hits[0])
+    return w0, a // cfg.m1p, b // cfg.m2p
 
 
 def decode_rx2(cb: Codebook, y2: np.ndarray, eps: float | None = None):
     """Typicality scan over the common-message codewords only."""
     cfg = cb.config
     eps = cfg.typicality_eps if eps is None else eps
-    ref = cb.reference_rx2()
-    ny2 = ref.shape[1]
-    codes = cb.u * ny2 + y2[None, :]
+    ref = cb.reference_rx2
+    codes = cb.u * ref.shape[1] + y2[None, :]
     mask = _typical_mask(codes, ref, cfg.n, eps)
     hits = np.nonzero(mask)[0]
     return int(hits[0]) if len(hits) == 1 else None
-
-
-def _check_tuple_cap(cfg: CodeConfig) -> None:
-    """Refuse a configuration whose m0*m1*m1p*m2*m2p codeword tuples exceed
-    posterior_cap; decode_rx1 and posterior_w1w2 each scan all of them."""
-    tuples = cfg.m0 * cfg.m1 * cfg.m1p * cfg.m2 * cfg.m2p
-    if tuples > cfg.posterior_cap:
-        raise CapExceededError(
-            f"posterior enumeration needs {tuples} tuples, above the cap of {cfg.posterior_cap}"
-        )
 
 
 def posterior_w1w2(cb: Codebook, y2: np.ndarray) -> np.ndarray:
     """Exact eavesdropper posterior P(w1, w2 | y2^n, codebook), marginalized
     over the common message and both bin indices."""
     cfg = cb.config
-    _check_tuple_cap(cfg)
-    aux = cfg.aux
-    w2_given_v = np.einsum(
-        "ax,by,xyd->abd", aux.p_x1_given_v1, aux.p_x2_given_v2, cb.channel.y2_marginal()
-    )
-    with np.errstate(divide="ignore"):
-        log_w2 = np.log(w2_given_v)
-    parts = np.empty((cfg.m0, cfg.m1, cfg.m1p, cfg.m2, cfg.m2p))
-    for w0 in range(cfg.m0):
-        v1 = cb.v1[w0]  # (M1, M1p, n)
-        v2 = cb.v2[w0]  # (M2, M2p, n)
-        ll = log_w2[
-            v1[:, :, None, None, :], v2[None, None, :, :, :], y2[None, None, None, None, :]
-        ].sum(axis=-1)
-        parts[w0] = ll
+    ll = cb._log_y2[cb.tuples, y2].sum(axis=-1)
+    parts = ll.reshape(cfg.m0, cfg.m1, cfg.m1p, cfg.m2, cfg.m2p)
     log_post = logsumexp(parts, axis=(0, 2, 4))  # (M1, M2); uniform weights cancel
     log_post -= logsumexp(log_post)
     return np.exp(log_post)
@@ -283,44 +298,22 @@ class SimulationSummary:
     secrecy_gap: float
 
 
-def _transmissions(cb: Codebook, trials: int, rng_msg, rng_enc, rng_ch):
-    """Yield ((w0, w1, w2), y1, y2) for `trials` uniformly drawn message
-    triples, each encoded and sent through the channel."""
-    cfg = cb.config
-    for _ in range(trials):
-        w0 = int(rng_msg.integers(cfg.m0))
-        w1 = int(rng_msg.integers(cfg.m1))
-        w2 = int(rng_msg.integers(cfg.m2))
-        x1, x2, _, _ = encode(cb, w0, w1, w2, rng_enc)
-        y1, y2 = transmit(cb, x1, x2, rng_ch)
-        yield (w0, w1, w2), y1, y2
-
-
-def equivocation_exact(cb: Codebook, trials: int, seed: int) -> float:
-    """Monte Carlo average of the exact per-trial posterior entropy, in bits
-    per channel use."""
-    _check_tuple_cap(cb.config)
-    rngs = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
-    total = 0.0
-    for _, _, y2 in _transmissions(cb, trials, *rngs):
-        total += entropy_bits(posterior_w1w2(cb, y2))
-    return total / (trials * cb.config.n)
-
-
 def run_simulation(cfg: CodeConfig, trials: int) -> SimulationSummary:
-    """Full per-configuration run: one codebook, `trials` transmissions,
-    empirical error rates, and the measured equivocation rate.
-    Deterministic given (cfg, trials)."""
-    if trials > MAX_TRIALS:
-        raise CapExceededError(f"{trials} trials, above the cap of {MAX_TRIALS}")
-    _check_tuple_cap(cfg)
+    """Full per-configuration run: one codebook, `trials` uniformly drawn
+    message triples, each encoded, sent and decoded, giving empirical error
+    rates and the Monte Carlo average of the exact posterior entropy in bits
+    per channel use.  Deterministic given (cfg, trials)."""
+    check_simulation(cfg, trials)
     cb = generate_codebook(cfg)
     rng_enc = encoder_rng(cfg)
     rng_ch = channel_rng(cfg)
     rng_msg = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
     err1 = err2 = 0
     eq_total = 0.0
-    for sent, y1, y2 in _transmissions(cb, trials, rng_msg, rng_enc, rng_ch):
+    for _ in range(trials):
+        sent = tuple(int(rng_msg.integers(m)) for m in (cfg.m0, cfg.m1, cfg.m2))
+        x1, x2, _, _ = encode(cb, *sent, rng_enc)
+        y1, y2 = transmit(cb, x1, x2, rng_ch)
         err1 += decode_rx1(cb, y1) != sent
         err2 += decode_rx2(cb, y2) != sent[0]
         eq_total += entropy_bits(posterior_w1w2(cb, y2))

@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .binning import run_simulation
+from .binning import check_simulation, run_simulation
 from .dm import fm_matches_direct, fm_region_polytope, random_inner_chain, sweep_region
 from .errors import CapExceededError, UnboundedPolytopeError, ValidationError
 from .gaussian import R0_RHO_COEFF_DERIVATION, GaussianScenario, sweep_gaussian
@@ -102,9 +102,12 @@ def _run_dm(sf: ScenarioFile) -> list:
 
 def _run_simulate(sf: ScenarioFile) -> list:
     trials = sf.data["trials"]
+    configs = [sf.code_config(n=n) for n in sf.blocklengths()]
+    for cfg in configs:  # refuse the whole scenario before its first blocklength runs
+        check_simulation(cfg, trials)
     rows = []
-    for n in sf.blocklengths():
-        s = run_simulation(sf.code_config(n=n), trials)
+    for cfg in configs:
+        s = run_simulation(cfg, trials)
         rows.append((s.n, s.trials, s.pe1, s.pe2, s.equivocation_bits_per_use, s.secrecy_gap))
     _write_csv(sf.data["output"], SIM_COLUMNS, rows)
     return [sf.data["output"]]

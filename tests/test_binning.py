@@ -1,19 +1,25 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secrecy_regions import (
+    AuxiliaryChain,
     CapExceededError,
     CodeConfig,
+    FiniteDistribution,
     ValidationError,
     decode_rx1,
     decode_rx2,
     encode,
-    equivocation_exact,
     generate_codebook,
     posterior_w1w2,
     run_simulation,
     transmit,
 )
+from secrecy_regions import binning
 from secrecy_regions.binning import channel_rng, encoder_rng
 from secrecy_regions.info import DiscreteChannel
 from conftest import (
@@ -73,9 +79,10 @@ def test_codebook_shapes_and_determinism():
     assert not (np.array_equal(a.v1, c.v1) and np.array_equal(a.v2, c.v2))
 
 
-def test_codebook_memory_cap():
+def test_codebook_memory_cap(monkeypatch):
+    monkeypatch.setattr(binning, "MAX_CODEBOOK_SYMBOLS", 1000)
     with pytest.raises(CapExceededError):
-        generate_codebook(make_config(n=16, r1=1.0, r1p=1.0, codebook_cap=1000))
+        generate_codebook(make_config(n=16, r1=1.0, r1p=1.0))
 
 
 def test_degenerate_u_alphabet_gives_constant_codewords():
@@ -185,9 +192,9 @@ def test_posterior_is_distribution():
     assert np.all(post >= 0)
 
 
-def test_posterior_cap():
-    cfg = make_config(r1p=0.5, posterior_cap=4)
-    cb = generate_codebook(cfg)
+def test_posterior_cap(monkeypatch):
+    monkeypatch.setattr(binning, "MAX_TUPLES", 4)
+    cb = generate_codebook(make_config(r1p=0.5))
     with pytest.raises(CapExceededError):
         posterior_w1w2(cb, np.zeros(4, dtype=int))
 
@@ -201,26 +208,37 @@ def test_oversized_config_refused_before_allocation(monkeypatch):
     # symbols), but decode_rx1 would build a 2^30 x 16 tensor of codes
     cfg = make_config(n=16, r1=0.5, r1p=0.4375, r2=0.5, r2p=0.4375)
     assert cfg.m1 * cfg.m1p == cfg.m2 * cfg.m2p == 2**15
-    assert 16 * (1 + 2 * 2**15) <= cfg.codebook_cap
+    assert 16 * (1 + 2 * 2**15) <= binning.MAX_CODEBOOK_SYMBOLS
     monkeypatch.setattr("secrecy_regions.binning.generate_codebook", _refuse)
     monkeypatch.setattr("secrecy_regions.binning.decode_rx1", _refuse)
     with pytest.raises(CapExceededError, match="tuples"):
         run_simulation(cfg, trials=1)
 
 
-def test_equivocation_checks_the_tuple_cap_first(monkeypatch):
-    cb = generate_codebook(make_config(r1p=0.5, posterior_cap=4))
-    monkeypatch.setattr("secrecy_regions.binning.encode", _refuse)
-    with pytest.raises(CapExceededError):
-        equivocation_exact(cb, trials=1, seed=0)
+def test_typicality_scan_is_block_invariant(monkeypatch):
+    """Blocks of three rows, the last one short, give the one-block mask."""
+    cfg = make_config(n=6, r0=1 / 6, r1=1 / 6, r1p=1 / 6, r2=1 / 6, r2p=1 / 6,
+                      aux=identity_uniform_chain(2), channel=reveal_both_channel(0.25))
+    cb = generate_codebook(cfg)
+    ref = cb.reference_rx1
+    codes = cb.tuples * ref.shape[-1] + 2 * cb.v1[0, 0, 0] + cb.v2[0, 0, 0]
+    whole = binning._typical_mask(codes, ref, cfg.n, 0.3)
+    assert whole.shape == (2, 4, 4) and 0 < whole.sum() < whole.size
+    monkeypatch.setattr(binning, "SCAN_CELLS", 3 * ref.size)
+    assert np.array_equal(binning._typical_mask(codes, ref, cfg.n, 0.3), whole)
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True])
+def test_run_simulation_rejects_a_bad_trial_count(trials):
+    with pytest.raises(ValidationError, match="trials"):
+        run_simulation(make_config(), trials)
 
 
 def test_equivocation_useless_eavesdropper():
     """y2 carries nothing: the posterior stays uniform, so the equivocation
     rate equals the realized message rate exactly."""
     cfg = make_config(seed=5)
-    cb = generate_codebook(cfg)
-    eq = equivocation_exact(cb, trials=20, seed=11)
+    eq = run_simulation(cfg, trials=20).equivocation_bits_per_use
     assert eq == pytest.approx(cfg.realized_secret_rate(), abs=1e-12)
 
 
@@ -239,7 +257,8 @@ def test_equivocation_full_leakage():
             len(np.unique(cb.v2.reshape(-1, 6), axis=0)) == cfg.m2
         )
         if distinct:
-            assert equivocation_exact(cb, trials=10, seed=1) == pytest.approx(0.0, abs=1e-9)
+            eq = run_simulation(cfg, trials=10).equivocation_bits_per_use
+            assert eq == pytest.approx(0.0, abs=1e-9)
             break
     else:
         pytest.fail("no seed with duplicate-free codebooks found")
@@ -248,8 +267,7 @@ def test_equivocation_full_leakage():
 def test_equivocation_bounded_by_message_entropy():
     ch = reveal_both_channel(0.25)
     cfg = make_config(channel=ch, r1p=0.1887, seed=8)
-    cb = generate_codebook(cfg)
-    eq = equivocation_exact(cb, trials=30, seed=2)
+    eq = run_simulation(cfg, trials=30).equivocation_bits_per_use
     assert -1e-9 <= eq <= cfg.realized_secret_rate() + 1e-9
 
 
@@ -264,3 +282,92 @@ def test_run_simulation_deterministic():
     assert a.secrecy_gap == pytest.approx(
         cfg.realized_secret_rate() - a.equivocation_bits_per_use, abs=1e-12
     )
+
+
+def _oracle_scans(cb, y1, y2):
+    """decode_rx1, decode_rx2 and posterior_w1w2 written out per codeword
+    tuple: each tuple's joint-type deviation from the codebook's reference
+    table, and a log-likelihood sum built from the chain and channel."""
+    cfg, aux, ch = cb.config, cb.config.aux, cb.channel
+    n, ref1, ref2 = cfg.n, cb.reference_rx1, cb.reference_rx2
+    p_y2 = ch.transition.sum(axis=2)  # W(y2 | x1, x2)
+    dev1, post = {}, np.zeros((cfg.m1, cfg.m2))
+    for w0 in range(cfg.m0):
+        for w1 in range(cfg.m1):
+            for q in range(cfg.m1p):
+                for w2 in range(cfg.m2):
+                    for qp in range(cfg.m2p):
+                        counts = np.zeros(ref1.shape)
+                        ll = 0.0
+                        for t in range(n):
+                            u, a, b = cb.u[w0, t], cb.v1[w0, w1, q, t], cb.v2[w0, w2, qp, t]
+                            counts[u, a, b, y1[t]] += 1
+                            ll += math.log(sum(
+                                aux.p_x1_given_v1[a, x1] * aux.p_x2_given_v2[b, x2]
+                                * p_y2[x1, x2, y2[t]]
+                                for x1 in range(ch.x1_size) for x2 in range(ch.x2_size)
+                            ))
+                        dev1[w0, w1, q, w2, qp] = np.abs(counts / n - ref1).max()
+                        post[w1, w2] += math.exp(ll)
+    dev2 = []
+    for w0 in range(cfg.m0):
+        counts = np.zeros(ref2.shape)
+        for t in range(n):
+            counts[cb.u[w0, t], y2[t]] += 1
+        dev2.append(np.abs(counts / n - ref2).max())
+    return dev1, dev2, post / post.sum()
+
+
+def _unique(hits):
+    return hits[0] if len(hits) == 1 else None
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.tuples(*[st.integers(1, 3)] * 3),
+    st.tuples(st.integers(2, 3), st.integers(2, 3)),
+    st.sampled_from(["closest", "below closest", 0.1, 0.25, 0.5]),
+)
+# closest tuples that are unique, with M0 > 1: decode_rx1 returns a triple
+@example(3236314158, 7, (2, 3, 1), (2, 3), "closest")
+@example(1631116548, 8, (2, 1, 3), (3, 2), "closest")
+@example(4047407667, 6, (3, 3, 1), (2, 2), "closest")
+@settings(max_examples=80, deadline=None)
+def test_scans_match_a_per_tuple_oracle(seed, n, messages, bins, eps):
+    """Every decision and posterior agrees with a plain loop over (w0, w1, q,
+    w2, q'), with M0 up to 3 and both bins > 1.  "closest" puts eps exactly on
+    the smallest deviation, a count boundary that only the closest tuples
+    pass; one ulp below it, none pass."""
+    rng = np.random.default_rng(seed)
+    nx1, nx2, ny1, ny2 = rng.integers(2, 4, size=4)
+    nu, nv1, nv2 = rng.integers(1, 4, size=3)
+    channel = DiscreteChannel(
+        rng.dirichlet(np.ones(ny1 * ny2), size=(nx1, nx2)).reshape(nx1, nx2, ny1, ny2)
+    )
+    aux = AuxiliaryChain.inner(
+        FiniteDistribution(rng.dirichlet(np.ones(nu))),
+        rng.dirichlet(np.ones(nv1), size=nu),
+        rng.dirichlet(np.ones(nv2), size=nu),
+        rng.dirichlet(np.ones(nx1), size=nv1),
+        rng.dirichlet(np.ones(nx2), size=nv2),
+    )
+    rates = [math.log2(m) / n for m in (*messages, *bins)]
+    cfg = CodeConfig(n, *rates, aux=aux, channel=channel, seed=seed % 1000)
+    assert (cfg.m0, cfg.m1, cfg.m2, cfg.m1p, cfg.m2p) == (*messages, *bins)
+    cb = generate_codebook(cfg)
+    w = tuple(int(rng.integers(m)) for m in messages)
+    x1, x2, _, _ = encode(cb, *w, encoder_rng(cfg))
+    y1, y2 = transmit(cb, x1, x2, channel_rng(cfg))
+    dev1, dev2, post = _oracle_scans(cb, y1, y2)
+    if isinstance(eps, str):
+        eps1, eps2 = min(dev1.values()), min(dev2)
+        if eps == "below closest":
+            eps1, eps2 = np.nextafter(eps1, 0.0), np.nextafter(eps2, 0.0)
+    else:
+        eps1 = eps2 = eps
+    hits1 = [(w0, w1, w2) for (w0, w1, _, w2, _), d in dev1.items() if d <= eps1]
+    hits2 = [w0 for w0, d in enumerate(dev2) if d <= eps2]
+    assert decode_rx1(cb, y1, eps=eps1) == _unique(hits1)
+    assert decode_rx2(cb, y2, eps=eps2) == _unique(hits2)
+    np.testing.assert_allclose(posterior_w1w2(cb, y2), post, rtol=1e-9, atol=1e-12)

@@ -289,13 +289,17 @@ def test_oversized_simulation_is_cap_exit_before_codebook(tmp_path, monkeypatch)
         raise AssertionError("codebook generated before the tuple cap was checked")
 
     monkeypatch.setattr("secrecy_regions.binning.generate_codebook", refuse)
-    data = simulate_data(tmp_path / "out")
-    data["code"].update(n=16, r1=0.5, r1p=0.4375, r2=0.5, r2p=0.4375)
-    data["blocklengths"] = [16]
-    path = tmp_path / "s.yaml"
-    path.write_text(yaml.safe_dump(data))
-    assert main(["run", str(path)]) == 2
-    assert not (tmp_path / "out").exists()
+    # the second scenario fits at n=12 (262,144 tuples) but not at n=16
+    # (16,777,216): no blocklength may run before the whole scenario is checked
+    for rates, blocklengths in [((0.5, 0.4375), [16]), ((0.5, 0.25), [12, 16])]:
+        data = simulate_data(tmp_path / "out")
+        r, rp = rates
+        data["code"].update(n=blocklengths[0], r1=r, r1p=rp, r2=r, r2p=rp)
+        data["blocklengths"] = blocklengths
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 def _refuse(*args, **kwargs):
