@@ -1,7 +1,7 @@
-"""Exception types and the number check shared across the package."""
+"""Exception types and the number checks shared across the package."""
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 
 class ValidationError(ValueError):
@@ -19,3 +19,8 @@ class UnboundedPolytopeError(RuntimeError):
 def is_finite_real(value) -> bool:
     """True for a finite real number; False for NaN, inf, bool or non-numbers."""
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def is_integer(value) -> bool:
+    """True for an int or numpy integer; False for bool and everything else."""
+    return isinstance(value, Integral) and not isinstance(value, bool)

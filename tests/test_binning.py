@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,22 @@ def test_config_validation():
         make_config(r1=-0.1)
     with pytest.raises(ValidationError):
         make_config(typicality_eps=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", 2.5), ("n", True), ("n", "4"), ("seed", -1), ("seed", 1.5), ("seed", True)]
+)
+def test_config_rejects_a_non_integer_blocklength_or_seed(field, value):
+    with pytest.raises(ValidationError, match=field if field == "seed" else "blocklength"):
+        make_config(**{field: value})
+
+
+def test_config_stores_numpy_integers_as_int():
+    cfg = make_config(n=np.int64(4), seed=np.uint32(42))
+    assert type(cfg.n) is int and type(cfg.seed) is int
+    summary = run_simulation(cfg, trials=2)
+    assert type(summary.n) is int
+    assert summary == run_simulation(make_config(n=4, seed=42), trials=2)
 
 
 def test_message_counts_floor_with_minimum_one():
@@ -222,10 +239,92 @@ def test_typicality_scan_is_block_invariant(monkeypatch):
     cb = generate_codebook(cfg)
     ref = cb.reference_rx1
     codes = cb.tuples * ref.shape[-1] + 2 * cb.v1[0, 0, 0] + cb.v2[0, 0, 0]
-    whole = binning._typical_mask(codes, ref, cfg.n, 0.3)
+    allowed = binning._allowed_counts(ref, cfg.n, 0.3)
+    whole = binning._typical_mask(codes, allowed)
     assert whole.shape == (2, 4, 4) and 0 < whole.sum() < whole.size
     monkeypatch.setattr(binning, "SCAN_CELLS", 3 * ref.size)
-    assert np.array_equal(binning._typical_mask(codes, ref, cfg.n, 0.3), whole)
+    assert np.array_equal(binning._typical_mask(codes, allowed), whole)
+
+
+def test_marginal_prefilter_allows_exactly_the_reachable_counts():
+    """A (u, v1, y1) or (u, v2, y1) cell allows exactly the sums of one
+    allowed count per joint cell summed into it, capped at n: the prefilter
+    rules out no typical tuple and keeps no count it could rule out."""
+    rng = np.random.default_rng(4)
+    for _ in range(60):
+        shape = tuple(int(d) for d in rng.integers(1, 4, size=4))  # (U, V1, V2, Y1)
+        n = int(rng.integers(1, 9))
+        ref = rng.dirichlet(np.full(int(np.prod(shape)), 0.5)).reshape(shape)
+        eps = float(rng.choice([0.02, 0.1, 0.2, abs(rng.integers(n + 1) / n - ref.flat[0])]))
+        allowed = binning._allowed_counts(ref, n, eps)
+        for axis in (1, 2):
+            marginal = binning._marginal_allowed(allowed, shape, axis)
+            groups = np.moveaxis(allowed.reshape(*shape, n + 1), axis, -2)
+            for row, group in zip(marginal, groups.reshape(-1, shape[axis], n + 1)):
+                reachable = {0}
+                for cell in group:
+                    reachable = {r + int(k) for r in reachable for k in np.flatnonzero(cell)}
+                assert set(np.flatnonzero(row)) == {r for r in reachable if r <= n}
+
+
+def test_run_simulation_is_chunk_invariant(monkeypatch):
+    """One trial per chunk, chunks of seven with a short last one (200
+    trials), and the default single chunk give one summary, with M0 = 2 and
+    both bins of size 2."""
+    aux = AuxiliaryChain.inner(
+        FiniteDistribution(np.array([0.5, 0.5])),
+        np.array([[0.7, 0.3], [0.2, 0.8]]),
+        np.array([[0.4, 0.6], [0.9, 0.1]]),
+        np.eye(2),
+        np.eye(2),
+    )
+    cfg = make_config(n=6, r0=1 / 6, r1=1 / 3, r1p=1 / 6, r2=1 / 6, r2p=1 / 6, aux=aux,
+                      channel=reveal_both_channel(0.25), typicality_eps=0.15, seed=11)
+    assert cfg.tuple_count == 64 and 200 * 64 <= binning.TRIAL_TUPLES
+    whole = run_simulation(cfg, trials=200)
+    assert 0 < whole.pe1 < 1 and whole.rx1_no_candidate > 0 and whole.rx1_several > 0
+    for cap in (1, 7 * 64):
+        monkeypatch.setattr(binning, "TRIAL_TUPLES", cap)
+        assert run_simulation(cfg, trials=200) == whole
+
+
+def test_rx1_failures_split_into_no_candidate_and_several():
+    """The two failure counts plus the wrong unique decodes are pe1 * trials,
+    counted again here one trial at a time."""
+    ch = reveal_both_channel(0.25)
+    cfg = make_config(channel=ch, n=8, r1=0.25, r2=0.25, r1p=0.1887, typicality_eps=0.125, seed=3)
+    trials = 200
+    summary = run_simulation(cfg, trials)
+    cb = generate_codebook(cfg)
+    rng_enc, rng_ch = encoder_rng(cfg), channel_rng(cfg)
+    rng_msg = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
+    failed = wrong = 0
+    for _ in range(trials):
+        w = tuple(int(rng_msg.integers(m)) for m in (cfg.m0, cfg.m1, cfg.m2))
+        x1, x2, _, _ = encode(cb, *w, rng_enc)
+        decoded = decode_rx1(cb, transmit(cb, x1, x2, rng_ch)[0])
+        failed += decoded is None
+        wrong += decoded is not None and decoded != w
+    assert summary.rx1_no_candidate > 0 and summary.rx1_several > 0 and wrong > 0
+    assert summary.rx1_no_candidate + summary.rx1_several == failed
+    assert summary.rx1_no_candidate + summary.rx1_several + wrong == round(summary.pe1 * trials)
+
+
+def test_simulation_memory_stays_bounded_at_the_benchmark_shape():
+    """A chunk holds chunk x tuples rows, never trials x tuples x n values
+    (256 MB at 1000 trials of n = 16)."""
+    flip = 0.25
+    r1p = 1.0 + flip * math.log2(flip) + (1 - flip) * math.log2(1 - flip)
+    cfg = make_config(channel=reveal_both_channel(flip), n=16, r1=0.25, r2=0.25, r1p=r1p,
+                      typicality_eps=0.125, seed=7)
+    assert cfg.m1 * cfg.m1p * cfg.m2 == 2048
+    tracemalloc.start()
+    try:
+        run_simulation(cfg, trials=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("trials", [0, -1, 2.5, True])
@@ -335,10 +434,11 @@ def _unique(hits):
 @example(4047407667, 6, (3, 3, 1), (2, 2), "closest")
 @settings(max_examples=80, deadline=None)
 def test_scans_match_a_per_tuple_oracle(seed, n, messages, bins, eps):
-    """Every decision and posterior agrees with a plain loop over (w0, w1, q,
-    w2, q'), with M0 up to 3 and both bins > 1.  "closest" puts eps exactly on
-    the smallest deviation, a count boundary that only the closest tuples
-    pass; one ulp below it, none pass."""
+    """Every decision, hit count and posterior agrees with a plain loop over
+    (w0, w1, q, w2, q'), with M0 up to 3 and both bins > 1, for three trials
+    scanned as one stack and one at a time.  "closest" puts eps exactly on
+    the first trial's smallest deviation, a count boundary that only its
+    closest tuples pass; one ulp below it, none of them pass."""
     rng = np.random.default_rng(seed)
     nx1, nx2, ny1, ny2 = rng.integers(2, 4, size=4)
     nu, nv1, nv2 = rng.integers(1, 4, size=3)
@@ -356,18 +456,29 @@ def test_scans_match_a_per_tuple_oracle(seed, n, messages, bins, eps):
     cfg = CodeConfig(n, *rates, aux=aux, channel=channel, seed=seed % 1000)
     assert (cfg.m0, cfg.m1, cfg.m2, cfg.m1p, cfg.m2p) == (*messages, *bins)
     cb = generate_codebook(cfg)
-    w = tuple(int(rng.integers(m)) for m in messages)
-    x1, x2, _, _ = encode(cb, *w, encoder_rng(cfg))
-    y1, y2 = transmit(cb, x1, x2, channel_rng(cfg))
-    dev1, dev2, post = _oracle_scans(cb, y1, y2)
+    rng_enc, rng_ch = encoder_rng(cfg), channel_rng(cfg)
+    outputs = []
+    for _ in range(3):
+        w = tuple(int(rng.integers(m)) for m in messages)
+        x1, x2, _, _ = encode(cb, *w, rng_enc)
+        outputs.append(transmit(cb, x1, x2, rng_ch))
+    y1s, y2s = (np.array(ys) for ys in zip(*outputs))
+    oracles = [_oracle_scans(cb, y1, y2) for y1, y2 in outputs]
     if isinstance(eps, str):
-        eps1, eps2 = min(dev1.values()), min(dev2)
+        eps1, eps2 = min(oracles[0][0].values()), min(oracles[0][1])
         if eps == "below closest":
             eps1, eps2 = np.nextafter(eps1, 0.0), np.nextafter(eps2, 0.0)
     else:
         eps1 = eps2 = eps
-    hits1 = [(w0, w1, w2) for (w0, w1, _, w2, _), d in dev1.items() if d <= eps1]
-    hits2 = [w0 for w0, d in enumerate(dev2) if d <= eps2]
-    assert decode_rx1(cb, y1, eps=eps1) == _unique(hits1)
-    assert decode_rx2(cb, y2, eps=eps2) == _unique(hits2)
-    np.testing.assert_allclose(posterior_w1w2(cb, y2), post, rtol=1e-9, atol=1e-12)
+    decoded1, hit_counts = decode_rx1(cb, y1s, eps=eps1)
+    decoded2 = decode_rx2(cb, y2s, eps=eps2)
+    posteriors = posterior_w1w2(cb, y2s)
+    assert len(decoded1) == len(decoded2) == len(hit_counts) == len(posteriors) == 3
+    for i, (dev1, dev2, post) in enumerate(oracles):
+        hits1 = [(w0, w1, w2) for (w0, w1, _, w2, _), d in dev1.items() if d <= eps1]
+        hits2 = [w0 for w0, d in enumerate(dev2) if d <= eps2]
+        assert decoded1[i] == decode_rx1(cb, y1s[i], eps=eps1) == _unique(hits1)
+        assert hit_counts[i] == len(hits1)
+        assert decoded2[i] == decode_rx2(cb, y2s[i], eps=eps2) == _unique(hits2)
+        assert posteriors[i].tobytes() == posterior_w1w2(cb, y2s[i]).tobytes()
+        np.testing.assert_allclose(posteriors[i], post, rtol=1e-9, atol=1e-12)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import multiprocessing.process
 import re
@@ -508,3 +509,43 @@ def test_dm_sweep_starts_no_process(tmp_path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     for bound in ("inner", "outer"):
         assert _run_dm(tmp_path, bound, bound=bound) == 0
+
+
+def _benchmark_shaped_simulation(output):
+    """The benchmark's simulate scenario (I(V1;Y2) bin rate, eps 0.125,
+    n = 12 and 16) at 200 trials."""
+    flip = 0.25
+    data = simulate_data(output)
+    r1p = 1.0 + flip * np.log2(flip) + (1 - flip) * np.log2(1 - flip)
+    data["code"] = {"n": 12, "r0": 0.0, "r1": 0.25, "r2": 0.25, "r1p": float(r1p),
+                    "r2p": 0.0, "typicality_eps": 0.125, "seed": 7}
+    data.update(blocklengths=[12, 16], trials=200)
+    return data
+
+
+def _common_message_simulation(output):
+    """M0 = 2, both bins of size 2 and a two-letter U, at n = 6 and 8."""
+    data = simulate_data(output)
+    data["aux"].update(p_u=[0.5, 0.5], p_v1_given_u=[[0.7, 0.3], [0.2, 0.8]],
+                       p_v2_given_u=[[0.4, 0.6], [0.9, 0.1]])
+    sixth = 1 / 6
+    data["code"] = {"n": 6, "r0": sixth, "r1": 2 * sixth, "r2": sixth, "r1p": sixth,
+                    "r2p": sixth, "typicality_eps": 0.15, "seed": 11}
+    data.update(blocklengths=[6, 8], trials=200)
+    return data
+
+
+# sha256 of the simulate CSVs as the one-trial-per-call simulator wrote them:
+# the chunked scans must reproduce every error count and every printed digit
+_GOLDEN = "151edd4b5bc54a25e563bfee5183ab11d7b24f04b0e21a07a76399e1fe8b8fe3"
+_GOLDEN_M0 = "f9d70c642122075e76cbdc8ff0345b484df4d7929515d81ae709665ecf2ffe2f"
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [(_benchmark_shaped_simulation, _GOLDEN), (_common_message_simulation, _GOLDEN_M0)],
+)
+def test_simulate_csv_matches_its_golden_digest(tmp_path, build, digest):
+    out = tmp_path / "sim.csv"
+    run_scenario(ScenarioFile.parse(yaml.safe_dump(build(out))))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
