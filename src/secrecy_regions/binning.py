@@ -83,23 +83,23 @@ class CodeConfig:
         ):
             raise ValidationError("auxiliary chain input alphabets do not match the channel")
 
-    @property
+    @cached_property
     def m0(self) -> int:
         return _message_count(self.n, self.r0)
 
-    @property
+    @cached_property
     def m1(self) -> int:
         return _message_count(self.n, self.r1)
 
-    @property
+    @cached_property
     def m2(self) -> int:
         return _message_count(self.n, self.r2)
 
-    @property
+    @cached_property
     def m1p(self) -> int:
         return _message_count(self.n, self.r1p)
 
-    @property
+    @cached_property
     def m2p(self) -> int:
         return _message_count(self.n, self.r2p)
 
@@ -110,7 +110,7 @@ class CodeConfig:
 
     def realized_secret_rate(self) -> float:
         """log2(M1 * M2) / n, the finite-n rate the messages actually carry."""
-        return (np.log2(self.m1) + np.log2(self.m2)) / self.n
+        return float((np.log2(self.m1) + np.log2(self.m2)) / self.n)
 
 
 def _sample_categorical(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:

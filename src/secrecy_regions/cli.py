@@ -27,8 +27,11 @@ MAX_FM_CHAINS = 100_000
 
 
 def _fmt(x) -> str:
-    """One number as text: 10 significant digits, empty for missing."""
-    if x is None or (isinstance(x, float) and np.isnan(x)):
+    """One cell as text: a string as it is, a number with 10 significant
+    digits, empty for None or NaN."""
+    if isinstance(x, str):
+        return x
+    if x is None or x != x:
         return ""
     return "%.10g" % x
 
@@ -39,7 +42,7 @@ def _round10(x: float) -> float:
 
 def _write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
-    lines += [",".join(_fmt(v) if not isinstance(v, str) else v for v in row) for row in rows]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -50,13 +53,12 @@ def _write_json(path, payload) -> None:
 def _region_rows(region: RateRegion):
     """CSV rows for a swept frontier; beta/rho cells are empty when the sweep
     has no such parameter (discrete-memoryless regions carry a chain index
-    instead, which the CSV omits)."""
-    rows = []
+    instead, which the CSV omits).  Cells are formatted a column at a time."""
+    n = len(region.points)
     gaussian = region.kind in ("g_inner", "g_outer", "cmac")
-    for point, record in zip(region.points, region.records):
-        beta1, beta2, rho = (record[0], record[1], record[2]) if gaussian else (None, None, None)
-        rows.append((region.kind, point[0], point[1], point[2], beta1, beta2, rho))
-    return rows
+    params = region.records if gaussian else np.full((n, 3), np.nan)
+    columns = np.hstack([region.points, params]).T.tolist()
+    return list(zip([region.kind] * n, *(map(_fmt, c) for c in columns)))
 
 
 def _projected_rows(kind: str, points2d):

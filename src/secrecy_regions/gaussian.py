@@ -10,7 +10,7 @@ channel use; every secrecy difference is clamped at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -179,36 +179,41 @@ def sweep_gaussian(
     r0_rho_coeff: float = R0_RHO_COEFF_DERIVATION,
 ) -> RateRegion:
     """Grid sweep over the union parameters; returns the Pareto frontier with
-    per-point (beta1, beta2, rho) provenance.  Deterministic given the grid.
+    per-point (beta1, beta2, rho) provenance, rho NaN when the sweep has none.
+    Deterministic given the grid.  The sweep records each vertex's flat grid
+    index, as sweep_region records a chain index, and maps only the frontier's
+    indices back to grid values.
     """
     if kind not in ("g_inner", "g_outer", "cmac"):
         raise ValidationError(f"unknown Gaussian sweep kind {kind!r}")
     if not is_finite_real(r0_rho_coeff):
         raise ValidationError(f"r0_rho_coeff must be a finite number, got {r0_rho_coeff!r}")
-    points = resolution ** (3 if kind == "g_outer" else 2)
+    shape = (resolution,) * (3 if kind == "g_outer" else 2)
+    points = resolution ** len(shape)
     if points > MAX_GRID_POINTS:
         raise CapExceededError(
             f"{kind} grid has {points} points, above the cap of {MAX_GRID_POINTS}"
         )
     g = _sweep_grid(resolution)
+    grid = [x.ravel() for x in np.meshgrid(*[g] * len(shape), indexing="ij")]
     if kind == "g_outer":
-        beta1, beta2, rho = (x.ravel() for x in np.meshgrid(g, g, g, indexing="ij"))
-        bounds = np.column_stack(_outer_bound_arrays(s, beta1, beta2, rho, r0_rho_coeff))
-        params = np.column_stack([beta1, beta2, rho])
+        bounds = np.column_stack(_outer_bound_arrays(s, *grid, r0_rho_coeff))
+    elif kind == "g_inner":
+        bounds = np.column_stack(_inner_bound_arrays(s, *grid))
     else:
-        beta1, beta2 = (x.ravel() for x in np.meshgrid(g, g, indexing="ij"))
-        if kind == "g_inner":
-            bounds = np.column_stack(_inner_bound_arrays(s, beta1, beta2))
-        else:
-            bounds = np.column_stack(_cmac_bound_arrays(s, beta1, beta2))
-        params = np.column_stack([beta1, beta2, np.full_like(beta1, np.nan)])
+        bounds = np.column_stack(_cmac_bound_arrays(s, *grid))
+    del grid  # the frontier's grid values are looked up in g at the end
 
     A = CONSTRAINT_PATTERNS[kind]
-    acc = FrontierAccumulator(record_width=3)
+    acc = FrontierAccumulator(record_width=1)
     chunk = 20000
     for start in range(0, len(bounds), chunk):
         rows = bounds[start : start + chunk]
         B = np.hstack([rows, np.zeros((len(rows), 3))])
         pts, owner = batch_vertices(A, B)
-        acc.add(pts, params[start : start + chunk][owner])
-    return acc.finish(kind, bounds)
+        acc.add(pts, (start + owner)[:, None].astype(float))
+    region = acc.finish(kind, bounds)
+    index = np.unravel_index(region.records[:, 0].astype(np.intp), shape)
+    params = np.full((len(region.records), 3), np.nan)
+    params[:, : len(shape)] = g[np.column_stack(index)]
+    return replace(region, records=params)

@@ -8,7 +8,6 @@ values with ~1e-15 native error, so this leaves several orders of margin.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -317,54 +316,48 @@ class Polytope3:
 # ---------------------------------------------------------------------------
 
 
-def _stair_covers(stair_r1, stair_r2, r1, r2) -> bool:
-    """True when the staircase holds a point with both coordinates >=."""
-    k = bisect_left(stair_r1, r1)
-    return k < len(stair_r1) and stair_r2[k] >= r2
-
-
-def _stair_insert(stair_r1, stair_r2, r1, r2) -> None:
-    if _stair_covers(stair_r1, stair_r2, r1, r2):
-        return
-    k = bisect_left(stair_r1, r1)
-    hi = k
-    if hi < len(stair_r1) and stair_r1[hi] == r1:
-        hi += 1  # same r1, smaller r2: superseded
-    lo = k
-    while lo > 0 and stair_r2[lo - 1] <= r2:
-        lo -= 1
-    stair_r1[lo:hi] = [r1]
-    stair_r2[lo:hi] = [r2]
+# Rows per staircase block: each block costs one searchsorted against the
+# staircase, one block x block comparison and one merge.
+_STAIR_BLOCK = 256
+_EARLIER = np.tri(_STAIR_BLOCK, _STAIR_BLOCK, -1, dtype=bool)  # [b, a]: a < b
 
 
 def _staircase(p: np.ndarray) -> np.ndarray:
     """Mask over rows p, sorted by (-r0, -r1, -r2), of those that no earlier
     row weakly dominates: the Pareto-maximal rows, the first of equal ones.
 
-    Plane-sweep over descending r0 with a 2-D maxima staircase on (r1, r2);
-    O(n log n), but every row costs a few Python-level steps.
+    Every earlier row has r0 >=, so a row is dropped exactly when an earlier
+    row has r1 >= and r2 >=.  Block sweep, with no per-row Python: each block
+    of _STAIR_BLOCK rows is tested against the 2-D maxima staircase (r1
+    ascending, r2 strictly descending) of all earlier blocks with one
+    searchsorted, and against its own earlier rows with one strictly lower
+    triangular comparison; its survivors are then merged into the staircase.
+    Only comparisons decide, so ties and equal rows are exact.
     """
     n = len(p)
     keep = np.zeros(n, dtype=bool)
-    stair_r1: list = []  # ascending r1
-    stair_r2: list = []  # strictly descending r2
-    i = 0
-    while i < n:
-        j = i
-        while j < n and p[j, 0] == p[i, 0]:
-            j += 1
-        survivors = []
-        best_r2 = -np.inf  # over earlier group members, all of which have r1 >=
-        for g in range(i, j):
-            r1, r2 = p[g, 1], p[g, 2]
-            dominated = best_r2 >= r2 or _stair_covers(stair_r1, stair_r2, r1, r2)
-            if not dominated:
-                keep[g] = True
-                survivors.append((r1, r2))
-            best_r2 = max(best_r2, r2)
-        for r1, r2 in survivors:
-            _stair_insert(stair_r1, stair_r2, r1, r2)
-        i = j
+    stair_r1 = np.zeros(0)  # ascending
+    stair_r2 = np.full(1, -np.inf)  # strictly descending, then a -inf sentinel
+    for lo in range(0, n, _STAIR_BLOCK):
+        r1, r2 = p[lo : lo + _STAIR_BLOCK, 1], p[lo : lo + _STAIR_BLOCK, 2]
+        m = len(r1)
+        # the staircase point with the least r1 >= r1 has the largest r2 of them
+        covered = stair_r2[np.searchsorted(stair_r1, r1)] >= r2
+        dominated = (
+            _EARLIER[:m, :m] & (r1[None, :] >= r1[:, None]) & (r2[None, :] >= r2[:, None])
+        ).any(axis=1)
+        kept = ~(covered | dominated)
+        keep[lo : lo + m] = kept
+        # the 2-D maxima of staircase and survivors: by (-r1, -r2), each row
+        # above the running maximum of r2
+        c1 = np.concatenate([stair_r1, r1[kept]])
+        c2 = np.concatenate([stair_r2[:-1], r2[kept]])
+        order = np.lexsort((-c2, -c1))
+        c1, c2 = c1[order], c2[order]
+        above = np.ones(len(c2), dtype=bool)
+        above[1:] = c2[1:] > np.maximum.accumulate(c2)[:-1]
+        stair_r1 = c1[above][::-1]
+        stair_r2 = np.append(c2[above][::-1], -np.inf)
     return keep
 
 
@@ -405,8 +398,9 @@ def _pareto_mask(points: np.ndarray, tol: float = 0.0) -> np.ndarray:
     Sort-filter skyline (Chomicki et al. 2003, "Skyline with presorting"):
     after one (-r0, -r1, -r2) sort every dominator of a row comes before
     it, and vectorized threshold rounds drop rows that are certainly
-    dominated.  Dominance is transitive, so the staircase run on the rows
-    left, still in sorted order, gives the same mask as on all of them.
+    dominated.  Dominance is transitive, so the block staircase run on the
+    rows left, still in sorted order, gives the same mask as on all of them.
+    Both steps work on whole arrays or blocks; no step loops over rows.
     """
     pts = points if tol <= 0 else np.round(points / tol)
     n = len(pts)
@@ -452,7 +446,8 @@ class FrontierAccumulator:
     """Collects sweep vertices chunk by chunk, prunes each chunk to its local
     Pareto maxima, and computes the global frontier once at the end, keeping
     one provenance row aligned with every surviving point.  Merge order does
-    not affect the final frontier (set semantics).
+    not affect the final frontier (set semantics).  A single chunk is already
+    deduped and pruned, so finish only sorts it.
     """
 
     def __init__(self, record_width: int):
@@ -479,6 +474,8 @@ class FrontierAccumulator:
         if not self._points:
             pts = np.zeros((0, 3))
             recs = np.zeros((0, self.record_width))
+        elif len(self._points) == 1:
+            pts, recs = self._points[0], self._records[0]
         else:
             pts, recs = self._dedupe(np.vstack(self._points), np.vstack(self._records))
             mask = _pareto_mask(pts)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -80,6 +81,25 @@ def test_message_counts_floor_with_minimum_one():
     assert cfg.m1 == 4  # 2^(4*0.5)
     assert cfg.m2 == 1  # floor(2^0.4)
     assert cfg.realized_secret_rate() == pytest.approx(0.5)
+
+
+def test_message_counts_are_computed_once():
+    cfg = make_config(n=4, r1=0.5, r2=0.1)
+    fresh = dataclasses.replace(cfg)
+    names = ("m0", "m1", "m2", "m1p", "m2p")
+    counts = tuple(getattr(cfg, name) for name in names)
+    assert counts == (1, 4, 1, 1, 1)
+    assert tuple(cfg.__dict__[name] for name in names) == counts
+    # the cache is not a field, so equality does not see it
+    assert not any(name in fresh.__dict__ for name in names)
+    assert cfg == fresh
+
+
+def test_summary_rates_are_python_floats():
+    s = run_simulation(make_config(seed=3), trials=20)
+    assert type(s.secrecy_gap) is float
+    assert type(s.equivocation_bits_per_use) is float
+    assert "np." not in repr(s)
 
 
 def test_codebook_shapes_and_determinism():

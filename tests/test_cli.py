@@ -549,3 +549,60 @@ def test_simulate_csv_matches_its_golden_digest(tmp_path, build, digest):
     out = tmp_path / "sim.csv"
     run_scenario(ScenarioFile.parse(yaml.safe_dump(build(out))))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _region_outputs(tmp_path, data):
+    """Run a region scenario; its CSV bytes followed by its summary bytes."""
+    data = {**data, "output": str(tmp_path / "r.csv"), "summary": str(tmp_path / "r.json")}
+    run_scenario(ScenarioFile.parse(yaml.safe_dump(data)))
+    return (tmp_path / "r.csv").read_bytes() + (tmp_path / "r.json").read_bytes()
+
+
+def _fig4(tmp_path):
+    """fig4 at its default resolution: a cmac frontier of about 17k points."""
+    run_figure("fig4", tmp_path)
+    return (tmp_path / "fig4.csv").read_bytes() + (tmp_path / "fig4_summary.json").read_bytes()
+
+
+def _gaussian_outer_30(tmp_path):
+    """27,000 grid points: two sweep chunks and a real merge at the end."""
+    data = {"kind": "gaussian", **MINIMAL_GAUSSIAN, "bound": "outer", "resolution": 30}
+    return _region_outputs(tmp_path, data)
+
+
+def _cmac_101(tmp_path):
+    data = {"kind": "gaussian", **MINIMAL_GAUSSIAN, "bound": "cmac", "resolution": 101}
+    return _region_outputs(tmp_path, data)
+
+
+def _dm_benchmark_shaped(bound):
+    """A dm sweep at the benchmark's grid shape, GridSpec(2, 2, 2, 3), on one
+    seeded channel drawn as the benchmark draws its channels."""
+
+    def build(tmp_path):
+        channel = np.random.default_rng(0).dirichlet(np.ones(4), size=4).reshape(2, 2, 2, 2)
+        grid = {"u_size": 2, "v1_size": 2, "v2_size": 2, "resolution": 3}
+        data = {"kind": "dm", "channel": channel.tolist(), "bound": bound, "grid": grid}
+        return _region_outputs(tmp_path, data)
+
+    return build
+
+
+# sha256 of region outputs (CSV, then JSON summary) as the per-row staircase
+# and the row-by-row CSV writer produced them
+_REGION_GOLDEN = {
+    "fig4": "e88d2db6826e014bde425c30a61547bb7e4b24b99e13843d27071f85f58864f0",
+    "gaussian_outer_30": "40463112d047fdb7f9aa7b2ad7b665ee9e2962117ab2038ca54f59c7160c654c",
+    "cmac_101": "5f681f7ee238a5b14166c4210b7ee7b2c389b07c75f5eeea4637fd7ac4632fd2",
+    "dm_inner": "0cd125932319d02eb5562bdf7248f6f2ef475585150082003d3fcfbcdcb33a18",
+    "dm_outer": "eed25a7265511a9df90ad5bdb0d8367a125e9e69bb5a4773b1b16a08a826c3f4",
+}
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [("fig4", _fig4), ("gaussian_outer_30", _gaussian_outer_30), ("cmac_101", _cmac_101),
+     ("dm_inner", _dm_benchmark_shaped("inner")), ("dm_outer", _dm_benchmark_shaped("outer"))],
+)
+def test_region_outputs_match_their_golden_digests(tmp_path, name, build):
+    assert hashlib.sha256(build(tmp_path)).hexdigest() == _REGION_GOLDEN[name]

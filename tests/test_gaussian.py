@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,3 +145,16 @@ def test_outer_sweep_monotone_in_resolution():
     fine = sweep_gaussian(FIG_SCENARIO_3, "g_outer", 9)  # 5 -> 2*5-1 nests
     assert fine.max_sum_rate() >= coarse.max_sum_rate() - 1e-12
     assert fine.max_common_rate() >= coarse.max_common_rate() - 1e-12
+
+
+def test_outer_sweep_memory_stays_bounded():
+    """The fig2 outer sweep keeps no per-grid-point provenance: its
+    tracemalloc peak is about 18 MiB, and one more full-grid copy per chunk
+    or a (beta1, beta2, rho) table per grid point would cross the bound."""
+    tracemalloc.start()
+    try:
+        sweep_gaussian(FIG_SCENARIO_3, "g_outer", 51)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 22 * 2**20

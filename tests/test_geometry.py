@@ -190,6 +190,42 @@ def test_pareto_mask_matches_staircase(seed, n, levels, on_plane, jitter, tol):
     assert np.array_equal(_pareto_mask(pts, tol), _staircase_only_mask(pts, tol))
 
 
+def _brute_staircase(p):
+    """O(n^2): rows of pre-sorted p that no earlier row has r1 >= and r2 >=."""
+    earlier = np.tri(len(p), k=-1, dtype=bool).T  # [a, b]: a < b
+    covers = (p[:, None, 1] >= p[None, :, 1]) & (p[:, None, 2] >= p[None, :, 2])
+    return ~(earlier & covers).any(axis=0)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 255, 256, 257, 513]) | st.integers(1, 800),
+    levels=st.integers(1, 40),
+    shape=st.sampled_from(["grid", "plane", "r0_groups", "r1_ties", "r2_ties"]),
+    duplicates=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_staircase_matches_bruteforce(seed, n, levels, shape, duplicates):
+    # n at the block edges and past them; whole duplicate rows, equal-r0
+    # groups, and ties in one of r1 or r2 only
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 3))
+    if shape == "grid":
+        pts = rng.integers(0, levels + 1, size=(n, 3)).astype(float)
+    elif shape == "plane":
+        pts[:, 2] = 2.0 - pts[:, 0] - pts[:, 1]
+    elif shape == "r0_groups":
+        pts[:, 0] = rng.integers(0, levels + 1, size=n)
+    elif shape == "r1_ties":
+        pts[:, 1] = rng.integers(0, levels + 1, size=n)
+    else:
+        pts[:, 2] = rng.integers(0, levels + 1, size=n)
+    if duplicates:
+        pts[rng.random(n) < 0.3] = pts[rng.integers(0, n)]
+    p = pts[np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))]
+    assert np.array_equal(_staircase(p), _brute_staircase(p))
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2000))
 @settings(max_examples=40, deadline=None)
 def test_dedupe_picks_the_rows_np_unique_picks(seed, n):
