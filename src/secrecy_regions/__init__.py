@@ -3,7 +3,8 @@ channel with a common message, plus a small random-binning simulator.
 
 The public surface: exact information measures over dense tables (`info`),
 polyhedral rate-region machinery (`geometry`), discrete-memoryless and
-Gaussian bound evaluation and sweeps (`dm`, `gaussian`), the Monte Carlo
+Gaussian bound evaluation and sweeps (`dm`: region_bounds and sweep_region;
+`gaussian`: gaussian_bounds and sweep_gaussian), the Monte Carlo
 coding-scheme simulator (`binning`), and scenario/CLI plumbing.
 """
 
@@ -28,8 +29,6 @@ from .dm import (
     chain_information,
     fm_matches_direct,
     fm_region_polytope,
-    inner_corner_triples,
-    outer_corner_triples,
     region_bounds,
     sweep_region,
 )
@@ -38,18 +37,14 @@ from .gaussian import (
     R0_RHO_COEFF_AS_PRINTED,
     R0_RHO_COEFF_DERIVATION,
     GaussianScenario,
-    SweepPoint,
     capacity_fn,
-    cmac_capacity_at,
-    gaussian_inner_at,
-    gaussian_outer_at,
+    gaussian_bounds,
     sweep_gaussian,
 )
 from .geometry import (
     HalfspaceSystem,
     Polytope3,
     RateRegion,
-    RateTriple,
     contains,
     enumerate_vertices,
     fm_eliminate,
@@ -61,7 +56,6 @@ from .info import (
     FiniteDistribution,
     JointDistribution,
     assemble_joint,
-    entropy,
     entropy_bits,
     mutual_information,
 )
@@ -84,10 +78,8 @@ __all__ = [
     "R0_RHO_COEFF_AS_PRINTED",
     "R0_RHO_COEFF_DERIVATION",
     "RateRegion",
-    "RateTriple",
     "ScenarioFile",
     "SimulationSummary",
-    "SweepPoint",
     "UnboundedPolytopeError",
     "ValidationError",
     "achievability_constraint_system",
@@ -96,23 +88,18 @@ __all__ = [
     "chain_at",
     "chain_count",
     "chain_information",
-    "cmac_capacity_at",
     "contains",
     "decode_rx1",
     "decode_rx2",
     "encode",
-    "entropy",
     "entropy_bits",
     "enumerate_vertices",
     "fm_eliminate",
     "fm_matches_direct",
     "fm_region_polytope",
-    "gaussian_inner_at",
-    "gaussian_outer_at",
+    "gaussian_bounds",
     "generate_codebook",
-    "inner_corner_triples",
     "mutual_information",
-    "outer_corner_triples",
     "pareto_frontier",
     "posterior_w1w2",
     "project",

@@ -105,6 +105,8 @@ class AuxiliaryChain:
         """Inner-class chain from per-u product factors."""
         pv1 = float_table(p_v1_given_u, "p(v1|u)", 2)
         pv2 = float_table(p_v2_given_u, "p(v2|u)", 2)
+        if not len(pv1) == len(pv2) == len(p_u):
+            raise ValidationError("p(v1|u) and p(v2|u) must have one row per u symbol")
         joint = np.einsum("ua,ub->uab", pv1, pv2)
         return cls(p_u, joint, p_x1_given_v1, p_x2_given_v2, kind="inner")
 
@@ -217,31 +219,24 @@ def _bounds(mi: dict, kind: str) -> np.ndarray:
 
 def chain_information(aux: AuxiliaryChain, ch: DiscreteChannel) -> dict:
     """All conditional mutual informations (bits) the region inequalities and
-    the raw achievability constraint system need, for one chain."""
-    mi = _information(_entropies(aux.output_joint(ch)[None]))
-    return {name: float(value[0]) for name, value in mi.items()}
+    the raw achievability constraint system need, for one chain: the block
+    evaluator's terms, each an array over a chain axis of length one."""
+    return _information(_entropies(aux.output_joint(ch)[None]))
+
+
+def _require_inner(aux: AuxiliaryChain) -> None:
+    if aux.kind != "inner":
+        raise ValidationError("the inner region and the binning scheme need an inner-class chain")
 
 
 def region_bounds(aux: AuxiliaryChain, ch: DiscreteChannel, kind: str) -> np.ndarray:
-    """The five right-hand sides (b0, b1, b2, b12, b012), clamped at zero."""
+    """The five right-hand sides (b0, b1, b2, b12, b012), clamped at zero.
+    dm_inner refuses a chain that is not of the inner class."""
     if kind not in ("dm_inner", "dm_outer"):
         raise ValidationError(f"unknown dm bound kind {kind!r}")
-    return _bounds(_information(_entropies(aux.output_joint(ch)[None])), kind)[0]
-
-
-def inner_corner_triples(aux: AuxiliaryChain, ch: DiscreteChannel) -> list:
-    """Vertices of the five-inequality achievable polytope for one
-    inner-class chain, intersected with the non-negative orthant."""
-    if aux.kind != "inner":
-        raise ValidationError("inner region evaluation requires an inner-class chain")
-    poly = Polytope3.from_bounds("dm_inner", region_bounds(aux, ch, "dm_inner"))
-    return poly.vertex_triples()
-
-
-def outer_corner_triples(aux: AuxiliaryChain, ch: DiscreteChannel) -> list:
-    """Vertices of the converse polytope for one (possibly correlated) chain."""
-    poly = Polytope3.from_bounds("dm_outer", region_bounds(aux, ch, "dm_outer"))
-    return poly.vertex_triples()
+    if kind == "dm_inner":
+        _require_inner(aux)
+    return _bounds(chain_information(aux, ch), kind)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +264,6 @@ _RAW_ROWS = (
 _RAW_TERMS = tuple(dict.fromkeys(term for _, _, term in _RAW_ROWS if term))
 
 
-def _binning_terms(aux: AuxiliaryChain, ch: DiscreteChannel) -> dict:
-    """The information terms of one inner-class chain, arrays of one value."""
-    if aux.kind != "inner":
-        raise ValidationError("the binning scheme requires an inner-class chain")
-    return _information(_entropies(aux.output_joint(ch)[None]))
-
-
 def achievability_constraint_system(aux: AuxiliaryChain, ch: DiscreteChannel) -> HalfspaceSystem:
     """The raw constraint system of the binning scheme for one inner-class
     chain: the rate-split equality on the bin rates, the decoding constraints
@@ -283,7 +271,8 @@ def achievability_constraint_system(aux: AuxiliaryChain, ch: DiscreteChannel) ->
     and non-negativity.  Eliminating r1p and r2p from it chain by chain is
     the reference for the table that _fm_table derives once.
     """
-    mi = _binning_terms(aux, ch)
+    _require_inner(aux)
+    mi = chain_information(aux, ch)
     rows = tuple((c, rel, float(mi[t][0]) if t else 0.0) for c, rel, t in _RAW_ROWS)
     return HalfspaceSystem(RAW_VARS, rows)
 
@@ -313,7 +302,8 @@ def _fm_polytope(mi: dict) -> Polytope3:
 def fm_region_polytope(aux: AuxiliaryChain, ch: DiscreteChannel) -> Polytope3:
     """The raw constraint system projected onto (r0, r1, r2), both bin rates
     eliminated by Fourier-Motzkin."""
-    return _fm_polytope(_binning_terms(aux, ch))
+    _require_inner(aux)
+    return _fm_polytope(chain_information(aux, ch))
 
 
 def random_inner_chain(
@@ -338,14 +328,16 @@ def random_inner_chain(
     )
 
 
-def fm_matches_direct(aux: AuxiliaryChain, ch: DiscreteChannel, tol: float = 1e-9) -> bool:
-    """Mutual vertex containment of the Fourier-Motzkin projection and the
-    direct five-inequality polytope for one inner-class chain."""
-    mi = _binning_terms(aux, ch)
+def fm_matches_direct(aux: AuxiliaryChain, ch: DiscreteChannel) -> bool:
+    """Mutual vertex containment, within GEOM_TOL, of the Fourier-Motzkin
+    projection and the direct five-inequality polytope for one inner-class
+    chain."""
+    _require_inner(aux)
+    mi = chain_information(aux, ch)
     direct = Polytope3.from_bounds("dm_inner", _bounds(mi, "dm_inner")[0])
     projected = _fm_polytope(mi)
-    return all(projected.contains_point(v, tol) for v in direct.vertices()) and all(
-        direct.contains_point(v, tol) for v in projected.vertices()
+    return all(projected.contains_point(v) for v in direct.vertices()) and all(
+        direct.contains_point(v) for v in projected.vertices()
     )
 
 

@@ -11,7 +11,6 @@ channel use; every secrecy difference is clamped at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,44 +45,6 @@ class GaussianScenario:
             if not is_finite_real(v) or v <= 0:
                 raise ValidationError(f"{name} must be a finite number > 0, got {v!r}")
             object.__setattr__(self, name, float(v))  # a huge int product overflows numpy
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """Power splits (and, for the outer bound, input correlation)."""
-
-    beta1: float
-    beta2: float
-    rho: float | None = None
-
-    def __post_init__(self):
-        for name in ("beta1", "beta2", "rho"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name}={v} outside [0, 1]")
-
-
-class InnerBounds(NamedTuple):
-    b0: float
-    b1: float
-    b2: float
-    b12: float
-    b012: float
-
-
-class OuterBounds(NamedTuple):
-    b0: float
-    b12: float
-    b012: float
-
-
-class CmacBounds(NamedTuple):
-    b1: float
-    b2: float
-    b12: float
-    b012: float
 
 
 def capacity_fn(x):
@@ -145,25 +106,26 @@ def _cmac_bound_arrays(s: GaussianScenario, beta1, beta2):
     return both(priv1), both(priv2), both(priv1 + priv2), both(total)
 
 
-def gaussian_inner_at(s: GaussianScenario, p: SweepPoint) -> InnerBounds:
-    """The five achievable-region bound values at one power split."""
-    return InnerBounds(*(float(v) for v in _inner_bound_arrays(s, p.beta1, p.beta2)))
-
-
-def gaussian_outer_at(
-    s: GaussianScenario, p: SweepPoint, r0_rho_coeff: float = R0_RHO_COEFF_DERIVATION
-) -> OuterBounds:
-    """The three outer-bound values at one (beta1, beta2, rho)."""
-    if p.rho is None:
-        raise ValidationError("outer bound requires a correlation parameter rho")
-    return OuterBounds(
-        *(float(v) for v in _outer_bound_arrays(s, p.beta1, p.beta2, p.rho, r0_rho_coeff))
-    )
-
-
-def cmac_capacity_at(s: GaussianScenario, p: SweepPoint) -> CmacBounds:
-    """The four compound-MAC capacity bound values at one power split."""
-    return CmacBounds(*(float(v) for v in _cmac_bound_arrays(s, p.beta1, p.beta2)))
+def gaussian_bounds(
+    s: GaussianScenario,
+    kind: str,
+    beta1,
+    beta2,
+    rho=None,
+    r0_rho_coeff: float = R0_RHO_COEFF_DERIVATION,
+) -> np.ndarray:
+    """The right-hand sides of CONSTRAINT_PATTERNS[kind] (g_inner, g_outer or
+    cmac), one row per parameter point: beta1, beta2 and, for g_outer only,
+    rho are scalars or equal-length arrays."""
+    if kind == "g_outer":
+        columns = _outer_bound_arrays(s, beta1, beta2, rho, r0_rho_coeff)
+    elif kind == "g_inner":
+        columns = _inner_bound_arrays(s, beta1, beta2)
+    elif kind == "cmac":
+        columns = _cmac_bound_arrays(s, beta1, beta2)
+    else:
+        raise ValidationError(f"unknown Gaussian bound kind {kind!r}")
+    return np.column_stack(columns)
 
 
 def _sweep_grid(resolution: int) -> np.ndarray:
@@ -196,12 +158,7 @@ def sweep_gaussian(
         )
     g = _sweep_grid(resolution)
     grid = [x.ravel() for x in np.meshgrid(*[g] * len(shape), indexing="ij")]
-    if kind == "g_outer":
-        bounds = np.column_stack(_outer_bound_arrays(s, *grid, r0_rho_coeff))
-    elif kind == "g_inner":
-        bounds = np.column_stack(_inner_bound_arrays(s, *grid))
-    else:
-        bounds = np.column_stack(_cmac_bound_arrays(s, *grid))
+    bounds = gaussian_bounds(s, kind, *grid, r0_rho_coeff=r0_rho_coeff)
     del grid  # the frontier's grid values are looked up in g at the end
 
     A = CONSTRAINT_PATTERNS[kind]

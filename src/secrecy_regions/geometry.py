@@ -68,25 +68,6 @@ CONSTRAINT_PATTERNS = {
 
 
 @dataclass(frozen=True)
-class RateTriple:
-    """A rate point (r0, r1, r2) in bits per channel use."""
-
-    r0: float
-    r1: float
-    r2: float
-
-    def __post_init__(self):
-        for name in ("r0", "r1", "r2"):
-            v = getattr(self, name)
-            if v < -GEOM_TOL:
-                raise ValidationError(f"{name}={v} is negative")
-            object.__setattr__(self, name, max(float(v), 0.0))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r0, self.r1, self.r2])
-
-
-@dataclass(frozen=True)
 class RateRegion:
     """A swept rate region: Pareto frontier plus enough per-sweep-point bound
     data to answer exact membership queries.
@@ -183,7 +164,7 @@ class HalfspaceSystem:
         return A, b
 
 
-def _prune_pairwise(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL):
+def _prune_pairwise(A: np.ndarray, b: np.ndarray):
     """Of rows whose coefficient vectors are positive multiples of one
     another keep the one with the smallest scaled constant (the first of
     equal ones), and drop trivial 0 <= nonneg rows; infeasibility markers
@@ -191,11 +172,11 @@ def _prune_pairwise(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL):
     coefficient, which maps exact multiples to the same floats.
     """
     scale = np.abs(A).max(axis=1, initial=0.0)
-    rows = np.nonzero(scale >= tol)[0]
+    rows = np.nonzero(scale >= GEOM_TOL)[0]
     rows = rows[np.argsort(b[rows] / scale[rows], kind="stable")]
     # np.unique keeps the first of equal rows when asked for their indices
     _, first = np.unique(A[rows] / scale[rows, None], axis=0, return_index=True)
-    markers = np.nonzero((scale < tol) & (b < -tol))[0]
+    markers = np.nonzero((scale < GEOM_TOL) & (b < -GEOM_TOL))[0]
     keep = np.sort(np.concatenate([rows[first], markers]))
     return A[keep], b[keep]
 
@@ -224,11 +205,11 @@ def fm_eliminate(system: HalfspaceSystem, var: str) -> HalfspaceSystem:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
+def enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vertices of {x in R^3 : A x <= b}: the feasible basic solutions from
     batch_vertices, with the 64-bit sanity box added and one real vertex
     kept per cell of the tolerance grid; a vertex snapped to the grid could
-    move past a constraint by up to tol.  Raises UnboundedPolytopeError when
+    move past a constraint by up to GEOM_TOL.  Raises UnboundedPolytopeError when
     the polytope escapes the sanity box.
     """
     A = np.asarray(A, dtype=float)
@@ -236,21 +217,21 @@ def enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float = GEOM_TOL) -> n
     if A.ndim != 2 or A.shape[1] != 3:
         raise ValidationError("vertex enumeration expects 3 rate variables")
     verts, _ = batch_vertices(
-        np.vstack([A, np.eye(3)]), np.concatenate([b, np.full(3, SANITY_BOX_BITS)]), tol
+        np.vstack([A, np.eye(3)]), np.concatenate([b, np.full(3, SANITY_BOX_BITS)])
     )
     if len(verts) == 0:
         return np.zeros((0, 3))
     if np.any(verts > SANITY_BOX_BITS - 1e-6):
         raise UnboundedPolytopeError("polytope reaches the 64-bit sanity box")
-    return verts[_grid_cells(verts, tol)]
+    return verts[_grid_cells(verts)]
 
 
-def _grid_cells(pts: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
-    """Index of the first row in each cell of the tol grid, cells in
+def _grid_cells(pts: np.ndarray) -> np.ndarray:
+    """Index of the first row in each cell of the GEOM_TOL grid, cells in
     lexicographic order: the rows np.unique(rounded, axis=0,
     return_index=True) would pick, since the lexsort is stable and -0.0
     equals +0.0 in both."""
-    rounded = np.round(pts / tol) * tol
+    rounded = np.round(pts / GEOM_TOL) * GEOM_TOL
     order = np.lexsort(rounded.T[::-1])
     r = rounded[order]
     start = np.ones(len(r), dtype=bool)
@@ -258,7 +239,7 @@ def _grid_cells(pts: np.ndarray, tol: float = GEOM_TOL) -> np.ndarray:
     return order[start]
 
 
-def batch_vertices(A: np.ndarray, B: np.ndarray, tol: float = GEOM_TOL):
+def batch_vertices(A: np.ndarray, B: np.ndarray):
     """Feasible basic solutions of many polytopes sharing constraint pattern A.
 
     A is (m, 3); B is (N, m), one right-hand-side row per polytope.  Returns
@@ -275,7 +256,7 @@ def batch_vertices(A: np.ndarray, B: np.ndarray, tol: float = GEOM_TOL):
     pts, owners = [], []
     for combo, inv in zip(combos[regular], np.linalg.inv(subs[regular])):
         cand = B[:, combo] @ inv.T  # (N, 3)
-        feas = (cand @ A.T <= B + tol).all(axis=1)
+        feas = (cand @ A.T <= B + GEOM_TOL).all(axis=1)
         if feas.any():
             pts.append(cand[feas])
             owners.append(np.nonzero(feas)[0])
@@ -303,12 +284,9 @@ class Polytope3:
     def vertices(self) -> np.ndarray:
         return enumerate_vertices(self.A, self.b)
 
-    def vertex_triples(self) -> list:
-        return [RateTriple(*v) for v in self.vertices()]
-
-    def contains_point(self, p, tol: float = GEOM_TOL) -> bool:
+    def contains_point(self, p) -> bool:
         p = np.asarray(p, dtype=float)
-        return bool((self.A @ p <= self.b + tol).all())
+        return bool((self.A @ p <= self.b + GEOM_TOL).all())
 
 
 # ---------------------------------------------------------------------------
@@ -418,26 +396,17 @@ def _pareto_mask(points: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return keep
 
 
-def _as_points(points) -> np.ndarray:
-    """An array of rate rows from an array or a list of RateTriple."""
-    if isinstance(points, (list, tuple)) and points and isinstance(points[0], RateTriple):
-        points = [p.as_array() for p in points]
-    return np.atleast_2d(np.asarray(points, dtype=float))
-
-
-def pareto_frontier(points, tol: float = 0.0) -> np.ndarray:
-    """Component-wise non-dominated subset, in stable (r0, r1, r2) order.
-
-    Accepts an (N, 2) or (N, 3) array, or a list of RateTriple.
-    """
-    pts = _as_points(points)
+def pareto_frontier(points) -> np.ndarray:
+    """Component-wise non-dominated subset of an (N, 2) or (N, 3) array, in
+    stable (r0, r1, r2) order."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         return np.zeros((0, 3))
     pts = np.unique(pts, axis=0)
     full = pts if pts.shape[1] == 3 else np.column_stack([pts, np.zeros(len(pts))])
     if pts.shape[1] not in (2, 3):
         raise ValidationError("pareto_frontier expects 2 or 3 rate columns")
-    frontier = pts[_pareto_mask(full, tol)]
+    frontier = pts[_pareto_mask(full)]
     order = np.lexsort(frontier.T[::-1])
     return frontier[order]
 
@@ -484,27 +453,25 @@ class FrontierAccumulator:
         return RateRegion(kind, pts[order], recs[order], np.atleast_2d(bound_rows))
 
 
-def contains(outer: RateRegion, p, tol: float = GEOM_TOL) -> bool:
+def contains(outer: RateRegion, p) -> bool:
     """Membership of a rate triple in a swept region: dominated by some
     frontier point, or inside some sweep point's halfspace system.  The
     scan runs over outer.query_rows, the non-dominated bound rows."""
-    if isinstance(p, RateTriple):
-        p = p.as_array()
     p = np.asarray(p, dtype=float)
-    if (p < -tol).any():
+    if (p < -GEOM_TOL).any():
         return False
-    if len(outer.points) and (outer.points >= p[None, :] - tol).all(axis=1).any():
+    if len(outer.points) and (outer.points >= p[None, :] - GEOM_TOL).all(axis=1).any():
         return True
     A = CONSTRAINT_PATTERNS[outer.kind]
     lhs = A[: A.shape[0] - 3] @ p  # (nb,); the non-negativity rows were checked above
-    return bool((lhs[None, :] <= outer.query_rows + tol).all(axis=1).any())
+    return bool((lhs[None, :] <= outer.query_rows + GEOM_TOL).all(axis=1).any())
 
 
 def project(points, axis: str) -> np.ndarray:
     """Drop the named rate coordinate and return the 2-D Pareto frontier."""
     if axis not in RATE_VARS:
         raise ValidationError(f"axis must be one of {RATE_VARS}")
-    pts = _as_points(points)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
         return np.zeros((0, 2))
     keep = [i for i, v in enumerate(RATE_VARS) if v != axis]

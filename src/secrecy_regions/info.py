@@ -73,17 +73,6 @@ class FiniteDistribution:
     def uniform(cls, n: int) -> "FiniteDistribution":
         return cls(np.full(n, 1.0 / n))
 
-    @classmethod
-    def point_mass(cls, n: int, at: int = 0) -> "FiniteDistribution":
-        p = np.zeros(n)
-        p[at] = 1.0
-        return cls(p)
-
-
-def entropy(d: FiniteDistribution) -> float:
-    """Entropy of a distribution in bits; lies in [0, log2(alphabet size)]."""
-    return entropy_bits(d.probs)
-
 
 @dataclass(frozen=True)
 class DiscreteChannel:
@@ -120,10 +109,6 @@ class DiscreteChannel:
     @property
     def y2_size(self) -> int:
         return self.transition.shape[3]
-
-    def y1_marginal(self) -> np.ndarray:
-        """p(y1 | x1, x2)."""
-        return self.transition.sum(axis=3)
 
     def y2_marginal(self) -> np.ndarray:
         """p(y2 | x1, x2)."""

@@ -14,7 +14,7 @@ import yaml
 
 from .binning import CodeConfig
 from .dm import AuxiliaryChain, GridSpec
-from .errors import ValidationError, is_finite_real
+from .errors import ValidationError, is_finite_real, is_integer
 from .gaussian import R0_RHO_COEFF_DERIVATION, GaussianScenario
 from .info import DiscreteChannel, FiniteDistribution
 
@@ -62,7 +62,7 @@ def _require_mapping(value, where: str) -> dict:
 
 
 def _check_count(value, where: str, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+    if not is_integer(value) or value < low:
         raise ValidationError(f"{where}: expected an integer >= {low}, got {value!r}")
 
 

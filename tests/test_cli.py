@@ -366,12 +366,14 @@ def test_channel_alphabet_above_cap_is_validation_exit(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("wide", ["u", "v1", "v2"])
+@pytest.mark.parametrize("wide", ["u", "v1", "v2", "rows"])
 def test_aux_alphabet_above_cap_is_validation_exit(tmp_path, wide):
     data = simulate_data(tmp_path / "out")
     aux = data["aux"]
     if wide == "u":
         aux.update(p_u=[0.25] * 4, p_v1_given_u=[[0.5, 0.5]] * 4, p_v2_given_u=[[0.5, 0.5]] * 4)
+    elif wide == "rows":  # row counts that differ from each other and from p_u
+        aux.update(p_v1_given_u=[[0.5, 0.5]] * 2, p_v2_given_u=[[0.5, 0.5]] * 3)
     else:
         aux[f"p_{wide}_given_u"] = [[0.25] * 4]
         aux[f"p_x{wide[1]}_given_{wide}"] = [[1.0, 0.0], [0.0, 1.0]] * 2

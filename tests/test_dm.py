@@ -22,16 +22,14 @@ from secrecy_regions import (
     chain_information,
     fm_matches_direct,
     fm_region_polytope,
-    inner_corner_triples,
     mutual_information,
-    outer_corner_triples,
     region_bounds,
     sweep_region,
 )
 from secrecy_regions import dm, geometry
 from secrecy_regions.cli import main
 from secrecy_regions.dm import random_inner_chain, simplex_grid
-from secrecy_regions.geometry import Polytope3, contains, fm_eliminate
+from secrecy_regions.geometry import GEOM_TOL, Polytope3, contains, fm_eliminate
 from conftest import (
     degraded_binary_channel,
     identity_uniform_chain,
@@ -85,7 +83,7 @@ def test_chain_information_against_joint_oracle(degraded_channel):
         "I(U,V1,V2;Y1)": (["U", "V1", "V2"], ["Y1"], []),
     }
     for name, (a, b, c) in expected.items():
-        assert mi[name] == pytest.approx(mutual_information(j, a, b, c), abs=1e-10), name
+        assert mi[name][0] == pytest.approx(mutual_information(j, a, b, c), abs=1e-10), name
 
 
 def test_region_bounds_inner_formula(degraded_channel):
@@ -118,10 +116,12 @@ def test_region_bounds_outer_formula(degraded_channel):
 
 def test_corner_triples_nonempty(degraded_channel):
     aux = identity_uniform_chain(u_size=2)
-    inner = inner_corner_triples(aux, degraded_channel)
-    outer = outer_corner_triples(aux, degraded_channel)
-    assert inner and outer
-    assert all(t.r0 >= 0 and t.r1 >= 0 and t.r2 >= 0 for t in inner)
+    inner, outer = (
+        Polytope3.from_bounds(kind, region_bounds(aux, degraded_channel, kind)).vertices()
+        for kind in ("dm_inner", "dm_outer")
+    )
+    assert len(inner) and len(outer)
+    assert (inner >= -GEOM_TOL).all()
 
 
 def test_inner_corner_requires_inner_chain(degraded_channel):
@@ -133,7 +133,7 @@ def test_inner_corner_requires_inner_chain(degraded_channel):
         kind="outer",
     )
     with pytest.raises(ValidationError):
-        inner_corner_triples(aux, degraded_channel)
+        region_bounds(aux, degraded_channel, "dm_inner")
 
 
 def test_achievability_system_structure(degraded_channel):
@@ -144,7 +144,7 @@ def test_achievability_system_structure(degraded_channel):
     assert len(eq_rows) == 1
     coeffs, _, rhs = eq_rows[0]
     assert list(coeffs) == [0, 0, 0, 1, 1]
-    assert rhs == pytest.approx(chain_information(aux, degraded_channel)["I(V1,V2;Y2|U)"])
+    assert rhs == pytest.approx(chain_information(aux, degraded_channel)["I(V1,V2;Y2|U)"][0])
 
 
 def test_fm_projection_equals_direct_region(degraded_channel, rng):

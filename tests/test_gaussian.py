@@ -7,12 +7,9 @@ import pytest
 from secrecy_regions import (
     GaussianScenario,
     R0_RHO_COEFF_AS_PRINTED,
-    SweepPoint,
     ValidationError,
     capacity_fn,
-    cmac_capacity_at,
-    gaussian_inner_at,
-    gaussian_outer_at,
+    gaussian_bounds,
     sweep_gaussian,
 )
 
@@ -46,67 +43,51 @@ def test_scenario_validation():
         GaussianScenario(1.0, 1.0, 0.1, -0.3)
 
 
-def test_sweep_point_range():
-    SweepPoint(0.0, 1.0, 0.5)
-    with pytest.raises(ValidationError):
-        SweepPoint(1.2, 0.0)
-    with pytest.raises(ValidationError):
-        SweepPoint(0.5, 0.5, -0.1)
-
-
 def test_inner_bounds_no_common_split():
     """beta1 = beta2 = 0: all power is private, the common bound is 0."""
-    s = FIG_SCENARIO_3
-    b = gaussian_inner_at(s, SweepPoint(0.0, 0.0))
-    assert b.b0 == 0.0
-    assert b.b1 == pytest.approx(cap(1 / 0.1) - cap(1 / 1.3), abs=1e-12)
-    assert b.b12 == pytest.approx(cap(2 / 0.1) - cap(2 / 0.3), abs=1e-12)
-    assert b.b012 == pytest.approx(b.b12, abs=1e-12)
+    b0, b1, _, b12, b012 = gaussian_bounds(FIG_SCENARIO_3, "g_inner", 0.0, 0.0)[0]
+    assert b0 == 0.0
+    assert b1 == pytest.approx(cap(1 / 0.1) - cap(1 / 1.3), abs=1e-12)
+    assert b12 == pytest.approx(cap(2 / 0.1) - cap(2 / 0.3), abs=1e-12)
+    assert b012 == pytest.approx(b12, abs=1e-12)
 
 
 def test_inner_bounds_full_common():
     """beta1 = beta2 = 1: no private power, secrecy bounds vanish."""
-    b = gaussian_inner_at(FIG_SCENARIO_3, SweepPoint(1.0, 1.0))
-    assert b.b1 == 0.0 and b.b2 == 0.0 and b.b12 == 0.0
-    assert b.b0 == pytest.approx(cap(4 / 0.3), abs=1e-12)
-    assert b.b012 == pytest.approx(cap(4 / 0.1), abs=1e-12)
+    b0, b1, b2, b12, b012 = gaussian_bounds(FIG_SCENARIO_3, "g_inner", 1.0, 1.0)[0]
+    assert b1 == 0.0 and b2 == 0.0 and b12 == 0.0
+    assert b0 == pytest.approx(cap(4 / 0.3), abs=1e-12)
+    assert b012 == pytest.approx(cap(4 / 0.1), abs=1e-12)
 
 
 def test_outer_bounds_values():
-    s = FIG_SCENARIO_3
-    b = gaussian_outer_at(s, SweepPoint(0.5, 0.5, 0.0))
-    assert b.b12 == pytest.approx(cap(1 / 0.1) - cap(1 / 0.3), abs=1e-12)
-    assert b.b012 == pytest.approx(cap(2 / 0.1) - cap(1 / 0.3), abs=1e-12)
-    assert b.b0 == pytest.approx(min(cap(1 / 1.1), cap(1 / 1.3)), abs=1e-12)
-
-
-def test_outer_requires_rho():
-    with pytest.raises(ValidationError):
-        gaussian_outer_at(FIG_SCENARIO_3, SweepPoint(0.5, 0.5))
+    b0, b12, b012 = gaussian_bounds(FIG_SCENARIO_3, "g_outer", 0.5, 0.5, 0.0)[0]
+    assert b12 == pytest.approx(cap(1 / 0.1) - cap(1 / 0.3), abs=1e-12)
+    assert b012 == pytest.approx(cap(2 / 0.1) - cap(1 / 0.3), abs=1e-12)
+    assert b0 == pytest.approx(min(cap(1 / 1.1), cap(1 / 1.3)), abs=1e-12)
 
 
 def test_outer_rho_coefficient_variants():
-    s = FIG_SCENARIO_3
-    p = SweepPoint(0.3, 0.4, 0.8)
-    derived = gaussian_outer_at(s, p)
-    printed = gaussian_outer_at(s, p, r0_rho_coeff=R0_RHO_COEFF_AS_PRINTED)
-    assert derived.b0 > printed.b0
-    assert derived.b12 == printed.b12 and derived.b012 == printed.b012
+    p = (FIG_SCENARIO_3, "g_outer", 0.3, 0.4, 0.8)
+    derived = gaussian_bounds(*p)[0]
+    printed = gaussian_bounds(*p, r0_rho_coeff=R0_RHO_COEFF_AS_PRINTED)[0]
+    assert derived[0] > printed[0]
+    assert derived[1] == printed[1] and derived[2] == printed[2]
 
 
 def test_cmac_bounds_values():
-    b = cmac_capacity_at(FIG_SCENARIO_3, SweepPoint(0.0, 0.0))
-    assert b.b1 == pytest.approx(cap(1 / 0.3), abs=1e-12)
-    assert b.b12 == pytest.approx(cap(2 / 0.3), abs=1e-12)
-    assert b.b012 == pytest.approx(cap(2 / 0.3), abs=1e-12)
+    b1, _, b12, b012 = gaussian_bounds(FIG_SCENARIO_3, "cmac", 0.0, 0.0)[0]
+    assert b1 == pytest.approx(cap(1 / 0.3), abs=1e-12)
+    assert b12 == pytest.approx(cap(2 / 0.3), abs=1e-12)
+    assert b012 == pytest.approx(cap(2 / 0.3), abs=1e-12)
 
 
 def test_equal_noise_kills_secrecy_sum():
     """sigma1 = sigma2: the r1 + r2 bound is exactly zero for every split."""
     s = GaussianScenario(1.0, 1.0, 0.2, 0.2)
     for beta in (0.0, 0.3, 0.9):
-        assert gaussian_inner_at(s, SweepPoint(beta, beta)).b12 == 0.0
-        assert gaussian_outer_at(s, SweepPoint(beta, beta, 0.5)).b12 == 0.0
+        assert gaussian_bounds(s, "g_inner", beta, beta)[0, 3] == 0.0  # b12
+        assert gaussian_bounds(s, "g_outer", beta, beta, 0.5)[0, 1] == 0.0  # b12
     region = sweep_gaussian(s, "g_inner", 21)
     assert region.points[:, 1].max() <= 1e-9
     assert region.points[:, 2].max() <= 1e-9

@@ -7,9 +7,7 @@ from secrecy_regions import (
     HalfspaceSystem,
     Polytope3,
     RateRegion,
-    RateTriple,
     UnboundedPolytopeError,
-    ValidationError,
     enumerate_vertices,
     fm_eliminate,
     pareto_frontier,
@@ -27,13 +25,6 @@ from secrecy_regions.geometry import (
     contains,
 )
 from conftest import degraded_binary_channel
-
-
-def test_rate_triple_clamps_tiny_negatives():
-    t = RateTriple(-1e-12, 0.5, 0.25)
-    assert t.r0 == 0.0
-    with pytest.raises(ValidationError):
-        RateTriple(-1e-3, 0.0, 0.0)
 
 
 def test_unit_box_vertices():
@@ -240,13 +231,6 @@ def test_dedupe_picks_the_rows_np_unique_picks(seed, n):
     assert np.array_equal(kept, pts[np.sort(first)])
 
 
-def test_pareto_frontier_accepts_triples():
-    pts = [RateTriple(0, 0, 0), RateTriple(1, 0, 0), RateTriple(1, 1, 0)]
-    f = pareto_frontier(pts)
-    assert f.shape == (1, 3)
-    assert np.allclose(f[0], [1, 1, 0])
-
-
 def test_project_drops_axis():
     pts = np.array([[0.5, 1.0, 0.2], [0.1, 0.4, 0.9], [0.5, 1.0, 0.1]])
     f = project(pts, "r0")
@@ -271,16 +255,16 @@ def test_region_contains_uses_bound_rows():
     assert not contains(region, [-0.1, 0.0, 0.0])
 
 
-def _full_scan_contains(region, p, tol):
+def _full_scan_contains(region, p):
     """contains as it was before query_rows: a scan over every bound row."""
     p = np.asarray(p, dtype=float)
-    if (p < -tol).any():
+    if (p < -GEOM_TOL).any():
         return False
-    if len(region.points) and (region.points >= p[None, :] - tol).all(axis=1).any():
+    if len(region.points) and (region.points >= p[None, :] - GEOM_TOL).all(axis=1).any():
         return True
     A = CONSTRAINT_PATTERNS[region.kind]
     lhs = A[: A.shape[0] - 3] @ p
-    return bool((lhs[None, :] <= np.atleast_2d(region.bound_rows) + tol).all(axis=1).any())
+    return bool((lhs[None, :] <= np.atleast_2d(region.bound_rows) + GEOM_TOL).all(axis=1).any())
 
 
 def _queries(region, rng, count):
@@ -302,15 +286,14 @@ def _queries(region, rng, count):
     seed=st.integers(0, 2**32 - 1),
     scale=st.floats(0.8, 1.25),
     resolution=st.integers(2, 9),
-    tol=st.sampled_from([0.0, GEOM_TOL]),
 )
 @settings(max_examples=25, deadline=None)
-def test_contains_matches_full_scan_on_outer_sweeps(seed, scale, resolution, tol):
+def test_contains_matches_full_scan_on_outer_sweeps(seed, scale, resolution):
     sc = GaussianScenario(scale, 2.0 - scale, 0.1 * scale, 0.3 / scale)
     region = sweep_gaussian(sc, "g_outer", resolution)
     rng = np.random.default_rng(seed)
     for p in _queries(region, rng, 60):
-        assert contains(region, p, tol) == _full_scan_contains(region, p, tol)
+        assert contains(region, p) == _full_scan_contains(region, p)
 
 
 _LEVELS = np.array(
@@ -323,10 +306,9 @@ _LEVELS = np.array(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 1500),
     trade_off=st.booleans(),
-    tol=st.sampled_from([0.0, GEOM_TOL]),
 )
 @settings(max_examples=40, deadline=None)
-def test_contains_matches_full_scan_on_hand_built_rows(seed, n, trade_off, tol):
+def test_contains_matches_full_scan_on_hand_built_rows(seed, n, trade_off):
     # few levels: duplicate rows and rows equal in two columns are common;
     # -0.0 beside +0.0, and values one ulp apart.  With trade_off the third
     # column falls as the first two rise, so dozens of rows survive pruning.
@@ -338,7 +320,7 @@ def test_contains_matches_full_scan_on_hand_built_rows(seed, n, trade_off, tol):
     rows = _LEVELS[idx]
     region = RateRegion("g_outer", np.zeros((0, 3)), np.zeros((0, 3)), rows)
     for p in _queries(region, rng, 60):
-        assert contains(region, p, tol) == _full_scan_contains(region, p, tol)
+        assert contains(region, p) == _full_scan_contains(region, p)
     kept = region.query_rows
     # every dropped row is weakly dominated by a kept one; no kept row by another
     for r in rows:
