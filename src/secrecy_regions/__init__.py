@@ -42,7 +42,6 @@ from .gaussian import (
     sweep_gaussian,
 )
 from .geometry import (
-    HalfspaceSystem,
     Polytope3,
     RateRegion,
     contains,
@@ -72,7 +71,6 @@ __all__ = [
     "FiniteDistribution",
     "GaussianScenario",
     "GridSpec",
-    "HalfspaceSystem",
     "JointDistribution",
     "Polytope3",
     "R0_RHO_COEFF_AS_PRINTED",

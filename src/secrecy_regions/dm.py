@@ -38,7 +38,6 @@ from .errors import CapExceededError, ValidationError
 from .geometry import (
     CONSTRAINT_PATTERNS,
     FrontierAccumulator,
-    HalfspaceSystem,
     Polytope3,
     RateRegion,
     _prune_pairwise,
@@ -264,17 +263,29 @@ _RAW_ROWS = (
 _RAW_TERMS = tuple(dict.fromkeys(term for _, _, term in _RAW_ROWS if term))
 
 
-def achievability_constraint_system(aux: AuxiliaryChain, ch: DiscreteChannel) -> HalfspaceSystem:
-    """The raw constraint system of the binning scheme for one inner-class
-    chain: the rate-split equality on the bin rates, the decoding constraints
-    at the legitimate receiver, the eavesdropper bin-decoding constraints,
-    and non-negativity.  Eliminating r1p and r2p from it chain by chain is
-    the reference for the table that _fm_table derives once.
+def _raw_arrays():
+    """(A, T): _RAW_ROWS as A x <= T @ terms, x over RAW_VARS and the terms in
+    _RAW_TERMS order; an equality becomes the row followed by its negation."""
+    rows = []
+    for coeffs, rel, term in _RAW_ROWS:
+        row = np.array(coeffs + tuple(float(term == name) for name in _RAW_TERMS), dtype=float)
+        rows += [row, -row] if rel == "==" else [row]
+    rows = np.array(rows)
+    return rows[:, : len(RAW_VARS)], rows[:, len(RAW_VARS) :]
+
+
+def achievability_constraint_system(aux: AuxiliaryChain, ch: DiscreteChannel):
+    """(A, b), A x <= b over the RAW_VARS columns: the binning scheme's raw
+    system for one inner-class chain.  Its rows are the rate-split equality
+    on the bin rates (as two opposing rows), the decoding constraints at the
+    legitimate receiver, the eavesdropper bin-decoding constraints and
+    non-negativity.  Eliminating r1p and r2p from it chain by chain is the
+    reference for the table that _fm_table derives once.
     """
     _require_inner(aux)
+    A, T = _raw_arrays()
     mi = chain_information(aux, ch)
-    rows = tuple((c, rel, float(mi[t][0]) if t else 0.0) for c, rel, t in _RAW_ROWS)
-    return HalfspaceSystem(RAW_VARS, rows)
+    return A, T @ [mi[name][0] for name in _RAW_TERMS]
 
 
 @cache
@@ -285,11 +296,10 @@ def _fm_table():
     A r <= T @ terms, with the terms in _RAW_TERMS order."""
     from .geometry import fm_eliminate
 
-    rows = tuple(
-        (c + tuple(-float(t == name) for name in _RAW_TERMS), rel, 0.0) for c, rel, t in _RAW_ROWS
-    )
-    system = HalfspaceSystem(RAW_VARS + _RAW_TERMS, rows)
-    A, _ = fm_eliminate(fm_eliminate(system, "r1p"), "r2p").to_arrays()
+    A, T = _raw_arrays()
+    j = RAW_VARS.index("r1p")  # r2p moves into this column once r1p is gone
+    A, b = fm_eliminate(np.hstack([A, -T]), np.zeros(len(A)), j)
+    A, _ = fm_eliminate(A, b, j)
     return A[:, :3], -A[:, 3:]
 
 
@@ -493,7 +503,7 @@ def sweep_region(ch: DiscreteChannel, sweep_class: str, grid: GridSpec) -> RateR
     bounds = _grid_bounds(ch, grid, sweep_class, kind, total)
 
     A = CONSTRAINT_PATTERNS[kind]
-    acc = FrontierAccumulator(record_width=1)
+    acc = FrontierAccumulator()
     chunk = 8192
     for start in range(0, total, chunk):
         rows = bounds[start : start + chunk]

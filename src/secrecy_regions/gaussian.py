@@ -144,7 +144,8 @@ def sweep_gaussian(
     per-point (beta1, beta2, rho) provenance, rho NaN when the sweep has none.
     Deterministic given the grid.  The sweep records each vertex's flat grid
     index, as sweep_region records a chain index, and maps only the frontier's
-    indices back to grid values.
+    indices back to grid values.  A grid whose bounds overflow to inf or NaN
+    is refused before any vertex is enumerated.
     """
     if kind not in ("g_inner", "g_outer", "cmac"):
         raise ValidationError(f"unknown Gaussian sweep kind {kind!r}")
@@ -158,11 +159,17 @@ def sweep_gaussian(
         )
     g = _sweep_grid(resolution)
     grid = [x.ravel() for x in np.meshgrid(*[g] * len(shape), indexing="ij")]
-    bounds = gaussian_bounds(s, kind, *grid, r0_rho_coeff=r0_rho_coeff)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        bounds = gaussian_bounds(s, kind, *grid, r0_rho_coeff=r0_rho_coeff)
+    if not np.isfinite(bounds).all():
+        raise ValidationError(
+            f"{kind} bounds overflow to inf or NaN: the powers, noise variances "
+            "or r0_rho_coeff are out of range"
+        )
     del grid  # the frontier's grid values are looked up in g at the end
 
     A = CONSTRAINT_PATTERNS[kind]
-    acc = FrontierAccumulator(record_width=1)
+    acc = FrontierAccumulator()
     chunk = 20000
     for start in range(0, len(bounds), chunk):
         rows = bounds[start : start + chunk]

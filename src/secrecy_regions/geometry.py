@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import UnboundedPolytopeError, ValidationError
+from .errors import UnboundedPolytopeError, ValidationError, is_integer
 
 GEOM_TOL = 1e-9
 SANITY_BOX_BITS = 64.0
@@ -117,51 +117,8 @@ class RateRegion:
 
 
 # ---------------------------------------------------------------------------
-# Halfspace systems and Fourier-Motzkin elimination
+# Fourier-Motzkin elimination
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HalfspaceSystem:
-    """Linear constraints over named variables.
-
-    Each row is (coefficients, relation, constant) with relation '<=' or '=='.
-    An equality is equivalent to the pair of opposing inequalities.
-    """
-
-    variables: tuple
-    rows: tuple
-
-    def __post_init__(self):
-        variables = tuple(self.variables)
-        rows = []
-        for coeffs, rel, rhs in self.rows:
-            c = np.asarray(coeffs, dtype=float)
-            if c.shape != (len(variables),):
-                raise ValidationError("coefficient vector length mismatch")
-            if rel not in ("<=", "=="):
-                raise ValidationError(f"unsupported relation {rel!r}")
-            rows.append((c, rel, float(rhs)))
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "rows", tuple(rows))
-
-    def inequality_rows(self):
-        """All rows as '<=' pairs (equalities expanded)."""
-        out = []
-        for c, rel, rhs in self.rows:
-            out.append((c, rhs))
-            if rel == "==":
-                out.append((-c, -rhs))
-        return out
-
-    def to_arrays(self, order=None):
-        """(A, b) with A @ x <= b, columns in the given variable order."""
-        order = tuple(order) if order is not None else self.variables
-        idx = [self.variables.index(v) for v in order]
-        ineqs = self.inequality_rows()
-        A = np.array([c[idx] for c, _ in ineqs]).reshape(len(ineqs), len(order))
-        b = np.array([rhs for _, rhs in ineqs])
-        return A, b
 
 
 def _prune_pairwise(A: np.ndarray, b: np.ndarray):
@@ -181,23 +138,22 @@ def _prune_pairwise(A: np.ndarray, b: np.ndarray):
     return A[keep], b[keep]
 
 
-def fm_eliminate(system: HalfspaceSystem, var: str) -> HalfspaceSystem:
-    """Project a halfspace system onto the remaining variables by pairing
-    every upper bound on `var` with every lower bound.
+def fm_eliminate(A: np.ndarray, b: np.ndarray, j: int):
+    """Project {x : A x <= b} onto every coordinate but x_j by pairing every
+    upper bound on x_j with every lower bound.  Returns (A, b) with column j
+    deleted and parallel rows merged by _prune_pairwise.
     """
-    if var not in system.variables:
-        raise ValidationError(f"variable {var!r} not in system")
-    j = system.variables.index(var)
-    A, b = system.to_arrays()
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (is_integer(j) and 0 <= j < A.shape[1]):
+        raise ValidationError(f"column {j!r} outside 0..{A.shape[1] - 1}")
     col = A[:, j]
     up, low = col > GEOM_TOL, col < -GEOM_TOL
     Au, bu = A[up] / col[up, None], b[up] / col[up]
     Al, bl = A[low] / -col[low, None], b[low] / -col[low]
     A = np.vstack([A[~(up | low)], (Au[:, None] + Al[None]).reshape(-1, A.shape[1])])
     b = np.concatenate([b[~(up | low)], (bu[:, None] + bl[None]).ravel()])
-    A, b = _prune_pairwise(np.delete(A, j, axis=1), b)
-    new_vars = tuple(v for v in system.variables if v != var)
-    return HalfspaceSystem(new_vars, tuple(zip(A, ["<="] * len(b), b)))
+    return _prune_pairwise(np.delete(A, j, axis=1), b)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +223,8 @@ def batch_vertices(A: np.ndarray, B: np.ndarray):
 
 @dataclass(frozen=True)
 class Polytope3:
-    """Halfspace intersection over exactly (r0, r1, r2) with cached vertices."""
+    """Halfspace intersection A r <= b over exactly (r0, r1, r2).  Its vertices
+    are not cached: vertices() enumerates them on every call."""
 
     A: np.ndarray
     b: np.ndarray
@@ -414,13 +371,13 @@ def pareto_frontier(points) -> np.ndarray:
 class FrontierAccumulator:
     """Collects sweep vertices chunk by chunk, prunes each chunk to its local
     Pareto maxima, and computes the global frontier once at the end, keeping
-    one provenance row aligned with every surviving point.  Merge order does
-    not affect the final frontier (set semantics).  A single chunk is already
-    deduped and pruned, so finish only sorts it.
+    one provenance value (a grid or chain index, as a one-column row) aligned
+    with every surviving point.  Merge order does not affect the final
+    frontier (set semantics).  A single chunk is already deduped and pruned,
+    so finish only sorts it.
     """
 
-    def __init__(self, record_width: int):
-        self.record_width = record_width
+    def __init__(self):
         self._points: list = []
         self._records: list = []
 
@@ -442,7 +399,7 @@ class FrontierAccumulator:
     def finish(self, kind: str, bound_rows: np.ndarray) -> RateRegion:
         if not self._points:
             pts = np.zeros((0, 3))
-            recs = np.zeros((0, self.record_width))
+            recs = np.zeros((0, 1))
         elif len(self._points) == 1:
             pts, recs = self._points[0], self._records[0]
         else:

@@ -69,10 +69,6 @@ class FiniteDistribution:
     def __len__(self) -> int:
         return self.probs.size
 
-    @classmethod
-    def uniform(cls, n: int) -> "FiniteDistribution":
-        return cls(np.full(n, 1.0 / n))
-
 
 @dataclass(frozen=True)
 class DiscreteChannel:
@@ -138,12 +134,6 @@ class JointDistribution:
         if unknown:
             raise ValidationError(f"unknown variables: {unknown}")
         return tuple(self.names.index(v) for v in group)
-
-    def marginal(self, keep) -> "JointDistribution":
-        """Marginalize onto the named subset, preserving this joint's order."""
-        keep = [v for v in self.names if v in set(keep)]
-        drop = self._axes([v for v in self.names if v not in keep])
-        return JointDistribution(tuple(keep), self.mass.sum(axis=drop) if drop else self.mass)
 
     def entropy_of(self, group) -> float:
         """Joint entropy H(group) in bits."""

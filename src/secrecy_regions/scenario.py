@@ -2,8 +2,8 @@
 a discrete-memoryless sweep, a simulator run, or a projection-equivalence
 check) that the command line executes.
 
-The parsed form is kept as plain nested dictionaries so that serializing and
-re-parsing is field-identical; typed objects are constructed on demand.
+The parsed form is kept as plain nested dictionaries; typed objects are
+constructed on demand.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class ScenarioFile:
             for n in lengths:
                 _check_count(n, "blocklengths", 1)
 
-    # -- construction and round-tripping ------------------------------------
+    # -- construction -------------------------------------------------------
 
     @classmethod
     def parse(cls, text: str) -> "ScenarioFile":
@@ -139,9 +139,6 @@ class ScenarioFile:
     def load(cls, path) -> "ScenarioFile":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.parse(fh.read())
-
-    def serialize(self) -> str:
-        return yaml.safe_dump({"kind": self.kind, **self.data}, sort_keys=True)
 
     # -- typed accessors ----------------------------------------------------
 

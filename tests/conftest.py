@@ -44,7 +44,7 @@ def pure_noise_y2_channel() -> DiscreteChannel:
 def identity_uniform_chain(u_size: int = 1) -> AuxiliaryChain:
     """Uniform binary v1, v2 with identity maps onto binary channel inputs."""
     return AuxiliaryChain.inner(
-        FiniteDistribution.uniform(u_size),
+        FiniteDistribution(np.full(u_size, 1 / u_size)),
         np.full((u_size, 2), 0.5),
         np.full((u_size, 2), 0.5),
         np.eye(2),

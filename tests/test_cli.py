@@ -89,13 +89,6 @@ def test_parse_rejects_bad_yaml():
         ScenarioFile.parse("kind: [unclosed\n")
 
 
-def test_round_trip_is_field_identical(tmp_path):
-    sf = ScenarioFile.parse(gaussian_scenario_text(tmp_path / "r.csv", tmp_path / "s.json"))
-    again = ScenarioFile.parse(sf.serialize())
-    assert again.kind == sf.kind
-    assert again.data == sf.data
-
-
 def test_dm_scenario_alphabet_cap(tmp_path):
     data = {
         "kind": "dm",
@@ -263,6 +256,20 @@ def test_cli_r0_rho_coeff_nan_is_validation_exit(tmp_path):
     )
     assert code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, coeff", [({"p1": 1e200, "p2": 1e200}, 2.0), ({}, 1e308)])
+def test_overflowing_gaussian_bounds_are_validation_exit(tmp_path, capsys, scenario, coeff):
+    # finite inputs whose bounds overflow: refused, not swept into an empty
+    # or partial region
+    data = gaussian_data(tmp_path / "r.csv")
+    data["scenario"].update(scenario)
+    data["r0_rho_coeff"] = coeff
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 1
+    assert "overflow" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_huge_integer_powers_run(tmp_path):
@@ -551,6 +558,29 @@ def test_simulate_csv_matches_its_golden_digest(tmp_path, build, digest):
     out = tmp_path / "sim.csv"
     run_scenario(ScenarioFile.parse(yaml.safe_dump(build(out))))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _benchmark_shaped_fm_check(output):
+    """The fm-check scenario the benchmark draws at seed 0, at 200 chains."""
+    rng = np.random.default_rng(0)
+    channel = rng.dirichlet(np.ones(4), size=4).reshape(2, 2, 2, 2)
+    data = fm_check_data(output)
+    data.update(channel=channel.tolist(), chains=200, seed=int(rng.integers(2**31)))
+    return data
+
+
+# sha256 of that fm-check JSON as the elimination over named variables wrote
+# it, before it ran on plain arrays
+_GOLDEN_FM = "1add23a6cf5aea5d7c2b67ceb38d58a9c894f748fde759f507ba34f84d303a4a"
+
+
+def test_fm_check_json_matches_its_golden_digest(tmp_path):
+    out = tmp_path / "fm.json"
+    run_scenario(ScenarioFile.parse(yaml.safe_dump(_benchmark_shaped_fm_check(out))))
+    verdicts = [r["verdict"] for r in json.loads(out.read_text())["results"]]
+    # the digest covers both verdicts this channel reaches
+    assert verdicts.count("equal") > 0 and verdicts.count("raw_infeasible") > 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_FM
 
 
 def _region_outputs(tmp_path, data):

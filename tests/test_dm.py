@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -41,13 +42,13 @@ def test_inner_chain_rejects_correlated_slice():
     p_v = np.zeros((1, 2, 2))
     p_v[0] = [[0.5, 0.0], [0.0, 0.5]]  # perfectly correlated
     with pytest.raises(ValidationError):
-        AuxiliaryChain(FiniteDistribution.uniform(1), p_v, np.eye(2), np.eye(2), kind="inner")
-    AuxiliaryChain(FiniteDistribution.uniform(1), p_v, np.eye(2), np.eye(2), kind="outer")
+        AuxiliaryChain(FiniteDistribution(np.ones(1)), p_v, np.eye(2), np.eye(2), kind="inner")
+    AuxiliaryChain(FiniteDistribution(np.ones(1)), p_v, np.eye(2), np.eye(2), kind="outer")
 
 
 def test_inner_classmethod_builds_product():
     aux = AuxiliaryChain.inner(
-        FiniteDistribution.uniform(2),
+        FiniteDistribution(np.full(2, 1 / 2)),
         np.array([[0.8, 0.2], [0.3, 0.7]]),
         np.array([[0.6, 0.4], [0.5, 0.5]]),
         np.eye(2),
@@ -126,7 +127,7 @@ def test_corner_triples_nonempty(degraded_channel):
 
 def test_inner_corner_requires_inner_chain(degraded_channel):
     aux = AuxiliaryChain(
-        FiniteDistribution.uniform(1),
+        FiniteDistribution(np.ones(1)),
         np.array([[[0.5, 0.0], [0.0, 0.5]]]),
         np.eye(2),
         np.eye(2),
@@ -134,17 +135,19 @@ def test_inner_corner_requires_inner_chain(degraded_channel):
     )
     with pytest.raises(ValidationError):
         region_bounds(aux, degraded_channel, "dm_inner")
+    with pytest.raises(ValidationError):
+        achievability_constraint_system(aux, degraded_channel)
 
 
 def test_achievability_system_structure(degraded_channel):
     aux = identity_uniform_chain()
-    system = achievability_constraint_system(aux, degraded_channel)
-    assert system.variables == ("r0", "r1", "r2", "r1p", "r2p")
-    eq_rows = [r for r in system.rows if r[1] == "=="]
-    assert len(eq_rows) == 1
-    coeffs, _, rhs = eq_rows[0]
-    assert list(coeffs) == [0, 0, 0, 1, 1]
-    assert rhs == pytest.approx(chain_information(aux, degraded_channel)["I(V1,V2;Y2|U)"][0])
+    A, b = achievability_constraint_system(aux, degraded_channel)
+    assert dm.RAW_VARS == ("r0", "r1", "r2", "r1p", "r2p")
+    assert A.shape == (15, len(dm.RAW_VARS)) and b.shape == (15,)
+    # the one equality, r1p + r2p == I(V1,V2;Y2|U), is the row and its negation
+    np.testing.assert_array_equal(A[:2], [[0, 0, 0, 1, 1], [0, 0, 0, -1, -1]])
+    rhs = chain_information(aux, degraded_channel)["I(V1,V2;Y2|U)"][0]
+    assert b[0] == -b[1] == pytest.approx(rhs)
 
 
 def test_fm_projection_equals_direct_region(degraded_channel, rng):
@@ -169,8 +172,9 @@ def test_fm_table_matches_per_chain_elimination(seed, k):
     rng = np.random.default_rng(seed)
     ch = DiscreteChannel(rng.dirichlet(np.ones(k * k), size=k * k).reshape(k, k, k, k))
     aux = random_inner_chain(ch, rng, *(int(n) for n in rng.integers(1, 4, size=3)))
-    system = fm_eliminate(fm_eliminate(achievability_constraint_system(aux, ch), "r1p"), "r2p")
-    oracle = Polytope3(*system.to_arrays(("r0", "r1", "r2"))).vertices()
+    A, b = achievability_constraint_system(aux, ch)
+    j = dm.RAW_VARS.index("r1p")  # then r2p, which has moved into column j
+    oracle = Polytope3(*fm_eliminate(*fm_eliminate(A, b, j), j)).vertices()
     assert _same_vertices(fm_region_polytope(aux, ch).vertices(), oracle)
 
 
@@ -184,7 +188,7 @@ def test_fm_table_is_derived_once_per_process(monkeypatch, tmp_path, degraded_ch
 
     calls = []
     real = geometry.fm_eliminate
-    monkeypatch.setattr(geometry, "fm_eliminate", lambda s, v: calls.append(v) or real(s, v))
+    monkeypatch.setattr(geometry, "fm_eliminate", lambda A, b, j: calls.append(j) or real(A, b, j))
     dm._fm_table.cache_clear()
     path = tmp_path / "s.yaml"
     path.write_text(yaml.safe_dump({
@@ -192,7 +196,7 @@ def test_fm_table_is_derived_once_per_process(monkeypatch, tmp_path, degraded_ch
         "seed": 3, "output": str(tmp_path / "out.json"),
     }))
     assert main(["run", str(path)]) == 0
-    assert calls == ["r1p", "r2p"]
+    assert calls == [3, 3]  # r1p, then r2p in the column r1p left
 
     A, T = dm._fm_table()
     assert A.shape == (21, 3) and T.shape == (21, len(dm._RAW_TERMS)) == (21, 8)
@@ -200,6 +204,16 @@ def test_fm_table_is_derived_once_per_process(monkeypatch, tmp_path, degraded_ch
     # that excludes the origin is empty: the fm-check verdicts rely on this
     negative = A[(A < 0).any(axis=1)]
     assert sorted(map(tuple, negative)) == [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]
+
+
+# sha256 of the derived table (A | T) as the elimination over named variables
+# derived it, before it ran on plain arrays; + 0.0 folds -0.0 into 0.0
+_FM_TABLE_GOLDEN = "c89d7d18a1a6ca8ef3337e5be47ab87de092be9dcd05440e4bcc2923ba53608a"
+
+
+def test_fm_table_matches_its_golden_digest():
+    table = np.hstack(dm._fm_table()) + 0.0
+    assert hashlib.sha256(table.tobytes()).hexdigest() == _FM_TABLE_GOLDEN
 
 
 def test_fm_snapped_vertex_is_not_a_mismatch():

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrecy_regions import (
-    HalfspaceSystem,
     Polytope3,
     RateRegion,
     UnboundedPolytopeError,
+    ValidationError,
     enumerate_vertices,
     fm_eliminate,
     pareto_frontier,
@@ -71,18 +71,9 @@ def test_batch_vertices_matches_single():
 
 def test_fm_eliminate_box():
     # project {0 <= x,y <= 1, x + y <= 1.5} onto x: expect 0 <= x <= 1
-    sys3 = HalfspaceSystem(
-        ("x", "y"),
-        (
-            ((1, 0), "<=", 1.0),
-            ((0, 1), "<=", 1.0),
-            ((1, 1), "<=", 1.5),
-            ((-1, 0), "<=", 0.0),
-            ((0, -1), "<=", 0.0),
-        ),
-    )
-    proj = fm_eliminate(sys3, "y")
-    A, b = proj.to_arrays(("x",))
+    A = np.array([[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]], float)
+    A, b = fm_eliminate(A, np.array([1.0, 1.0, 1.5, 0.0, 0.0]), 1)
+    assert A.shape == (len(b), 1)
     xs = []
     for coeff, rhs in zip(A[:, 0], b):
         if coeff > 0:
@@ -91,17 +82,10 @@ def test_fm_eliminate_box():
 
 
 def test_fm_eliminate_equality_row():
-    # x + y == 1 with 0 <= y <= 0.4 projects to 0.6 <= x <= 1
-    sys3 = HalfspaceSystem(
-        ("x", "y"),
-        (
-            ((1, 1), "==", 1.0),
-            ((0, 1), "<=", 0.4),
-            ((0, -1), "<=", 0.0),
-        ),
-    )
-    proj = fm_eliminate(sys3, "y")
-    A, b = proj.to_arrays(("x",))
+    # x + y == 1, as the row and its negation, with 0 <= y <= 0.4 projects to
+    # 0.6 <= x <= 1
+    A = np.array([[1, 1], [-1, -1], [0, 1], [0, -1]], float)
+    A, b = fm_eliminate(A, np.array([1.0, -1.0, 0.4, 0.0]), 1)
     upper = min(rhs / c for c, rhs in zip(A[:, 0], b) if c > 0)
     lower = max(rhs / c for c, rhs in zip(A[:, 0], b) if c < 0)
     assert upper == pytest.approx(1.0)
@@ -124,10 +108,16 @@ def test_fm_preserves_feasible_projections():
         A = rng.normal(size=(6, 2))
         interior = rng.uniform(-1, 1, size=2)
         b = A @ interior + rng.uniform(0.1, 1.0, size=6)
-        sys2 = HalfspaceSystem(("x", "y"), tuple((A[i], "<=", b[i]) for i in range(6)))
-        proj = fm_eliminate(sys2, "y")
-        Ap, bp = proj.to_arrays(("x",))
+        Ap, bp = fm_eliminate(A, b, 1)
         assert np.all(Ap[:, 0] * interior[0] <= bp + GEOM_TOL)
+
+
+@pytest.mark.parametrize("j", [-1, 2, 1.0, True])
+def test_fm_eliminate_refuses_a_column_outside_the_system(j):
+    # a negative index would otherwise eliminate a column counted from the end
+    A = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(ValidationError, match="outside 0..1"):
+        fm_eliminate(A, np.ones(3), j)
 
 
 def _brute_frontier(pts):
