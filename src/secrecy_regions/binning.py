@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dm import AuxiliaryChain
-from .errors import CapExceededError, ValidationError, is_finite_real, is_integer
+from .errors import CapExceededError, ValidationError, check_integer, is_finite_real
 from .info import DiscreteChannel, entropy_bits
 
 MAX_BLOCKLENGTH = 16
@@ -59,12 +59,8 @@ class CodeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_integer(self.n) or not 1 <= self.n <= MAX_BLOCKLENGTH:
-            raise ValidationError(
-                f"blocklength must be an integer in 1..{MAX_BLOCKLENGTH}, got {self.n!r}"
-            )
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_integer(self.n, "blocklength", 1, MAX_BLOCKLENGTH)
+        check_integer(self.seed, "seed", 0)
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "seed", int(self.seed))
         for name in ("r0", "r1", "r2", "r1p", "r2p"):
@@ -77,11 +73,7 @@ class CodeConfig:
             )
         if self.aux.kind != "inner":
             raise ValidationError("the binning scheme requires an inner-class chain")
-        if (
-            self.aux.p_x1_given_v1.shape[1] != self.channel.x1_size
-            or self.aux.p_x2_given_v2.shape[1] != self.channel.x2_size
-        ):
-            raise ValidationError("auxiliary chain input alphabets do not match the channel")
+        self.aux.check_channel(self.channel)
 
     @cached_property
     def m0(self) -> int:
@@ -186,8 +178,7 @@ def check_simulation(cfg: CodeConfig, trials: int) -> None:
     """Refuse a run before anything is drawn: trials that are not an integer
     >= 1 (ValidationError), or more than MAX_TRIALS trials, MAX_TUPLES codeword
     tuples or MAX_CODEBOOK_SYMBOLS codebook symbols (CapExceededError)."""
-    if not is_integer(trials) or trials < 1:
-        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    check_integer(trials, "trials", 1)
     if trials > MAX_TRIALS:
         raise CapExceededError(f"{trials} trials, above the cap of {MAX_TRIALS}")
     _check_tuple_cap(cfg)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -16,7 +17,7 @@ import numpy as np
 
 from .binning import check_simulation, run_simulation
 from .dm import fm_matches_direct, fm_region_polytope, random_inner_chain, sweep_region
-from .errors import CapExceededError, UnboundedPolytopeError, ValidationError
+from .errors import CapExceededError, UnboundedPolytopeError, ValidationError, check_integer
 from .gaussian import R0_RHO_COEFF_DERIVATION, GaussianScenario, sweep_gaussian
 from .geometry import RateRegion, project
 from .scenario import ScenarioFile
@@ -104,7 +105,8 @@ def _run_dm(sf: ScenarioFile) -> list:
 
 def _run_simulate(sf: ScenarioFile) -> list:
     trials = sf.data["trials"]
-    configs = [sf.code_config(n=n) for n in sf.blocklengths()]
+    code = sf.code_config()  # checks code.n even where blocklengths replaces it
+    configs = [replace(code, n=n) for n in sf.blocklengths()]
     for cfg in configs:  # refuse the whole scenario before its first blocklength runs
         check_simulation(cfg, trials)
     rows = []
@@ -127,12 +129,15 @@ def _fm_verdict(equal: bool, aux, ch) -> str:
 
 
 def _run_fm_check(sf: ScenarioFile) -> list:
-    if sf.data["chains"] > MAX_FM_CHAINS:
-        raise CapExceededError(f"{sf.data['chains']} chains, above the cap of {MAX_FM_CHAINS}")
+    chains, seed = sf.data["chains"], sf.data.get("seed", 0)
+    check_integer(chains, "chains", 1)
+    check_integer(seed, "seed", 0)
+    if chains > MAX_FM_CHAINS:
+        raise CapExceededError(f"{chains} chains, above the cap of {MAX_FM_CHAINS}")
     ch = sf.discrete_channel()
-    rng = np.random.default_rng(sf.data.get("seed", 0))
+    rng = np.random.default_rng(seed)
     report = []
-    for i in range(sf.data["chains"]):
+    for i in range(chains):
         aux = random_inner_chain(ch, rng)
         equal = bool(fm_matches_direct(aux, ch))
         report.append({"chain": i, "equal": equal, "verdict": _fm_verdict(equal, aux, ch)})

@@ -34,7 +34,7 @@ from itertools import product
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, ValidationError, check_integer
 from .geometry import (
     CONSTRAINT_PATTERNS,
     FrontierAccumulator,
@@ -121,9 +121,16 @@ class AuxiliaryChain:
     def v2_size(self) -> int:
         return self.p_v1v2_given_u.shape[2]
 
+    def check_channel(self, ch: DiscreteChannel) -> None:
+        """Refuse a channel whose input alphabets are not the columns of
+        p(x1|v1) and p(x2|v2)."""
+        if self.p_x1_given_v1.shape[1] != ch.x1_size or self.p_x2_given_v2.shape[1] != ch.x2_size:
+            raise ValidationError("auxiliary chain input alphabets do not match the channel")
+
     def output_joint(self, ch: DiscreteChannel) -> np.ndarray:
         """p(u, v1, v2, y1, y2) through `ch`, with the channel inputs
         marginalized out."""
+        self.check_channel(ch)
         tables = (self.p_u.probs, self.p_v1v2_given_u, self.p_x1_given_v1, self.p_x2_given_v2)
         return _joint5(*(t[None] for t in tables), ch.transition)[0]
 
@@ -358,9 +365,8 @@ def fm_matches_direct(aux: AuxiliaryChain, ch: DiscreteChannel) -> bool:
 
 def simplex_grid(cells: int, resolution: int) -> np.ndarray:
     """All probability vectors over `cells` whose entries are multiples of
-    1/(resolution-1); resolution 1 yields just the uniform vector."""
-    if resolution < 1:
-        raise ValidationError("resolution must be >= 1")
+    1/(resolution-1); resolution 1 (GridSpec's least) yields just the
+    uniform vector."""
     if resolution == 1:
         return np.full((1, cells), 1.0 / cells)
     steps = resolution - 1
@@ -384,13 +390,9 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("u_size", "v1_size", "v2_size"):
-            v = getattr(self, name)
-            if not 1 <= v <= MAX_AUX_ALPHABET:
-                raise ValidationError(f"{name}={v} outside 1..{MAX_AUX_ALPHABET}")
-        if self.resolution < 1:
-            raise ValidationError("resolution must be >= 1")
-        if not 1 <= self.max_chains <= MAX_CHAINS:
-            raise ValidationError(f"max_chains={self.max_chains} outside 1..{MAX_CHAINS}")
+            check_integer(getattr(self, name), name, 1, MAX_AUX_ALPHABET)
+        check_integer(self.resolution, "resolution", 1)
+        check_integer(self.max_chains, "max_chains", 1, MAX_CHAINS)
 
 
 def _block_cells(grid: GridSpec, ch: DiscreteChannel, sweep_class: str) -> list:

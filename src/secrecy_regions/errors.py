@@ -24,3 +24,11 @@ def is_finite_real(value) -> bool:
 def is_integer(value) -> bool:
     """True for an int or numpy integer; False for bool and everything else."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_integer(value, what: str, low: int, high: int | None = None) -> None:
+    """Raise ValidationError unless value is an integer in low..high, or at
+    least low when high is None."""
+    if not is_integer(value) or value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValidationError(f"{what} must be an integer {span}, got {value!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError, is_finite_real
+from .errors import CapExceededError, ValidationError, check_integer, is_finite_real
 from .geometry import CONSTRAINT_PATTERNS, FrontierAccumulator, RateRegion, batch_vertices
 
 # Coefficient on the rho*sqrt(P1*P2) term in the numerator of the outer R0
@@ -128,12 +128,6 @@ def gaussian_bounds(
     return np.column_stack(columns)
 
 
-def _sweep_grid(resolution: int) -> np.ndarray:
-    if resolution < 2:
-        raise ValidationError("sweep resolution must be at least 2")
-    return np.linspace(0.0, 1.0, resolution)
-
-
 def sweep_gaussian(
     s: GaussianScenario,
     kind: str,
@@ -151,13 +145,14 @@ def sweep_gaussian(
         raise ValidationError(f"unknown Gaussian sweep kind {kind!r}")
     if not is_finite_real(r0_rho_coeff):
         raise ValidationError(f"r0_rho_coeff must be a finite number, got {r0_rho_coeff!r}")
-    shape = (resolution,) * (3 if kind == "g_outer" else 2)
-    points = resolution ** len(shape)
+    check_integer(resolution, "sweep resolution", 2)
+    shape = (int(resolution),) * (3 if kind == "g_outer" else 2)
+    points = shape[0] ** len(shape)
     if points > MAX_GRID_POINTS:
         raise CapExceededError(
             f"{kind} grid has {points} points, above the cap of {MAX_GRID_POINTS}"
         )
-    g = _sweep_grid(resolution)
+    g = np.linspace(0.0, 1.0, shape[0])
     grid = [x.ravel() for x in np.meshgrid(*[g] * len(shape), indexing="ij")]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         bounds = gaussian_bounds(s, kind, *grid, r0_rho_coeff=r0_rho_coeff)

@@ -169,8 +169,7 @@ def assemble_joint(aux, ch: DiscreteChannel) -> JointDistribution:
     composed with a channel; the chain U -> (V1,V2) -> (X1,X2) -> (Y1,Y2)
     holds by construction.
     """
-    if aux.p_x1_given_v1.shape[1] != ch.x1_size or aux.p_x2_given_v2.shape[1] != ch.x2_size:
-        raise ValidationError("auxiliary chain input alphabets do not match the channel")
+    aux.check_channel(ch)
     mass = np.einsum(
         "u,uab,ax,by,xycd->uabxycd",
         aux.p_u.probs,

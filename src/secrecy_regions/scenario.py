@@ -14,13 +14,14 @@ import yaml
 
 from .binning import CodeConfig
 from .dm import AuxiliaryChain, GridSpec
-from .errors import ValidationError, is_finite_real, is_integer
+from .errors import ValidationError
 from .gaussian import R0_RHO_COEFF_DERIVATION, GaussianScenario
 from .info import DiscreteChannel, FiniteDistribution
 
 KINDS = ("gaussian", "dm", "simulate", "fm-check")
 
-# Allowed keys per scenario kind; "kind" itself is implicit.
+# Allowed keys per scenario kind; "kind" itself is implicit.  The values are
+# checked by the types and runners that use them, not here.
 _SCHEMAS = {
     "gaussian": {
         "required": ("scenario", "bound", "output"),
@@ -28,7 +29,7 @@ _SCHEMAS = {
     },
     "dm": {
         "required": ("channel", "bound", "output"),
-        "optional": ("grid", "summary", "workers"),  # workers: accepted, no effect
+        "optional": ("grid", "summary"),
     },
     "simulate": {
         "required": ("channel", "aux", "code", "trials", "output"),
@@ -44,32 +45,11 @@ _GRID_KEYS = ("u_size", "v1_size", "v2_size", "resolution", "max_chains")
 _AUX_KEYS = ("p_u", "p_v1_given_u", "p_v2_given_u", "p_x1_given_v1", "p_x2_given_v2")
 _CODE_KEYS = ("n", "r0", "r1", "r2", "r1p", "r2p", "typicality_eps", "seed")
 
-# Integer fields and their smallest allowed value, per scenario kind.
-_COUNTS = {
-    "gaussian": {"resolution": 2},
-    "dm": {"workers": 1},
-    "simulate": {"trials": 1},
-    "fm-check": {"chains": 1, "seed": 0},
-}
-_GRID_COUNTS = {key: 1 for key in _GRID_KEYS}
-_CODE_COUNTS = {"n": 1, "seed": 0}
-
 
 def _require_mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{where}: expected a mapping, got {type(value).__name__}")
     return value
-
-
-def _check_count(value, where: str, low: int) -> None:
-    if not is_integer(value) or value < low:
-        raise ValidationError(f"{where}: expected an integer >= {low}, got {value!r}")
-
-
-def _check_counts(data: dict, minimums: dict, where: str) -> None:
-    for key, low in minimums.items():
-        if key in data:
-            _check_count(data[key], f"{where}{key}", low)
 
 
 def _check_keys(data: dict, required, optional, where: str) -> None:
@@ -93,7 +73,6 @@ class ScenarioFile:
             raise ValidationError(f"scenario kind must be one of {KINDS}, got {self.kind!r}")
         schema = _SCHEMAS[self.kind]
         _check_keys(self.data, schema["required"], schema["optional"], f"kind {self.kind}")
-        _check_counts(self.data, _COUNTS[self.kind], "")
         for key in ("output", "summary"):
             if key in self.data and not isinstance(self.data[key], str):
                 raise ValidationError(f"{key}: expected a file path, got {self.data[key]!r}")
@@ -102,24 +81,15 @@ class ScenarioFile:
             _check_keys(sc, _SCENARIO_KEYS, (), "scenario")
             if self.data["bound"] not in ("inner", "outer", "cmac"):
                 raise ValidationError("gaussian bound must be inner, outer, or cmac")
-            coeff = self.data.get("r0_rho_coeff", R0_RHO_COEFF_DERIVATION)
-            if not is_finite_real(coeff):
-                raise ValidationError(f"r0_rho_coeff must be a finite number, got {coeff!r}")
         elif self.kind == "dm":
-            if self.data["bound"] not in ("inner", "outer"):
-                raise ValidationError("dm bound must be inner or outer")
             if "grid" in self.data:
                 _check_keys(_require_mapping(self.data["grid"], "grid"), (), _GRID_KEYS, "grid")
-                _check_counts(self.data["grid"], _GRID_COUNTS, "grid.")
         elif self.kind == "simulate":
             _check_keys(_require_mapping(self.data["aux"], "aux"), _AUX_KEYS, (), "aux")
             _check_keys(_require_mapping(self.data["code"], "code"), ("n",), _CODE_KEYS, "code")
-            _check_counts(self.data["code"], _CODE_COUNTS, "code.")
             lengths = self.blocklengths()
             if not isinstance(lengths, list) or not lengths:
                 raise ValidationError("blocklengths: expected a non-empty list")
-            for n in lengths:
-                _check_count(n, "blocklengths", 1)
 
     # -- construction -------------------------------------------------------
 
@@ -149,7 +119,7 @@ class ScenarioFile:
         return self.data.get("resolution", 101)
 
     def r0_rho_coeff(self) -> float:
-        return float(self.data.get("r0_rho_coeff", R0_RHO_COEFF_DERIVATION))
+        return self.data.get("r0_rho_coeff", R0_RHO_COEFF_DERIVATION)
 
     def discrete_channel(self) -> DiscreteChannel:
         return DiscreteChannel(self.data["channel"])
@@ -167,13 +137,13 @@ class ScenarioFile:
             a["p_x2_given_v2"],
         )
 
-    def code_config(self, n: int | None = None) -> CodeConfig:
-        c = dict(self.data["code"])
-        if n is not None:
-            c["n"] = n
+    def code_config(self) -> CodeConfig:
+        """The code at its own blocklength `code.n`."""
         defaults = {"r0": 0.0, "r1": 0.0, "r2": 0.0, "r1p": 0.0, "r2p": 0.0}
         return CodeConfig(
-            aux=self.auxiliary_chain(), channel=self.discrete_channel(), **{**defaults, **c}
+            aux=self.auxiliary_chain(),
+            channel=self.discrete_channel(),
+            **{**defaults, **self.data["code"]},
         )
 
     def blocklengths(self) -> list:

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import secrecy_regions
-from secrecy_regions import ScenarioFile, ValidationError
+from secrecy_regions import ScenarioFile, ValidationError, dm, scenario
 from secrecy_regions.cli import main, run_figure, run_scenario
 from conftest import degraded_binary_channel, reveal_both_channel
 
@@ -362,6 +362,25 @@ def test_fm_check_verdicts_say_why(tmp_path):
     assert report["all_equal"] is False
 
 
+def _fm_check_verdicts(tmp_path, name):
+    data = fm_check_data(tmp_path / f"{name}.json")
+    data.update(chains=5, seed=1)
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 0
+    report = json.loads((tmp_path / f"{name}.json").read_text())
+    return report["all_equal"], [(r["equal"], r["verdict"]) for r in report["results"]]
+
+
+def test_fm_check_reports_a_mismatch(tmp_path, monkeypatch):
+    """A table with every right-hand side halved still holds the origin, so
+    each chain it differs on is a mismatch, not raw_infeasible."""
+    assert _fm_check_verdicts(tmp_path, "real") == (True, [(True, "equal")] * 5)
+    A, T = dm._fm_table()
+    monkeypatch.setattr(dm, "_fm_table", lambda: (A, 0.5 * T))
+    assert _fm_check_verdicts(tmp_path, "halved") == (False, [(False, "mismatch")] * 5)
+
+
 def test_channel_alphabet_above_cap_is_validation_exit(tmp_path):
     t = np.zeros((2, 2, 5, 2))
     t[:, :, 0, 0] = 1.0
@@ -431,7 +450,6 @@ def dm_data(output):
         "bound": "inner",
         "channel": degraded_binary_channel().transition.tolist(),
         "grid": {"u_size": 1, "v1_size": 2, "v2_size": 2, "resolution": 2, "max_chains": 1000},
-        "workers": 1,
         "output": str(output),
         "summary": str(output) + ".json",
     }
@@ -484,30 +502,64 @@ def test_mutated_scenario_exits_cleanly(tmp_path, monkeypatch):
 
 
 def _run_dm(tmp_path, name, **extra):
-    """Run dm_data without `workers`, updated with `extra`, as <name>.csv."""
+    """Run dm_data, updated with `extra`, as <name>.csv."""
     data = dm_data(tmp_path / f"{name}.csv")
-    del data["workers"]
     data.update(extra)
     path = tmp_path / f"{name}.yaml"
     path.write_text(yaml.safe_dump(data))
     return main(["run", str(path)])
 
 
-def _dm_outputs(tmp_path, name):
-    return [(tmp_path / f"{name}{ext}").read_bytes() for ext in (".csv", ".csv.json")]
+def test_dm_workers_key_is_refused(tmp_path, capsys):
+    """A sweep runs in one process, so the old `workers` key is unknown."""
+    for good in (1, 2):
+        assert _run_dm(tmp_path, f"w{good}", workers=good) == 1
+        assert "unknown keys ['workers']" in capsys.readouterr().err
+        assert not (tmp_path / f"w{good}.csv").exists()
 
 
-def test_dm_workers_key_is_validated_and_ignored(tmp_path):
-    """`workers` still parses as a count field, and has no effect: a sweep
-    runs in one process."""
-    assert _run_dm(tmp_path, "plain") == 0
-    expected = _dm_outputs(tmp_path, "plain")
-    for i, bad in enumerate(("two", 0, -1, 2.5, True, None)):
-        assert _run_dm(tmp_path, f"bad{i}", workers=bad) == 1
-        assert not (tmp_path / f"bad{i}.csv").exists()
-    for good in (1, 2, 10**12):
-        assert _run_dm(tmp_path, f"w{good}", workers=good) == 0
-        assert _dm_outputs(tmp_path, f"w{good}") == expected
+# Every count field: (builder, path to the field, smallest allowed value).
+_COUNT_FIELDS = [
+    (gaussian_data, ("resolution",), 2),
+    *((dm_data, ("grid", key), 1)
+      for key in ("u_size", "v1_size", "v2_size", "resolution", "max_chains")),
+    (fm_check_data, ("chains",), 1),
+    (fm_check_data, ("seed",), 0),
+    (simulate_data, ("trials",), 1),
+    (simulate_data, ("code", "n"), 1),
+    (simulate_data, ("code", "seed"), 0),
+    (simulate_data, ("blocklengths", 0), 1),
+]
+_BAD_COUNTS = (float("nan"), float("inf"), float("-inf"), "text", None, [1, 2], -1, 2.7, True)
+
+
+@pytest.mark.parametrize(
+    "build, path, low", _COUNT_FIELDS, ids=[".".join(map(str, f[1])) for f in _COUNT_FIELDS]
+)
+def test_bad_count_is_validation_exit_with_no_output(tmp_path, build, path, low):
+    """Each bad value and the minimum - 1 exit 1 and write nothing.  A bad
+    code.n is refused even where blocklengths overrides it, and None in
+    blocklengths does not fall back to code.n."""
+    values = _BAD_COUNTS + ((low - 1,) if low - 1 != -1 else ())
+    for i, value in enumerate(values):
+        work = tmp_path / str(i)
+        work.mkdir()
+        data = build(work / "out")
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        (work / "s.yaml").write_text(yaml.safe_dump(data))
+        assert main(["run", str(work / "s.yaml")]) == 1, (build.__name__, path, value)
+        assert [p.name for p in work.iterdir()] == ["s.yaml"], (build.__name__, path, value)
+
+
+def test_scenario_module_holds_no_number_rule():
+    """Integer, range and finiteness rules belong to the types and runners
+    that use the values; scenario.py checks only the file's structure."""
+    source = Path(scenario.__file__).read_text(encoding="utf-8")
+    for rule in ("is_integer", "is_finite_real", "check_integer"):
+        assert rule not in source
 
 
 def test_dm_sweep_starts_no_process(tmp_path, monkeypatch):

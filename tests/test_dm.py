@@ -139,6 +139,23 @@ def test_inner_corner_requires_inner_chain(degraded_channel):
         achievability_constraint_system(aux, degraded_channel)
 
 
+@pytest.mark.parametrize("x1_symbols", [1, 3])
+def test_chain_with_the_wrong_input_alphabet_is_refused(degraded_channel, x1_symbols):
+    """A 1-symbol x1 alphabet against |X1| = 2 used to give a joint of mass
+    2.0 and a 3-symbol one numpy's broadcast error; both are refused."""
+    aux = AuxiliaryChain.inner(
+        FiniteDistribution(np.ones(1)),
+        [[0.5, 0.5]],
+        [[0.5, 0.5]],
+        np.full((2, x1_symbols), 1 / x1_symbols),
+        np.eye(2),
+    )
+    for evaluate in (lambda: region_bounds(aux, degraded_channel, "dm_inner"),
+                     lambda: fm_matches_direct(aux, degraded_channel)):
+        with pytest.raises(ValidationError, match="input alphabets do not match"):
+            evaluate()
+
+
 def test_achievability_system_structure(degraded_channel):
     aux = identity_uniform_chain()
     A, b = achievability_constraint_system(aux, degraded_channel)
@@ -254,6 +271,13 @@ def test_grid_spec_caps_alphabets():
         GridSpec(u_size=4)
     with pytest.raises(ValidationError):
         GridSpec(resolution=0)
+
+
+@pytest.mark.parametrize("field", ["u_size", "v1_size", "v2_size", "resolution", "max_chains"])
+@pytest.mark.parametrize("value", [2.5, "2", True, None])
+def test_grid_spec_requires_integer_fields(field, value):
+    with pytest.raises(ValidationError, match=field):
+        GridSpec(**{field: value})
 
 
 def test_chain_enumeration_roundtrip(degraded_channel):

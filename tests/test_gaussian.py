@@ -100,6 +100,13 @@ def test_sweep_rejects_unknown_kind():
         sweep_gaussian(FIG_SCENARIO_3, "g_inner", 1)
 
 
+@pytest.mark.parametrize("resolution", [2.5, "11", True, None, -5000])
+def test_sweep_requires_an_integer_resolution(resolution):
+    # -5000 squared is above the grid cap: the resolution is refused first
+    with pytest.raises(ValidationError, match="resolution"):
+        sweep_gaussian(FIG_SCENARIO_3, "g_inner", resolution)
+
+
 def test_sweep_deterministic():
     a = sweep_gaussian(FIG_SCENARIO_4, "g_inner", 31)
     b = sweep_gaussian(FIG_SCENARIO_4, "g_inner", 31)
