@@ -32,7 +32,7 @@ from .dm import (
     region_bounds,
     sweep_region,
 )
-from .errors import CapExceededError, UnboundedPolytopeError, ValidationError
+from .errors import CapExceededError, ValidationError
 from .gaussian import (
     R0_RHO_COEFF_AS_PRINTED,
     R0_RHO_COEFF_DERIVATION,
@@ -42,10 +42,9 @@ from .gaussian import (
     sweep_gaussian,
 )
 from .geometry import (
-    Polytope3,
     RateRegion,
+    batch_vertices,
     contains,
-    enumerate_vertices,
     fm_eliminate,
     pareto_frontier,
     project,
@@ -72,16 +71,15 @@ __all__ = [
     "GaussianScenario",
     "GridSpec",
     "JointDistribution",
-    "Polytope3",
     "R0_RHO_COEFF_AS_PRINTED",
     "R0_RHO_COEFF_DERIVATION",
     "RateRegion",
     "ScenarioFile",
     "SimulationSummary",
-    "UnboundedPolytopeError",
     "ValidationError",
     "achievability_constraint_system",
     "assemble_joint",
+    "batch_vertices",
     "capacity_fn",
     "chain_at",
     "chain_count",
@@ -91,7 +89,6 @@ __all__ = [
     "decode_rx2",
     "encode",
     "entropy_bits",
-    "enumerate_vertices",
     "fm_eliminate",
     "fm_matches_direct",
     "fm_region_polytope",

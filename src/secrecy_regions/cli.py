@@ -17,9 +17,9 @@ import numpy as np
 
 from .binning import check_simulation, run_simulation
 from .dm import fm_matches_direct, fm_region_polytope, random_inner_chain, sweep_region
-from .errors import CapExceededError, UnboundedPolytopeError, ValidationError, check_integer
+from .errors import CapExceededError, ValidationError, check_integer
 from .gaussian import R0_RHO_COEFF_DERIVATION, GaussianScenario, sweep_gaussian
-from .geometry import RateRegion, project
+from .geometry import GEOM_TOL, RateRegion, project
 from .scenario import ScenarioFile
 
 REGION_COLUMNS = ("bound_kind", "r0", "r1", "r2", "beta1", "beta2", "rho")
@@ -124,7 +124,8 @@ def _fm_verdict(equal: bool, aux, ch) -> str:
     the direct bounds hide by clamping at zero."""
     if equal:
         return "equal"
-    empty = not fm_region_polytope(aux, ch).contains_point(np.zeros(3))
+    _, b = fm_region_polytope(aux, ch)
+    empty = not (0.0 <= b + GEOM_TOL).all()
     return "raw_infeasible" if empty else "mismatch"
 
 
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except (CapExceededError, UnboundedPolytopeError) as exc:
+    except CapExceededError as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except ValidationError as exc:

@@ -36,9 +36,10 @@ from scipy.special import xlogy
 
 from .errors import CapExceededError, ValidationError, check_integer
 from .geometry import (
+    A_FIVE_BOUNDS,
     CONSTRAINT_PATTERNS,
+    GEOM_TOL,
     FrontierAccumulator,
-    Polytope3,
     RateRegion,
     _prune_pairwise,
     batch_vertices,
@@ -310,17 +311,17 @@ def _fm_table():
     return A[:, :3], -A[:, 3:]
 
 
-def _fm_polytope(mi: dict) -> Polytope3:
-    """The table evaluated at one chain's terms, parallel rows merged."""
+def _fm_rows(mi: dict):
+    """(A, b): the table evaluated at one chain's terms, parallel rows merged."""
     A, T = _fm_table()
-    return Polytope3(*_prune_pairwise(A, T @ [mi[name][0] for name in _RAW_TERMS]))
+    return _prune_pairwise(A, T @ [mi[name][0] for name in _RAW_TERMS])
 
 
-def fm_region_polytope(aux: AuxiliaryChain, ch: DiscreteChannel) -> Polytope3:
-    """The raw constraint system projected onto (r0, r1, r2), both bin rates
-    eliminated by Fourier-Motzkin."""
+def fm_region_polytope(aux: AuxiliaryChain, ch: DiscreteChannel):
+    """(A, b), A r <= b over (r0, r1, r2): the raw constraint system
+    projected, both bin rates eliminated by Fourier-Motzkin."""
     _require_inner(aux)
-    return _fm_polytope(chain_information(aux, ch))
+    return _fm_rows(chain_information(aux, ch))
 
 
 def random_inner_chain(
@@ -345,17 +346,21 @@ def random_inner_chain(
     )
 
 
+def _vertices_inside(A, b, A2, b2) -> bool:
+    """Every vertex of {A r <= b} satisfies A2 r <= b2 within GEOM_TOL."""
+    verts, _ = batch_vertices(A, b)
+    return bool((verts @ A2.T <= b2 + GEOM_TOL).all())
+
+
 def fm_matches_direct(aux: AuxiliaryChain, ch: DiscreteChannel) -> bool:
     """Mutual vertex containment, within GEOM_TOL, of the Fourier-Motzkin
     projection and the direct five-inequality polytope for one inner-class
     chain."""
     _require_inner(aux)
     mi = chain_information(aux, ch)
-    direct = Polytope3.from_bounds("dm_inner", _bounds(mi, "dm_inner")[0])
-    projected = _fm_polytope(mi)
-    return all(projected.contains_point(v) for v in direct.vertices()) and all(
-        direct.contains_point(v) for v in projected.vertices()
-    )
+    direct = A_FIVE_BOUNDS, np.concatenate([_bounds(mi, "dm_inner")[0], np.zeros(3)])
+    projected = _fm_rows(mi)
+    return _vertices_inside(*direct, *projected) and _vertices_inside(*projected, *direct)
 
 
 # ---------------------------------------------------------------------------

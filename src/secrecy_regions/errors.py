@@ -12,13 +12,15 @@ class CapExceededError(RuntimeError):
     """A configured size/budget cap would be exceeded; nothing was computed."""
 
 
-class UnboundedPolytopeError(RuntimeError):
-    """A rate polytope escaped the sanity box and is treated as unbounded."""
-
-
 def is_finite_real(value) -> bool:
-    """True for a finite real number; False for NaN, inf, bool or non-numbers."""
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a finite real number; False for NaN, inf, bool, non-numbers
+    and integers beyond the float range."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # math.isfinite converts an int to float first
+        return False
 
 
 def is_integer(value) -> bool:

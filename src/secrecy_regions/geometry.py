@@ -14,10 +14,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import UnboundedPolytopeError, ValidationError, is_integer
+from .errors import ValidationError, is_integer
 
 GEOM_TOL = 1e-9
-SANITY_BOX_BITS = 64.0
 
 RATE_VARS = ("r0", "r1", "r2")
 
@@ -161,48 +160,18 @@ def fm_eliminate(A: np.ndarray, b: np.ndarray, j: int):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vertices of {x in R^3 : A x <= b}: the feasible basic solutions from
-    batch_vertices, with the 64-bit sanity box added and one real vertex
-    kept per cell of the tolerance grid; a vertex snapped to the grid could
-    move past a constraint by up to GEOM_TOL.  Raises UnboundedPolytopeError when
-    the polytope escapes the sanity box.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[1] != 3:
-        raise ValidationError("vertex enumeration expects 3 rate variables")
-    verts, _ = batch_vertices(
-        np.vstack([A, np.eye(3)]), np.concatenate([b, np.full(3, SANITY_BOX_BITS)])
-    )
-    if len(verts) == 0:
-        return np.zeros((0, 3))
-    if np.any(verts > SANITY_BOX_BITS - 1e-6):
-        raise UnboundedPolytopeError("polytope reaches the 64-bit sanity box")
-    return verts[_grid_cells(verts)]
-
-
-def _grid_cells(pts: np.ndarray) -> np.ndarray:
-    """Index of the first row in each cell of the GEOM_TOL grid, cells in
-    lexicographic order: the rows np.unique(rounded, axis=0,
-    return_index=True) would pick, since the lexsort is stable and -0.0
-    equals +0.0 in both."""
-    rounded = np.round(pts / GEOM_TOL) * GEOM_TOL
-    order = np.lexsort(rounded.T[::-1])
-    r = rounded[order]
-    start = np.ones(len(r), dtype=bool)
-    start[1:] = (r[1:] != r[:-1]).any(axis=1)
-    return order[start]
-
-
 def batch_vertices(A: np.ndarray, B: np.ndarray):
     """Feasible basic solutions of many polytopes sharing constraint pattern A.
 
     A is (m, 3); B is (N, m), one right-hand-side row per polytope.  Returns
     (points, owner) where owner[i] is the row of B that produced points[i].
     Near-singular 3x3 subsystems (|det| < 1e-12) are skipped; their vertices,
-    when real, come from neighbouring non-degenerate triples.  Bounds are
-    assumed finite, so no sanity box is added.
+    when real, come from neighbouring non-degenerate triples.  A vertex on
+    more than three faces comes out once per regular triple; nothing is
+    deduplicated.  No bounding box is added: every pattern the package
+    builds has the three r >= 0 rows and a row whose rate coefficients are
+    all positive, so its polytopes are bounded and their vertices are
+    exactly the feasible basic solutions.
     """
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -219,31 +188,6 @@ def batch_vertices(A: np.ndarray, B: np.ndarray):
     if not pts:
         return np.zeros((0, 3)), np.zeros(0, dtype=int)
     return np.vstack(pts), np.concatenate(owners)
-
-
-@dataclass(frozen=True)
-class Polytope3:
-    """Halfspace intersection A r <= b over exactly (r0, r1, r2).  Its vertices
-    are not cached: vertices() enumerates them on every call."""
-
-    A: np.ndarray
-    b: np.ndarray
-
-    @classmethod
-    def from_bounds(cls, kind: str, bounds) -> "Polytope3":
-        A = CONSTRAINT_PATTERNS[kind]
-        nb = A.shape[0] - 3  # non-negativity rows carry rhs 0
-        bounds = np.asarray(bounds, dtype=float)
-        if bounds.shape != (nb,):
-            raise ValidationError(f"{kind} expects {nb} bound values")
-        return cls(A, np.concatenate([bounds, np.zeros(3)]))
-
-    def vertices(self) -> np.ndarray:
-        return enumerate_vertices(self.A, self.b)
-
-    def contains_point(self, p) -> bool:
-        p = np.asarray(p, dtype=float)
-        return bool((self.A @ p <= self.b + GEOM_TOL).all())
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +310,19 @@ def pareto_frontier(points) -> np.ndarray:
     frontier = pts[_pareto_mask(full)]
     order = np.lexsort(frontier.T[::-1])
     return frontier[order]
+
+
+def _grid_cells(pts: np.ndarray) -> np.ndarray:
+    """Index of the first row in each cell of the GEOM_TOL grid, cells in
+    lexicographic order: the rows np.unique(rounded, axis=0,
+    return_index=True) would pick, since the lexsort is stable and -0.0
+    equals +0.0 in both."""
+    rounded = np.round(pts / GEOM_TOL) * GEOM_TOL
+    order = np.lexsort(rounded.T[::-1])
+    r = rounded[order]
+    start = np.ones(len(r), dtype=bool)
+    start[1:] = (r[1:] != r[:-1]).any(axis=1)
+    return order[start]
 
 
 class FrontierAccumulator:

@@ -201,7 +201,11 @@ def test_exit_code_cap_exceeded(tmp_path):
     assert main(["run", str(path)]) == 2
 
 
-@pytest.mark.parametrize("power", [float("nan"), float("inf"), "lots"])
+# an int beyond the float range, which math.isfinite cannot convert
+HUGE_INT = pytest.param(10**400, id="10**400")
+
+
+@pytest.mark.parametrize("power", [float("nan"), float("inf"), "lots", HUGE_INT])
 def test_non_finite_or_text_power_is_validation_exit(tmp_path, power):
     data = yaml.safe_load(gaussian_scenario_text(tmp_path / "r.csv"))
     data["scenario"]["p1"] = power
@@ -225,7 +229,7 @@ def test_bad_count_field_is_validation_exit(tmp_path, build, field, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), "lots"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "lots", HUGE_INT])
 @pytest.mark.parametrize(
     "field", ["r0", "r1", "r2", "r1p", "r2p", "typicality_eps", "r0_rho_coeff"]
 )

@@ -30,7 +30,13 @@ from secrecy_regions import (
 from secrecy_regions import dm, geometry
 from secrecy_regions.cli import main
 from secrecy_regions.dm import random_inner_chain, simplex_grid
-from secrecy_regions.geometry import GEOM_TOL, Polytope3, contains, fm_eliminate
+from secrecy_regions.geometry import (
+    CONSTRAINT_PATTERNS,
+    GEOM_TOL,
+    batch_vertices,
+    contains,
+    fm_eliminate,
+)
 from conftest import (
     degraded_binary_channel,
     identity_uniform_chain,
@@ -118,7 +124,10 @@ def test_region_bounds_outer_formula(degraded_channel):
 def test_corner_triples_nonempty(degraded_channel):
     aux = identity_uniform_chain(u_size=2)
     inner, outer = (
-        Polytope3.from_bounds(kind, region_bounds(aux, degraded_channel, kind)).vertices()
+        batch_vertices(
+            CONSTRAINT_PATTERNS[kind],
+            np.concatenate([region_bounds(aux, degraded_channel, kind), np.zeros(3)]),
+        )[0]
         for kind in ("dm_inner", "dm_outer")
     )
     assert len(inner) and len(outer)
@@ -191,8 +200,8 @@ def test_fm_table_matches_per_chain_elimination(seed, k):
     aux = random_inner_chain(ch, rng, *(int(n) for n in rng.integers(1, 4, size=3)))
     A, b = achievability_constraint_system(aux, ch)
     j = dm.RAW_VARS.index("r1p")  # then r2p, which has moved into column j
-    oracle = Polytope3(*fm_eliminate(*fm_eliminate(A, b, j), j)).vertices()
-    assert _same_vertices(fm_region_polytope(aux, ch).vertices(), oracle)
+    oracle, _ = batch_vertices(*fm_eliminate(*fm_eliminate(A, b, j), j))
+    assert _same_vertices(batch_vertices(*fm_region_polytope(aux, ch))[0], oracle)
 
 
 def test_fm_table_is_derived_once_per_process(monkeypatch, tmp_path, degraded_channel):
@@ -246,9 +255,10 @@ def test_fm_snapped_vertex_is_not_a_mismatch():
 
 def test_fm_polytope_vertices_feasible(degraded_channel):
     aux = identity_uniform_chain(u_size=2)
-    poly = fm_region_polytope(aux, degraded_channel)
-    for v in poly.vertices():
-        assert poly.contains_point(v)
+    A, b = fm_region_polytope(aux, degraded_channel)
+    verts, _ = batch_vertices(A, b)
+    assert len(verts)
+    assert (verts @ A.T <= b + GEOM_TOL).all()
 
 
 def test_simplex_grid_resolution_one_is_uniform():
@@ -375,10 +385,8 @@ def test_sweep_record_is_chain_index(degraded_channel):
     for point, record in zip(region.points, region.records):
         idx = int(record[0])
         aux = chain_at(grid, degraded_channel, "inner", idx)
-        bounds = region_bounds(aux, degraded_channel, "dm_inner")
-        from secrecy_regions.geometry import Polytope3
-
-        assert Polytope3.from_bounds("dm_inner", bounds).contains_point(point)
+        b = np.concatenate([region_bounds(aux, degraded_channel, "dm_inner"), np.zeros(3)])
+        assert (CONSTRAINT_PATTERNS["dm_inner"] @ point <= b + GEOM_TOL).all()
 
 
 def test_degenerate_v2_outer_reduces_to_single_user_form(rng):

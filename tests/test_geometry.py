@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrecy_regions import (
-    Polytope3,
     RateRegion,
-    UnboundedPolytopeError,
     ValidationError,
-    enumerate_vertices,
+    batch_vertices,
+    dm,
     fm_eliminate,
     pareto_frontier,
     project,
@@ -21,7 +20,6 @@ from secrecy_regions.geometry import (
     _pareto_mask,
     _prune_pairwise,
     _staircase,
-    batch_vertices,
     contains,
 )
 from conftest import degraded_binary_channel
@@ -30,8 +28,8 @@ from conftest import degraded_binary_channel
 def test_unit_box_vertices():
     A = np.vstack([np.eye(3), -np.eye(3)])
     b = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    v = enumerate_vertices(A, b)
-    assert len(v) == 8
+    v, owner = batch_vertices(A, b)
+    assert len(v) == 8 and not owner.any()
     assert set(map(tuple, np.round(v, 9))) == {
         (a, c, d) for a in (0.0, 1.0) for c in (0.0, 1.0) for d in (0.0, 1.0)
     }
@@ -40,15 +38,18 @@ def test_unit_box_vertices():
 def test_simplex_vertices():
     A = np.vstack([[1.0, 1.0, 1.0], -np.eye(3)])
     b = np.array([1.0, 0.0, 0.0, 0.0])
-    v = enumerate_vertices(A, b)
+    v, _ = batch_vertices(A, b)
     assert len(v) == 4  # origin plus the three unit points
 
 
-def test_unbounded_polytope_detected():
-    A = -np.eye(3)
-    b = np.zeros(3)
-    with pytest.raises(UnboundedPolytopeError):
-        enumerate_vertices(A, b)
+def test_every_polytope_the_package_builds_is_bounded():
+    """r >= 0 and a row c r <= b with c > 0 bound every r_i by b / c_i, so
+    batch_vertices needs no bounding box: each constraint pattern and the
+    Fourier-Motzkin table carry both."""
+    for A in [*CONSTRAINT_PATTERNS.values(), dm._fm_table()[0]]:
+        rows = set(map(tuple, A))
+        assert {(-1, 0, 0), (0, -1, 0), (0, 0, -1)} <= rows
+        assert (A > 0).all(axis=1).any()
 
 
 def test_batch_vertices_matches_single():
@@ -229,12 +230,13 @@ def test_project_drops_axis():
 
 
 def test_polytope_from_bounds_and_membership():
-    poly = Polytope3.from_bounds("dm_inner", np.array([0.5, 0.4, 0.3, 0.6, 1.0]))
-    assert poly.contains_point([0.5, 0.3, 0.2])
-    assert not poly.contains_point([0.5, 0.4, 0.3])  # violates the pair bound
-    bounds = np.array([[0.5, 0.4, 0.3, 0.6, 1.0]])
-    region = RateRegion("dm_inner", np.zeros((0, 3)), np.zeros((0, 1)), bounds)
+    A = CONSTRAINT_PATTERNS["dm_inner"]
+    b = np.array([0.5, 0.4, 0.3, 0.6, 1.0, 0.0, 0.0, 0.0])
+    assert (A @ [0.5, 0.3, 0.2] <= b + GEOM_TOL).all()
+    assert not (A @ [0.5, 0.4, 0.3] <= b + GEOM_TOL).all()  # violates the pair bound
+    region = RateRegion("dm_inner", np.zeros((0, 3)), np.zeros((0, 1)), b[None, :5])
     assert contains(region, [0.5, 0.3, 0.2])
+    assert not contains(region, [0.5, 0.4, 0.3])
 
 
 def test_region_contains_uses_bound_rows():

@@ -12,12 +12,12 @@ PACKAGE = ROOT / "src" / "secrecy_regions"
 
 PUBLIC = {
     "AuxiliaryChain", "CapExceededError", "CodeConfig", "Codebook", "DiscreteChannel",
-    "FiniteDistribution", "GaussianScenario", "GridSpec", "JointDistribution", "Polytope3",
+    "FiniteDistribution", "GaussianScenario", "GridSpec", "JointDistribution",
     "R0_RHO_COEFF_AS_PRINTED", "R0_RHO_COEFF_DERIVATION", "RateRegion", "ScenarioFile",
-    "SimulationSummary", "UnboundedPolytopeError", "ValidationError",
-    "achievability_constraint_system", "assemble_joint", "capacity_fn", "chain_at",
-    "chain_count", "chain_information", "contains", "decode_rx1", "decode_rx2", "encode",
-    "entropy_bits", "enumerate_vertices", "fm_eliminate", "fm_matches_direct",
+    "SimulationSummary", "ValidationError",
+    "achievability_constraint_system", "assemble_joint", "batch_vertices", "capacity_fn",
+    "chain_at", "chain_count", "chain_information", "contains", "decode_rx1", "decode_rx2",
+    "encode", "entropy_bits", "fm_eliminate", "fm_matches_direct",
     "fm_region_polytope", "gaussian_bounds", "generate_codebook", "mutual_information",
     "pareto_frontier", "posterior_w1w2", "project", "region_bounds", "run_simulation",
     "sweep_gaussian", "sweep_region", "transmit",
@@ -25,9 +25,34 @@ PUBLIC = {
 
 
 def test_all_is_the_pinned_public_surface():
+    assert len(PUBLIC) == 41
     assert sorted(secrecy_regions.__all__) == sorted(PUBLIC)
     for name in PUBLIC:
         getattr(secrecy_regions, name)
+
+
+def test_vertex_enumeration_lives_only_in_batch_vertices():
+    """np.linalg and itertools.combinations, the tools of vertex enumeration,
+    appear in src/ only inside geometry.batch_vertices, apart from the import
+    that brings combinations in: a second enumerator cannot grow back
+    unnoticed.  An import counts as a use of every name in its dotted path."""
+    tools = {"linalg", "combinations"}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = getattr(top, "name", type(top).__name__)
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    dotted = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                    names = {part for d in dotted for part in d.split(".")}
+                else:
+                    names = {getattr(node, "id", None), getattr(node, "attr", None)}
+                found |= {(path.name, where, name) for name in names & tools}
+    assert found == {
+        ("geometry.py", "ImportFrom", "combinations"),
+        ("geometry.py", "batch_vertices", "combinations"),
+        ("geometry.py", "batch_vertices", "linalg"),
+    }
 
 
 def _references(node) -> Counter:
