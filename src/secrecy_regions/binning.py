@@ -11,8 +11,10 @@ marginal and every v2 row against the (u, v2, y1) marginal; only tuples
 whose two rows pass both get the full joint-type count.  The eavesdropper's
 equivocation is measured from the exact posterior over the message pair,
 obtained by summing channel likelihoods over every (w0, q, q') for each
-(w1, w2).  The three scans take a leading trial axis, and `run_simulation`
-calls them once per chunk of trials, with chunk x tuples <= TRIAL_TUPLES.
+(w1, w2).  `transmit` and the three scans take a (B, n) stack of trials,
+and `run_simulation` calls each once per chunk of trials, with chunk x
+tuples <= TRIAL_TUPLES.  The codebook, encoder, channel and message draws
+come from the four streams of `seed_streams`.
 """
 
 from __future__ import annotations
@@ -185,12 +187,18 @@ def check_simulation(cfg: CodeConfig, trials: int) -> None:
     _check_symbol_cap(cfg)
 
 
+def seed_streams(cfg: CodeConfig) -> list:
+    """The codebook, encoder, channel and message generators: the four
+    children of SeedSequence(cfg.seed), in that order."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4)]
+
+
 def generate_codebook(cfg: CodeConfig) -> Codebook:
     """Draw the codebook from the auxiliary chain, i.i.d. across positions
     and conditioned per symbol on the governing u codeword."""
     _check_symbol_cap(cfg)
     n, m0, m1, m2, m1p, m2p = cfg.n, cfg.m0, cfg.m1, cfg.m2, cfg.m1p, cfg.m2p
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
+    rng = seed_streams(cfg)[0]
     aux = cfg.aux
     p_v1_u = aux.p_v1v2_given_u.sum(axis=2)
     p_v2_u = aux.p_v1v2_given_u.sum(axis=1)
@@ -203,14 +211,6 @@ def generate_codebook(cfg: CodeConfig) -> Codebook:
         np.broadcast_to(p_v2_u[u][:, None, None, :, :], (m0, m2, m2p, n, aux.v2_size)), rng
     )
     return Codebook(cfg, u, v1, v2)
-
-
-def encoder_rng(cfg: CodeConfig) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[1])
-
-
-def channel_rng(cfg: CodeConfig) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
 
 
 def encode(cb: Codebook, w0: int, w1: int, w2: int, rng: np.random.Generator):
@@ -228,10 +228,11 @@ def encode(cb: Codebook, w0: int, w1: int, w2: int, rng: np.random.Generator):
 
 
 def transmit(cb: Codebook, x1: np.ndarray, x2: np.ndarray, rng: np.random.Generator):
-    """Pass the inputs through the memoryless channel; returns (y1, y2)."""
+    """Pass a (B, n) stack of inputs through the memoryless channel; returns
+    (y1, y2), each (B, n).  Row by row, so B one-row calls draw the same."""
     t = cb.channel.transition
-    ny1, ny2 = cb.channel.y1_size, cb.channel.y2_size
-    pair = _sample_categorical(t[x1, x2].reshape(len(x1), ny1 * ny2), rng)
+    ny2 = cb.channel.y2_size
+    pair = _sample_categorical(t[x1, x2].reshape(*np.shape(x1), -1), rng)
     return pair // ny2, pair % ny2
 
 
@@ -272,13 +273,14 @@ def _typical_mask(codes: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     return mask.reshape(codes.shape[:-1])
 
 
-def decode_rx1(cb: Codebook, y1: np.ndarray, eps: float | None = None):
-    """Exhaustive joint-typicality scan at the legitimate receiver.
+def decode_rx1(cb: Codebook, y1: np.ndarray):
+    """Exhaustive joint-typicality scan at the legitimate receiver, for a
+    (B, n) stack of outputs.
 
-    Returns (w0, w1, w2) when exactly one codeword tuple is typical with
-    y1^n; any other outcome (zero or several candidates) returns None.
-    Given a (B, n) stack of outputs, returns the list of B results and an
-    int array of each trial's number of typical tuples.
+    Returns the list of B results and an int array of each trial's number
+    of typical tuples.  A result is (w0, w1, w2) when exactly one codeword
+    tuple is typical with y1^n; any other outcome (zero or several
+    candidates) is None.
 
     A tuple's joint type is counted only when its v1 row fits the (u, v1,
     y1) marginal and its v2 row the (u, v2, y1) marginal; a row that does
@@ -290,15 +292,13 @@ def decode_rx1(cb: Codebook, y1: np.ndarray, eps: float | None = None):
     scenario 0.3-2 % of that), and per block of candidates one int64 count
     array of rows x |U||V1||V2||Y1| cells; SCAN_CELLS caps the cells per
     block.  MAX_TUPLES bounds the tuples before any of this is allocated,
-    and run_simulation keeps B x tuples at most TRIAL_TUPLES (or B = 1).
+    and run_simulation keeps B x tuples at most max(TRIAL_TUPLES, tuples).
     """
-    cfg, aux = cb.config, cb.config.aux
-    eps = cfg.typicality_eps if eps is None else eps
+    cfg, aux, y = cb.config, cb.config.aux, np.asarray(y1)
     ref = cb.reference_rx1
     n, ny1, count = cfg.n, ref.shape[-1], cfg.tuple_count
-    y = np.asarray(y1).reshape(-1, n)  # (B, n); one output is a stack of one
     tuples = cb.tuples
-    allowed = _allowed_counts(ref, n, eps)
+    allowed = _allowed_counts(ref, n, cfg.typicality_eps)
     rows1 = (cb.u[:, None, :] * aux.v1_size + cb.v1.reshape(cfg.m0, -1, n)) * ny1
     rows2 = (cb.u[:, None, :] * aux.v2_size + cb.v2.reshape(cfg.m0, -1, n)) * ny1
     fits1 = _typical_mask(rows1 + y[:, None, None, :], _marginal_allowed(allowed, ref.shape, 2))
@@ -314,32 +314,28 @@ def decode_rx1(cb: Codebook, y1: np.ndarray, eps: float | None = None):
         (int(w0[i]), int(a[i]) // cfg.m1p, int(b[i]) // cfg.m2p) if hits[i] == 1 else None
         for i in range(len(y))
     ]
-    return (decoded, hits) if np.ndim(y1) == 2 else decoded[0]
+    return decoded, hits
 
 
-def decode_rx2(cb: Codebook, y2: np.ndarray, eps: float | None = None):
-    """Typicality scan over the common-message codewords only; given a
-    (B, n) stack of outputs, the list of B results."""
-    cfg = cb.config
-    eps = cfg.typicality_eps if eps is None else eps
-    ref = cb.reference_rx2
-    y = np.asarray(y2).reshape(-1, cfg.n)
-    mask = _typical_mask(cb.u * ref.shape[1] + y[:, None, :], _allowed_counts(ref, cfg.n, eps))
+def decode_rx2(cb: Codebook, y2: np.ndarray) -> list:
+    """Typicality scan over the common-message codewords only; for a (B, n)
+    stack of outputs, the list of B results (w0, or None)."""
+    cfg, ref, y = cb.config, cb.reference_rx2, np.asarray(y2)
+    allowed = _allowed_counts(ref, cfg.n, cfg.typicality_eps)
+    mask = _typical_mask(cb.u * ref.shape[1] + y[:, None, :], allowed)
     hits, first = mask.sum(axis=1), mask.argmax(axis=1)
-    decoded = [int(first[i]) if hits[i] == 1 else None for i in range(len(y))]
-    return decoded if np.ndim(y2) == 2 else decoded[0]
+    return [int(first[i]) if hits[i] == 1 else None for i in range(len(y))]
 
 
 def posterior_w1w2(cb: Codebook, y2: np.ndarray) -> np.ndarray:
     """Exact eavesdropper posterior P(w1, w2 | y2^n, codebook), marginalized
-    over the common message and both bin indices; (M1, M2), or (B, M1, M2)
-    for a (B, n) stack of outputs.
+    over the common message and both bin indices; (B, M1, M2) for a (B, n)
+    stack of outputs.
 
     Peak memory: beside the cached `tuples` table, one int64 index and one
     float64 gather of tuples x n each; the gather is made per trial, never
     for B x tuples x n at once."""
-    cfg, n = cb.config, cb.config.n
-    y = np.asarray(y2).reshape(-1, n)
+    cfg, n, y = cb.config, cb.config.n, np.asarray(y2)
     symbols = cb._log_y2.shape[1]  # |U||V1||V2|
     tables = cb._log_y2[y].reshape(len(y), -1)  # log p(y2[b, t] | symbol) at t*symbols + symbol
     index = cb.tuples.reshape(-1, n) + symbols * np.arange(n)
@@ -347,8 +343,7 @@ def posterior_w1w2(cb: Codebook, y2: np.ndarray) -> np.ndarray:
     parts = ll.reshape(len(y), cfg.m0, cfg.m1, cfg.m1p, cfg.m2, cfg.m2p)
     log_post = logsumexp(parts, axis=(1, 3, 5))  # (B, M1, M2); uniform weights cancel
     log_post -= logsumexp(log_post, axis=(1, 2), keepdims=True)
-    post = np.exp(log_post)
-    return post if np.ndim(y2) == 2 else post[0]
+    return np.exp(log_post)
 
 
 @dataclass(frozen=True)
@@ -372,28 +367,26 @@ def run_simulation(cfg: CodeConfig, trials: int) -> SimulationSummary:
     """Full per-configuration run: one codebook, `trials` uniformly drawn
     message triples, each encoded, sent and decoded, giving empirical error
     rates and the Monte Carlo average of the exact posterior entropy in bits
-    per channel use.  Trials are drawn one at a time and decoded in chunks
-    of at most TRIAL_TUPLES // tuples; the chunking moves no result.
-    Deterministic given (cfg, trials)."""
+    per channel use.  Messages are drawn and encoded one trial at a time;
+    the channel and the scans take chunks of at most TRIAL_TUPLES // tuples
+    trials, and the chunking moves no result.  Deterministic given (cfg,
+    trials)."""
     check_simulation(cfg, trials)
     cb = generate_codebook(cfg)
-    rng_enc = encoder_rng(cfg)
-    rng_ch = channel_rng(cfg)
-    rng_msg = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
+    _, rng_enc, rng_ch, rng_msg = seed_streams(cfg)
     chunk = max(1, TRIAL_TUPLES // cfg.tuple_count)
     err1 = err2 = no_candidate = several = 0
     eq_total = 0.0
     for start in range(0, trials, chunk):
-        sent, y1s, y2s = [], [], []
+        sent, x1s, x2s = [], [], []
         for _ in range(min(chunk, trials - start)):
             w = tuple(int(rng_msg.integers(m)) for m in (cfg.m0, cfg.m1, cfg.m2))
             x1, x2, _, _ = encode(cb, *w, rng_enc)
-            y1, y2 = transmit(cb, x1, x2, rng_ch)
             sent.append(w)
-            y1s.append(y1)
-            y2s.append(y2)
-        y2s = np.array(y2s)
-        decoded1, hits = decode_rx1(cb, np.array(y1s))
+            x1s.append(x1)
+            x2s.append(x2)
+        y1s, y2s = transmit(cb, np.array(x1s), np.array(x2s), rng_ch)
+        decoded1, hits = decode_rx1(cb, y1s)
         decoded2 = decode_rx2(cb, y2s)
         posteriors = posterior_w1w2(cb, y2s)
         for w, d1, d2, post in zip(sent, decoded1, decoded2, posteriors):

@@ -324,25 +324,19 @@ def fm_region_polytope(aux: AuxiliaryChain, ch: DiscreteChannel):
     return _fm_rows(chain_information(aux, ch))
 
 
-def random_inner_chain(
-    ch: DiscreteChannel,
-    rng: np.random.Generator,
-    u_size: int = 2,
-    v1_size: int = 2,
-    v2_size: int = 2,
-) -> AuxiliaryChain:
-    """A random inner-class chain with flat-Dirichlet factors, for seeded
-    equivalence suites."""
+def random_inner_chain(ch: DiscreteChannel, rng: np.random.Generator) -> AuxiliaryChain:
+    """A random inner-class chain with binary U, V1 and V2 and flat-Dirichlet
+    factors, for seeded equivalence suites."""
 
-    def rows(n, k):
-        return rng.dirichlet(np.ones(k), size=n)
+    def rows(k):
+        return rng.dirichlet(np.ones(k), size=2)
 
     return AuxiliaryChain.inner(
-        FiniteDistribution(rng.dirichlet(np.ones(u_size))),
-        rows(u_size, v1_size),
-        rows(u_size, v2_size),
-        rows(v1_size, ch.x1_size),
-        rows(v2_size, ch.x2_size),
+        FiniteDistribution(rng.dirichlet(np.ones(2))),
+        rows(2),
+        rows(2),
+        rows(ch.x1_size),
+        rows(ch.x2_size),
     )
 
 
@@ -352,15 +346,21 @@ def _vertices_inside(A, b, A2, b2) -> bool:
     return bool((verts @ A2.T <= b2 + GEOM_TOL).all())
 
 
-def fm_matches_direct(aux: AuxiliaryChain, ch: DiscreteChannel) -> bool:
-    """Mutual vertex containment, within GEOM_TOL, of the Fourier-Motzkin
-    projection and the direct five-inequality polytope for one inner-class
-    chain."""
+def fm_matches_direct(aux: AuxiliaryChain, ch: DiscreteChannel) -> str:
+    """Compare the Fourier-Motzkin projection with the direct five-inequality
+    polytope for one inner-class chain.  "equal" when each contains the
+    other's vertices within GEOM_TOL.  Otherwise "raw_infeasible" when the
+    projection is empty, which is exactly when it excludes the origin, since
+    only its r >= 0 rows have a negative rate coefficient: the raw system has
+    no solution, and the direct bounds hide that by clamping at zero.  Else
+    "mismatch"."""
     _require_inner(aux)
     mi = chain_information(aux, ch)
     direct = A_FIVE_BOUNDS, np.concatenate([_bounds(mi, "dm_inner")[0], np.zeros(3)])
-    projected = _fm_rows(mi)
-    return _vertices_inside(*direct, *projected) and _vertices_inside(*projected, *direct)
+    A, b = _fm_rows(mi)
+    if _vertices_inside(*direct, A, b) and _vertices_inside(A, b, *direct):
+        return "equal"
+    return "mismatch" if (0.0 <= b + GEOM_TOL).all() else "raw_infeasible"
 
 
 # ---------------------------------------------------------------------------

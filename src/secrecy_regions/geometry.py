@@ -270,9 +270,9 @@ def _threshold_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return dominated
 
 
-def _pareto_mask(points: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def _pareto_mask(pts: np.ndarray) -> np.ndarray:
     """Mask of rows not component-wise dominated by any other distinct row;
-    of equal rows the first is kept.  tol > 0 quantizes before comparing.
+    of equal rows the first is kept.
 
     Sort-filter skyline (Chomicki et al. 2003, "Skyline with presorting"):
     after one (-r0, -r1, -r2) sort every dominator of a row comes before
@@ -281,7 +281,6 @@ def _pareto_mask(points: np.ndarray, tol: float = 0.0) -> np.ndarray:
     rows left, still in sorted order, gives the same mask as on all of them.
     Both steps work on whole arrays or blocks; no step loops over rows.
     """
-    pts = points if tol <= 0 else np.round(points / tol)
     n = len(pts)
     keep = np.zeros(n, dtype=bool)
     order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))

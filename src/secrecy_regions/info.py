@@ -99,10 +99,6 @@ class DiscreteChannel:
         return self.transition.shape[1]
 
     @property
-    def y1_size(self) -> int:
-        return self.transition.shape[2]
-
-    @property
     def y2_size(self) -> int:
         return self.transition.shape[3]
 

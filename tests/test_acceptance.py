@@ -121,7 +121,7 @@ def test_criterion_4_projection_matches_direct_region():
     t0 = time.perf_counter()
     ch = degraded_binary_channel()
     rng = np.random.default_rng(12345)
-    equal = sum(fm_matches_direct(random_inner_chain(ch, rng), ch) for _ in range(50))
+    equal = sum(fm_matches_direct(random_inner_chain(ch, rng), ch) == "equal" for _ in range(50))
     elapsed = time.perf_counter() - t0
     ok = equal == 50 and elapsed < 30.0
     report(4, "bin-rate elimination equivalence", ok, f"{equal}/50 equal, {elapsed:.2f}s")

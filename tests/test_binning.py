@@ -22,7 +22,7 @@ from secrecy_regions import (
     transmit,
 )
 from secrecy_regions import binning
-from secrecy_regions.binning import channel_rng, encoder_rng
+from secrecy_regions.binning import seed_streams
 from secrecy_regions.info import DiscreteChannel
 from conftest import (
     identity_uniform_chain,
@@ -173,8 +173,38 @@ def test_transmit_noiseless_component():
     rng = np.random.default_rng(5)
     x1 = np.array([0, 1, 0, 1])
     x2 = np.array([1, 1, 0, 0])
-    y1, _ = transmit(cb, x1, x2, rng)
-    assert np.array_equal(y1, 2 * x1 + x2)
+    y1, _ = transmit(cb, x1[None], x2[None], rng)
+    assert np.array_equal(y1, [2 * x1 + x2])
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 16),
+    st.tuples(*[st.integers(1, 3)] * 4),
+)
+@settings(max_examples=40, deadline=None)
+def test_transmit_stack_draws_as_one_row_calls(seed, trials, n, sizes):
+    """A (B, n) stack gives the bytes of B one-row calls on a generator
+    from the same seed, so run_simulation can draw the channel per chunk."""
+    rng = np.random.default_rng(seed)
+    nx1, nx2, ny1, ny2 = sizes
+    channel = DiscreteChannel(
+        rng.dirichlet(np.ones(ny1 * ny2), size=(nx1, nx2)).reshape(nx1, nx2, ny1, ny2)
+    )
+    aux = AuxiliaryChain.inner(
+        FiniteDistribution(np.ones(1)), np.ones((1, 1)), np.ones((1, 1)),
+        np.full((1, nx1), 1 / nx1), np.full((1, nx2), 1 / nx2),
+    )
+    cb = generate_codebook(make_config(aux=aux, channel=channel, n=n, r1=0.0, r2=0.0))
+    x1 = rng.integers(0, nx1, size=(trials, n))
+    x2 = rng.integers(0, nx2, size=(trials, n))
+    y1, y2 = transmit(cb, x1, x2, np.random.default_rng(seed))
+    assert y1.shape == y2.shape == (trials, n)
+    one = np.random.default_rng(seed)
+    rows = [transmit(cb, x1[i : i + 1], x2[i : i + 1], one) for i in range(trials)]
+    assert y1.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
+    assert y2.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
 
 
 def test_decode_rx1_perfect_channel():
@@ -184,47 +214,49 @@ def test_decode_rx1_perfect_channel():
     cb = generate_codebook(cfg)
     assert len(np.unique(cb.v1.reshape(-1, 8), axis=0)) == cfg.m1
     assert len(np.unique(cb.v2.reshape(-1, 8), axis=0)) == cfg.m2
-    re_, rc_ = encoder_rng(cfg), channel_rng(cfg)
+    _, re_, rc_, _ = seed_streams(cfg)
     rng = np.random.default_rng(1)
     for _ in range(60):
         w = (0, int(rng.integers(cfg.m1)), int(rng.integers(cfg.m2)))
         x1, x2, _, _ = encode(cb, *w, re_)
-        y1, _ = transmit(cb, x1, x2, rc_)
-        assert decode_rx1(cb, y1) == w
+        y1, _ = transmit(cb, x1[None], x2[None], rc_)
+        assert decode_rx1(cb, y1)[0] == [w]
 
 
 def test_decode_rx1_eps_zero_usually_fails():
+    # the least positive eps decides as eps = 0 on every deviation that is
+    # not subnormal; CodeConfig refuses eps = 0 itself
     ch = reveal_both_channel(0.25)
-    cfg = make_config(channel=ch, n=5, r1=0.4, r2=0.4, seed=2)
+    cfg = make_config(channel=ch, n=5, r1=0.4, r2=0.4, seed=2,
+                      typicality_eps=np.nextafter(0.0, 1.0))
     cb = generate_codebook(cfg)
-    re_, rc_ = encoder_rng(cfg), channel_rng(cfg)
+    _, re_, rc_, _ = seed_streams(cfg)
     failures = 0
     for _ in range(40):
         x1, x2, _, _ = encode(cb, 0, 0, 0, re_)
-        y1, _ = transmit(cb, x1, x2, rc_)
-        if decode_rx1(cb, y1, eps=0.0) != (0, 0, 0):
+        y1, _ = transmit(cb, x1[None], x2[None], rc_)
+        if decode_rx1(cb, y1)[0] != [(0, 0, 0)]:
             failures += 1
     assert failures > 30  # the empirical type is rarely exact
 
 
 def test_decode_rx2_single_message_generous_eps():
-    cfg = make_config()
-    cb = generate_codebook(cfg)
+    cb = generate_codebook(make_config(typicality_eps=1.0))
     rng = np.random.default_rng(9)
     for _ in range(10):
-        y2 = rng.integers(0, 2, size=4)
-        assert decode_rx2(cb, y2, eps=1.0) == 0
+        y2 = rng.integers(0, 2, size=(1, 4))
+        assert decode_rx2(cb, y2) == [0]
 
 
 def test_posterior_is_distribution():
     ch = reveal_both_channel(0.25)
     cfg = make_config(channel=ch, r1p=0.25, seed=3)
     cb = generate_codebook(cfg)
-    re_, rc_ = encoder_rng(cfg), channel_rng(cfg)
+    _, re_, rc_, _ = seed_streams(cfg)
     x1, x2, _, _ = encode(cb, 0, 1, 0, re_)
-    _, y2 = transmit(cb, x1, x2, rc_)
+    _, y2 = transmit(cb, x1[None], x2[None], rc_)
     post = posterior_w1w2(cb, y2)
-    assert post.shape == (cfg.m1, cfg.m2)
+    assert post.shape == (1, cfg.m1, cfg.m2)
     assert post.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(post >= 0)
 
@@ -233,7 +265,7 @@ def test_posterior_cap(monkeypatch):
     monkeypatch.setattr(binning, "MAX_TUPLES", 4)
     cb = generate_codebook(make_config(r1p=0.5))
     with pytest.raises(CapExceededError):
-        posterior_w1w2(cb, np.zeros(4, dtype=int))
+        posterior_w1w2(cb, np.zeros((1, 4), dtype=int))
 
 
 def _refuse(*args, **kwargs):
@@ -316,13 +348,12 @@ def test_rx1_failures_split_into_no_candidate_and_several():
     trials = 200
     summary = run_simulation(cfg, trials)
     cb = generate_codebook(cfg)
-    rng_enc, rng_ch = encoder_rng(cfg), channel_rng(cfg)
-    rng_msg = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[3])
+    _, rng_enc, rng_ch, rng_msg = seed_streams(cfg)
     failed = wrong = 0
     for _ in range(trials):
         w = tuple(int(rng_msg.integers(m)) for m in (cfg.m0, cfg.m1, cfg.m2))
         x1, x2, _, _ = encode(cb, *w, rng_enc)
-        decoded = decode_rx1(cb, transmit(cb, x1, x2, rng_ch)[0])
+        (decoded,), _ = decode_rx1(cb, transmit(cb, x1[None], x2[None], rng_ch)[0])
         failed += decoded is None
         wrong += decoded is not None and decoded != w
     assert summary.rx1_no_candidate > 0 and summary.rx1_several > 0 and wrong > 0
@@ -456,9 +487,11 @@ def _unique(hits):
 def test_scans_match_a_per_tuple_oracle(seed, n, messages, bins, eps):
     """Every decision, hit count and posterior agrees with a plain loop over
     (w0, w1, q, w2, q'), with M0 up to 3 and both bins > 1, for three trials
-    scanned as one stack and one at a time.  "closest" puts eps exactly on
-    the first trial's smallest deviation, a count boundary that only its
-    closest tuples pass; one ulp below it, none of them pass."""
+    scanned as one stack and as stacks of one.  "closest" puts eps exactly
+    on the first trial's smallest deviation, a count boundary that only its
+    closest tuples pass; one ulp below it, none of them pass.  CodeConfig
+    refuses eps = 0, so an eps of 0 becomes the least positive double, which
+    decides as 0 on every deviation that is not subnormal."""
     rng = np.random.default_rng(seed)
     nx1, nx2, ny1, ny2 = rng.integers(2, 4, size=4)
     nu, nv1, nv2 = rng.integers(1, 4, size=3)
@@ -476,29 +509,31 @@ def test_scans_match_a_per_tuple_oracle(seed, n, messages, bins, eps):
     cfg = CodeConfig(n, *rates, aux=aux, channel=channel, seed=seed % 1000)
     assert (cfg.m0, cfg.m1, cfg.m2, cfg.m1p, cfg.m2p) == (*messages, *bins)
     cb = generate_codebook(cfg)
-    rng_enc, rng_ch = encoder_rng(cfg), channel_rng(cfg)
-    outputs = []
+    _, rng_enc, rng_ch, _ = seed_streams(cfg)
+    inputs = []
     for _ in range(3):
         w = tuple(int(rng.integers(m)) for m in messages)
-        x1, x2, _, _ = encode(cb, *w, rng_enc)
-        outputs.append(transmit(cb, x1, x2, rng_ch))
-    y1s, y2s = (np.array(ys) for ys in zip(*outputs))
-    oracles = [_oracle_scans(cb, y1, y2) for y1, y2 in outputs]
+        inputs.append(encode(cb, *w, rng_enc)[:2])
+    y1s, y2s = transmit(cb, *(np.array(xs) for xs in zip(*inputs)), rng_ch)
+    oracles = [_oracle_scans(cb, y1, y2) for y1, y2 in zip(y1s, y2s)]
     if isinstance(eps, str):
         eps1, eps2 = min(oracles[0][0].values()), min(oracles[0][1])
         if eps == "below closest":
             eps1, eps2 = np.nextafter(eps1, 0.0), np.nextafter(eps2, 0.0)
     else:
         eps1 = eps2 = eps
-    decoded1, hit_counts = decode_rx1(cb, y1s, eps=eps1)
-    decoded2 = decode_rx2(cb, y2s, eps=eps2)
+    eps1, eps2 = (max(e, np.nextafter(0.0, 1.0)) for e in (eps1, eps2))
+    cb1 = generate_codebook(dataclasses.replace(cfg, typicality_eps=eps1))
+    cb2 = generate_codebook(dataclasses.replace(cfg, typicality_eps=eps2))
+    decoded1, hit_counts = decode_rx1(cb1, y1s)
+    decoded2 = decode_rx2(cb2, y2s)
     posteriors = posterior_w1w2(cb, y2s)
     assert len(decoded1) == len(decoded2) == len(hit_counts) == len(posteriors) == 3
     for i, (dev1, dev2, post) in enumerate(oracles):
         hits1 = [(w0, w1, w2) for (w0, w1, _, w2, _), d in dev1.items() if d <= eps1]
         hits2 = [w0 for w0, d in enumerate(dev2) if d <= eps2]
-        assert decoded1[i] == decode_rx1(cb, y1s[i], eps=eps1) == _unique(hits1)
+        assert [decoded1[i]] == decode_rx1(cb1, y1s[i : i + 1])[0] == [_unique(hits1)]
         assert hit_counts[i] == len(hits1)
-        assert decoded2[i] == decode_rx2(cb, y2s[i], eps=eps2) == _unique(hits2)
-        assert posteriors[i].tobytes() == posterior_w1w2(cb, y2s[i]).tobytes()
+        assert [decoded2[i]] == decode_rx2(cb2, y2s[i : i + 1]) == [_unique(hits2)]
+        assert posteriors[i].tobytes() == posterior_w1w2(cb, y2s[i : i + 1])[0].tobytes()
         np.testing.assert_allclose(posteriors[i], post, rtol=1e-9, atol=1e-12)

@@ -179,7 +179,7 @@ def test_achievability_system_structure(degraded_channel):
 def test_fm_projection_equals_direct_region(degraded_channel, rng):
     for _ in range(10):
         aux = random_inner_chain(degraded_channel, rng)
-        assert fm_matches_direct(aux, degraded_channel)
+        assert fm_matches_direct(aux, degraded_channel) == "equal"
 
 
 def _same_vertices(a, b, tol=1e-9):
@@ -197,7 +197,14 @@ def test_fm_table_matches_per_chain_elimination(seed, k):
     that chain's own raw system with r1p and r2p eliminated."""
     rng = np.random.default_rng(seed)
     ch = DiscreteChannel(rng.dirichlet(np.ones(k * k), size=k * k).reshape(k, k, k, k))
-    aux = random_inner_chain(ch, rng, *(int(n) for n in rng.integers(1, 4, size=3)))
+    nu, nv1, nv2 = (int(n) for n in rng.integers(1, 4, size=3))
+    aux = AuxiliaryChain.inner(
+        FiniteDistribution(rng.dirichlet(np.ones(nu))),
+        rng.dirichlet(np.ones(nv1), size=nu),
+        rng.dirichlet(np.ones(nv2), size=nu),
+        rng.dirichlet(np.ones(k), size=nv1),
+        rng.dirichlet(np.ones(k), size=nv2),
+    )
     A, b = achievability_constraint_system(aux, ch)
     j = dm.RAW_VARS.index("r1p")  # then r2p, which has moved into column j
     oracle, _ = batch_vertices(*fm_eliminate(*fm_eliminate(A, b, j), j))
@@ -250,7 +257,7 @@ def test_fm_snapped_vertex_is_not_a_mismatch():
     rng = np.random.default_rng(2)
     for _ in range(85):
         aux = random_inner_chain(ch, rng)
-    assert fm_matches_direct(aux, ch)
+    assert fm_matches_direct(aux, ch) == "equal"
 
 
 def test_fm_polytope_vertices_feasible(degraded_channel):

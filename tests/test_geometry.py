@@ -141,12 +141,11 @@ def test_pareto_frontier_matches_bruteforce(seed, count):
     assert np.array_equal(fast, brute)  # both in (r0, r1, r2) row order
 
 
-def _staircase_only_mask(points, tol):
+def _staircase_only_mask(points):
     """_pareto_mask without its vectorized filter rounds."""
-    q = points if tol <= 0 else np.round(points / tol)
-    order = np.lexsort((-q[:, 2], -q[:, 1], -q[:, 0]))
-    keep = np.zeros(len(q), dtype=bool)
-    keep[order[_staircase(q[order])]] = True
+    order = np.lexsort((-points[:, 2], -points[:, 1], -points[:, 0]))
+    keep = np.zeros(len(points), dtype=bool)
+    keep[order[_staircase(points[order])]] = True
     return keep
 
 
@@ -156,10 +155,9 @@ def _staircase_only_mask(points, tol):
     levels=st.integers(1, 60),
     on_plane=st.booleans(),
     jitter=st.booleans(),
-    tol=st.sampled_from([0.0, 1e-3]),
 )
 @settings(max_examples=60, deadline=None)
-def test_pareto_mask_matches_staircase(seed, n, levels, on_plane, jitter, tol):
+def test_pareto_mask_matches_staircase(seed, n, levels, on_plane, jitter):
     # integer-grid coordinates repeat r0/r1/r2 values and whole rows; rows
     # on a plane are mostly mutually non-dominated, so few are filtered
     rng = np.random.default_rng(seed)
@@ -169,7 +167,7 @@ def test_pareto_mask_matches_staircase(seed, n, levels, on_plane, jitter, tol):
     pts = pts * 1e-3
     if jitter:
         pts = pts + rng.choice([0.0, 1e-12], size=pts.shape)
-    assert np.array_equal(_pareto_mask(pts, tol), _staircase_only_mask(pts, tol))
+    assert np.array_equal(_pareto_mask(pts), _staircase_only_mask(pts))
 
 
 def _brute_staircase(p):
