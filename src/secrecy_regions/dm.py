@@ -341,7 +341,10 @@ def random_inner_chain(ch: DiscreteChannel, rng: np.random.Generator) -> Auxilia
 
 
 def _vertices_inside(A, b, A2, b2) -> bool:
-    """Every vertex of {A r <= b} satisfies A2 r <= b2 within GEOM_TOL."""
+    """Every vertex batch_vertices gives of {A r <= b}, the maximal ones,
+    satisfies A2 r <= b2 within GEOM_TOL.  Both systems are down-closed in
+    the orthant, so that decides containment: each point of a polytope lies
+    below a convex combination of its maximal vertices."""
     verts, _ = batch_vertices(A, b)
     return bool((verts @ A2.T <= b2 + GEOM_TOL).all())
 
@@ -349,11 +352,11 @@ def _vertices_inside(A, b, A2, b2) -> bool:
 def fm_matches_direct(aux: AuxiliaryChain, ch: DiscreteChannel) -> str:
     """Compare the Fourier-Motzkin projection with the direct five-inequality
     polytope for one inner-class chain.  "equal" when each contains the
-    other's vertices within GEOM_TOL.  Otherwise "raw_infeasible" when the
-    projection is empty, which is exactly when it excludes the origin, since
-    only its r >= 0 rows have a negative rate coefficient: the raw system has
-    no solution, and the direct bounds hide that by clamping at zero.  Else
-    "mismatch"."""
+    other's maximal vertices within GEOM_TOL.  Otherwise "raw_infeasible"
+    when the projection is empty, which is exactly when it excludes the
+    origin, since only its r >= 0 rows have a negative rate coefficient: the
+    raw system has no solution, and the direct bounds hide that by clamping
+    at zero.  Else "mismatch"."""
     _require_inner(aux)
     mi = chain_information(aux, ch)
     direct = A_FIVE_BOUNDS, np.concatenate([_bounds(mi, "dm_inner")[0], np.zeros(3)])

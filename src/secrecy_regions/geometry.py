@@ -1,6 +1,6 @@
 """Polyhedral machinery for rate regions: Fourier-Motzkin elimination,
-vertex enumeration for 3-D rate polytopes, Pareto frontiers, projection,
-and region membership.
+maximal-vertex enumeration for 3-D rate polytopes, Pareto frontiers,
+projection, and region membership.
 
 All geometric comparisons use a 1e-9 bit tolerance; inputs are closed-form
 values with ~1e-15 native error, so this leaves several orders of margin.
@@ -161,32 +161,36 @@ def fm_eliminate(A: np.ndarray, b: np.ndarray, j: int):
 
 
 def batch_vertices(A: np.ndarray, B: np.ndarray):
-    """Feasible basic solutions of many polytopes sharing constraint pattern A.
+    """The vertices of many polytopes sharing constraint pattern A that are
+    Pareto-maximal in their own polytope.
 
-    A is (m, 3); B is (N, m), one right-hand-side row per polytope.  Returns
-    (points, owner) where owner[i] is the row of B that produced points[i].
-    Near-singular 3x3 subsystems (|det| < 1e-12) are skipped; their vertices,
-    when real, come from neighbouring non-degenerate triples.  A vertex on
-    more than three faces comes out once per regular triple; nothing is
-    deduplicated.  No bounding box is added: every pattern the package
-    builds has the three r >= 0 rows and a row whose rate coefficients are
-    all positive, so its polytopes are bounded and their vertices are
-    exactly the feasible basic solutions.
+    A is (m, 3), and no row may have both a positive and a negative
+    coefficient (ValidationError); B is (N, m), one right-hand-side row per
+    polytope.  Returns (points, owner), owner[i] the row of B behind
+    points[i]; nothing is deduplicated.  Row triples with |det| < 1e-12, or
+    whose positive coefficients miss one of r0, r1, r2, are skipped, and that
+    is exact: a covering triple's rows are non-negative and tight at its
+    vertex, so no feasible point dominates it; at a maximal vertex v the
+    tight upper rows cover every r_i (else v + t e_i stays feasible), so does
+    a basis of them, and tight lower rows complete it to a regular triple.
+    No bounding box is added: every pattern the package builds has the r >= 0
+    rows and a row with all rate coefficients positive, so it is bounded.
     """
     A = np.asarray(A, dtype=float)
     B = np.atleast_2d(np.asarray(B, dtype=float))
+    if ((A > 0).any(axis=1) & (A < 0).any(axis=1)).any():
+        raise ValidationError("a constraint row has both positive and negative coefficients")
     combos = np.array(list(combinations(range(A.shape[0]), 3)))
     subs = A[combos]
     regular = np.abs(np.linalg.det(subs)) >= 1e-12
-    pts, owners = [], []
+    regular &= (subs > 0).any(axis=1).all(axis=1)
+    limits = np.ascontiguousarray(B.T) + GEOM_TOL  # (m, N): each row a contiguous scan
+    pts, owners = [np.zeros((0, 3))], [np.zeros(0, dtype=int)]
     for combo, inv in zip(combos[regular], np.linalg.inv(subs[regular])):
         cand = B[:, combo] @ inv.T  # (N, 3)
-        feas = (cand @ A.T <= B + GEOM_TOL).all(axis=1)
-        if feas.any():
-            pts.append(cand[feas])
-            owners.append(np.nonzero(feas)[0])
-    if not pts:
-        return np.zeros((0, 3)), np.zeros(0, dtype=int)
+        feas = (A @ cand.T <= limits).all(axis=0)
+        pts.append(cand[feas])
+        owners.append(np.nonzero(feas)[0])
     return np.vstack(pts), np.concatenate(owners)
 
 
@@ -328,9 +332,10 @@ class FrontierAccumulator:
     """Collects sweep vertices chunk by chunk, prunes each chunk to its local
     Pareto maxima, and computes the global frontier once at the end, keeping
     one provenance value (a grid or chain index, as a one-column row) aligned
-    with every surviving point.  Merge order does not affect the final
-    frontier (set semantics).  A single chunk is already deduped and pruned,
-    so finish only sorts it.
+    with every surviving point.  Merge order and chunking move the frontier
+    only within GEOM_TOL (a 1e-9 cell keeps its first row, so they pick which
+    of near-equal rows survives).  A single chunk is deduped and pruned, so
+    finish only sorts it.
     """
 
     def __init__(self):

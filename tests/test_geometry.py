@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,20 +28,19 @@ from conftest import degraded_binary_channel
 
 
 def test_unit_box_vertices():
+    # of the eight corners only (1, 1, 1) is maximal in the box
     A = np.vstack([np.eye(3), -np.eye(3)])
     b = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     v, owner = batch_vertices(A, b)
-    assert len(v) == 8 and not owner.any()
-    assert set(map(tuple, np.round(v, 9))) == {
-        (a, c, d) for a in (0.0, 1.0) for c in (0.0, 1.0) for d in (0.0, 1.0)
-    }
+    assert np.array_equal(v, [[1.0, 1.0, 1.0]]) and not owner.any()
 
 
 def test_simplex_vertices():
+    # the origin is dominated; the three unit points are maximal
     A = np.vstack([[1.0, 1.0, 1.0], -np.eye(3)])
     b = np.array([1.0, 0.0, 0.0, 0.0])
     v, _ = batch_vertices(A, b)
-    assert len(v) == 4  # origin plus the three unit points
+    assert sorted(map(tuple, v)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_every_polytope_the_package_builds_is_bounded():
@@ -52,15 +53,28 @@ def test_every_polytope_the_package_builds_is_bounded():
         assert (A > 0).all(axis=1).any()
 
 
+def test_every_pattern_the_package_builds_has_the_sign_property():
+    """No row has both a positive and a negative coefficient, so each upper
+    row is non-negative and batch_vertices may skip the triples that cannot
+    give a maximal vertex."""
+    for A in [*CONSTRAINT_PATTERNS.values(), dm._fm_table()[0]]:
+        assert not ((A > 0).any(axis=1) & (A < 0).any(axis=1)).any()
+
+
+def test_batch_vertices_refuses_a_mixed_sign_row():
+    A = np.vstack([[1.0, -1.0, 0.0], np.eye(3), -np.eye(3)])
+    with pytest.raises(ValidationError, match="both positive and negative"):
+        batch_vertices(A, np.ones(7))
+
+
 def test_batch_vertices_matches_single():
     A = np.vstack([np.eye(3), [1.0, 1.0, 1.0], -np.eye(3)])
     rhs = np.array([[0.5, 0.7, 0.3, 1.0, 0, 0, 0], [1.0, 1.0, 1.0, 1.5, 0, 0, 0]])
-    # box corners under the sum plane, plus where the plane cuts the box edges
+    # the box corners under the sum plane are dominated; the maximal
+    # vertices lie on the plane, at the box faces
     expected = [
-        [(0, 0, 0), (.5, 0, 0), (0, .7, 0), (0, 0, .3), (.5, 0, .3), (0, .7, .3),
-         (.5, .5, 0), (.3, .7, 0), (.5, .2, .3)],
-        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, .5, 0), (1, 0, .5),
-         (.5, 1, 0), (0, 1, .5), (.5, 0, 1), (0, .5, 1)],
+        [(0, .7, .3), (.5, .5, 0), (.3, .7, 0), (.5, .2, .3)],
+        [(1, .5, 0), (1, 0, .5), (.5, 1, 0), (0, 1, .5), (.5, 0, 1), (0, .5, 1)],
     ]
     pts, owner = batch_vertices(A, rhs)
     for i in range(2):
@@ -68,6 +82,99 @@ def test_batch_vertices_matches_single():
         assert len(mine) == len(expected[i])
         for v in expected[i]:
             assert np.min(np.abs(mine - v).sum(axis=1)) < 1e-8
+        single, _ = batch_vertices(A, rhs[i])
+        assert np.array_equal(single, pts[owner == i])
+
+
+def _every_vertex(A, B):
+    """Every feasible basic solution of each polytope {A r <= B[i]}, brute
+    force: one combination of three rows at a time, with the inverse and
+    the product batch_vertices uses, so a vertex both return has the same
+    bytes."""
+    B = np.atleast_2d(B)
+    pts, owners = [np.zeros((0, 3))], [np.zeros(0, dtype=int)]
+    for combo in combinations(range(len(A)), 3):
+        sub = A[list(combo)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            continue
+        cand = B[:, combo] @ np.linalg.inv(sub).T
+        feas = (cand @ A.T <= B + GEOM_TOL).all(axis=1)
+        pts.append(cand[feas])
+        owners.append(np.nonzero(feas)[0])
+    return np.vstack(pts), np.concatenate(owners)
+
+
+def _own_maximal(A, B, pts, owner) -> np.ndarray:
+    """Whether each vertex v is Pareto-maximal in its own polytope: over
+    the polytope cut to r >= v, r0 + r1 + r2 peaks at v.  A linear peak of
+    a polytope is attained at a vertex, so _every_vertex of the cut finds it."""
+    cut = np.vstack([A, -np.eye(3)])
+    cut_pts, cut_owner = _every_vertex(cut, np.hstack([B[owner], -pts]))
+    best = np.full(len(pts), -np.inf)
+    np.maximum.at(best, cut_owner, cut_pts.sum(axis=1))
+    return best <= pts.sum(axis=1) + GEOM_TOL
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from([*sorted(CONSTRAINT_PATTERNS), "fm"]),
+    n=st.integers(1, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_batch_vertices_keeps_exactly_the_own_maximal_vertices(seed, kind, n):
+    # "fm" is the Fourier-Motzkin table's pattern; the lower rows bound at 0
+    A = dm._fm_table()[0] if kind == "fm" else CONSTRAINT_PATTERNS[kind]
+    B = np.where((A < 0).any(axis=1), 0.0, np.random.default_rng(seed).random((n, len(A))))
+    pts, owner = _every_vertex(A, B)
+    maximal = _own_maximal(A, B, pts, owner)
+    got, got_owner = batch_vertices(A, B)
+    assert np.array_equal(got, pts[maximal])
+    assert np.array_equal(got_owner, owner[maximal])
+
+
+def _swept(kind, bounds, chunk, enumerate_):
+    """The sweeps' loop: chunks of bound rows, their vertices, one frontier."""
+    A = CONSTRAINT_PATTERNS[kind]
+    acc = FrontierAccumulator()
+    for start in range(0, len(bounds), chunk):
+        rows = bounds[start : start + chunk]
+        pts, owner = enumerate_(A, np.hstack([rows, np.zeros((len(rows), 3))]))
+        acc.add(pts, (start + owner)[:, None].astype(float))
+    return acc.finish(kind, bounds)
+
+
+def _tol_dominated(F, G) -> bool:
+    """Every row of G lies below some row of F, within GEOM_TOL."""
+    return bool((F[None, :] >= G[:, None] - GEOM_TOL).all(axis=2).any(axis=1).all())
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dm_inner", "g_outer", "cmac"]),
+    n=st.integers(1, 300),
+    chunk=st.integers(1, 120),
+    tied=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_frontier_from_maximal_vertices_matches_every_vertex(seed, kind, n, chunk, tied):
+    """Continuous bound rows give the same frontier bytes and records.  Tied
+    rows (a few levels, zeros, 1e-12 jitter) can move a 1e-9 cell's first
+    row, so there the two frontiers GEOM_TOL-dominate each other."""
+    rng = np.random.default_rng(seed)
+    cols = CONSTRAINT_PATTERNS[kind].shape[0] - 3
+    if tied:
+        levels = np.append(0.0, rng.random(int(rng.integers(1, 4))))
+        bounds = rng.choice(levels, size=(n, cols)) + rng.choice([0.0, 1e-12], size=(n, cols))
+    else:
+        bounds = rng.random((n, cols))
+    fast = _swept(kind, bounds, chunk, batch_vertices)
+    full = _swept(kind, bounds, chunk, _every_vertex)
+    if tied:
+        assert _tol_dominated(fast.points, full.points)
+        assert _tol_dominated(full.points, fast.points)
+    else:
+        assert fast.points.tobytes() == full.points.tobytes()
+        assert fast.records.tobytes() == full.records.tobytes()
 
 
 def test_fm_eliminate_box():
