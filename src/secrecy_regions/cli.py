@@ -37,13 +37,23 @@ def _fmt(x) -> str:
     return "%.10g" % x
 
 
+def _fmt_column(values: np.ndarray) -> list:
+    """_fmt of every value of a float64 array, formatted once per distinct
+    bit pattern: np.unique on the int64 view keeps -0.0 apart from 0.0, and
+    every NaN bit pattern gives the same empty cell."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    texts = np.array([_fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
 def _round10(x: float) -> float:
     return float("%.10g" % x)
 
 
 def _write_csv(path, header, rows) -> None:
+    """rows are sequences of cells, or lines already joined (_region_rows)."""
     lines = [",".join(header)]
-    lines += [",".join(map(_fmt, row)) for row in rows]
+    lines += [row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -51,15 +61,17 @@ def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _region_rows(region: RateRegion):
-    """CSV rows for a swept frontier; beta/rho cells are empty when the sweep
+def _region_rows(region: RateRegion) -> list:
+    """CSV lines for a swept frontier; beta/rho cells are empty when the sweep
     has no such parameter (discrete-memoryless regions carry a chain index
-    instead, which the CSV omits).  Cells are formatted a column at a time."""
+    instead, which the CSV omits).  Each column is formatted once per
+    distinct value (_fmt_column; a beta column has at most resolution of
+    them), and each line is joined once."""
     n = len(region.points)
     gaussian = region.kind in ("g_inner", "g_outer", "cmac")
     params = region.records if gaussian else np.full((n, 3), np.nan)
-    columns = np.hstack([region.points, params]).T.tolist()
-    return list(zip([region.kind] * n, *(map(_fmt, c) for c in columns)))
+    cells = [_fmt_column(c) for c in np.vstack([region.points.T, params.T])]
+    return [",".join(line) for line in zip([region.kind] * n, *cells)]
 
 
 def _projected_rows(kind: str, points2d):

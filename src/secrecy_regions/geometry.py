@@ -2,8 +2,9 @@
 maximal-vertex enumeration for 3-D rate polytopes, Pareto frontiers,
 projection, and region membership.
 
-All geometric comparisons use a 1e-9 bit tolerance; inputs are closed-form
-values with ~1e-15 native error, so this leaves several orders of margin.
+All geometric comparisons use the absolute tolerance GEOM_TOL = 1e-9;
+inputs are closed-form values with ~1e-15 native error, so this leaves
+several orders of margin.
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def _threshold_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return dominated
 
 
-def _pareto_mask(pts: np.ndarray) -> np.ndarray:
+def _pareto_mask(pts: np.ndarray, order=None) -> np.ndarray:
     """Mask of rows not component-wise dominated by any other distinct row;
     of equal rows the first is kept.
 
@@ -284,11 +285,15 @@ def _pareto_mask(pts: np.ndarray) -> np.ndarray:
     dominated.  Dominance is transitive, so the block staircase run on the
     rows left, still in sorted order, gives the same mask as on all of them.
     Both steps work on whole arrays or blocks; no step loops over rows.
+
+    order, when given, replaces that sort: row indices with r0
+    non-increasing and every weak dominator of a row before it, which is
+    all the filter and the staircase use.  Rows not in order are not kept.
     """
-    n = len(pts)
-    keep = np.zeros(n, dtype=bool)
-    order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
-    left = np.arange(n)  # positions in sorted order
+    keep = np.zeros(len(pts), dtype=bool)
+    if order is None:
+        order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
+    left = np.arange(len(order))  # positions in sorted order
     while len(left) >= _FILTER_MIN_ROWS:
         p = pts[order[left]]
         dominated = _threshold_filter(p[:, 1], p[:, 2])
@@ -302,60 +307,68 @@ def _pareto_mask(pts: np.ndarray) -> np.ndarray:
 
 def pareto_frontier(points) -> np.ndarray:
     """Component-wise non-dominated subset of an (N, 2) or (N, 3) array, in
-    stable (r0, r1, r2) order."""
+    stable (r0, r1, r2) order; (0, k) for k columns and no rows."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        return np.zeros((0, 3))
-    pts = np.unique(pts, axis=0)
-    full = pts if pts.shape[1] == 3 else np.column_stack([pts, np.zeros(len(pts))])
     if pts.shape[1] not in (2, 3):
         raise ValidationError("pareto_frontier expects 2 or 3 rate columns")
+    pts = np.unique(pts, axis=0)
+    full = pts if pts.shape[1] == 3 else np.column_stack([pts, np.zeros(len(pts))])
     frontier = pts[_pareto_mask(full)]
     order = np.lexsort(frontier.T[::-1])
     return frontier[order]
 
 
-def _grid_cells(pts: np.ndarray) -> np.ndarray:
-    """Index of the first row in each cell of the GEOM_TOL grid, cells in
-    lexicographic order: the rows np.unique(rounded, axis=0,
-    return_index=True) would pick, since the lexsort is stable and -0.0
-    equals +0.0 in both."""
-    rounded = np.round(pts / GEOM_TOL) * GEOM_TOL
-    order = np.lexsort(rounded.T[::-1])
-    r = rounded[order]
-    start = np.ones(len(r), dtype=bool)
-    start[1:] = (r[1:] != r[:-1]).any(axis=1)
-    return order[start]
+def _cell_frontier(pts: np.ndarray) -> np.ndarray:
+    """Indices of the Pareto-maximal rows among the first input row of each
+    GEOM_TOL cell, in no particular order.  FrontierAccumulator says how it
+    sorts and why that is exact."""
+    cells = np.round(pts / GEOM_TOL)
+    cells *= -GEOM_TOL  # ascending keys are descending cells; -0.0 == 0.0
+    order = np.lexsort(cells.T[::-1])
+    cells = cells[order]
+    lead = np.ones(len(cells), dtype=bool)
+    lead[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    del cells
+    first = order[lead]
+    first = first[np.argsort(-pts[first, 0], kind="stable")]
+    return np.nonzero(_pareto_mask(pts, first))[0]
 
 
 class FrontierAccumulator:
     """Collects sweep vertices chunk by chunk, prunes each chunk to its local
     Pareto maxima, and computes the global frontier once at the end, keeping
     one provenance value (a grid or chain index, as a one-column row) aligned
-    with every surviving point.  Merge order and chunking move the frontier
-    only within GEOM_TOL (a 1e-9 cell keeps its first row, so they pick which
-    of near-equal rows survives).  A single chunk is deduped and pruned, so
-    finish only sorts it.
+    with every surviving point.
+
+    A prune (_cell_frontier) keeps the first input row of each GEOM_TOL cell
+    and drops the dominated ones, sorting once: one stable lexsort of the
+    negated cells puts the cells in descending (r0, r1, r2) order, each led
+    by its first input row, and those leaders, stable-sorted on -r0, are the
+    order in which _pareto_mask's skyline filter and staircase scan them.
+    That is exact, because those two need only two properties of the order:
+    no two leaders are equal, as they lie in distinct cells; and r0 never
+    rises, with every dominator of a leader before it among equal r0, as
+    the dominator's cell is >= in every coordinate and not the same cell.
+
+    finish prunes the chunks' survivors together.  A chunk's survivors lie
+    in distinct cells, so a cell shared across chunks keeps the earliest
+    chunk's row, whatever order each chunk's survivors are in.  Merge order
+    and chunking move the frontier only within GEOM_TOL (they pick which of
+    near-equal rows survives).  A single chunk is already pruned, so finish
+    only sorts it.
     """
 
     def __init__(self):
         self._points: list = []
         self._records: list = []
 
-    @staticmethod
-    def _dedupe(pts: np.ndarray, recs: np.ndarray):
-        """The first row of each group equal on the GEOM_TOL grid, in input
-        order."""
-        first = np.sort(_grid_cells(pts))
-        return pts[first], recs[first]
-
     def add(self, points: np.ndarray, records: np.ndarray) -> None:
         if len(points) == 0:
             return
-        pts, recs = self._dedupe(np.asarray(points, float), np.asarray(records, float))
-        mask = _pareto_mask(pts)
-        self._points.append(pts[mask])
-        self._records.append(recs[mask])
+        pts = np.asarray(points, float)
+        keep = _cell_frontier(pts)
+        self._points.append(pts[keep])
+        self._records.append(np.asarray(records, float)[keep])
 
     def finish(self, kind: str, bound_rows: np.ndarray) -> RateRegion:
         if not self._points:
@@ -364,9 +377,9 @@ class FrontierAccumulator:
         elif len(self._points) == 1:
             pts, recs = self._points[0], self._records[0]
         else:
-            pts, recs = self._dedupe(np.vstack(self._points), np.vstack(self._records))
-            mask = _pareto_mask(pts)
-            pts, recs = pts[mask], recs[mask]
+            pts, recs = np.vstack(self._points), np.vstack(self._records)
+            keep = _cell_frontier(pts)
+            pts, recs = pts[keep], recs[keep]
         order = np.lexsort(pts.T[::-1])
         return RateRegion(kind, pts[order], recs[order], np.atleast_2d(bound_rows))
 
@@ -374,8 +387,15 @@ class FrontierAccumulator:
 def contains(outer: RateRegion, p) -> bool:
     """Membership of a rate triple in a swept region: dominated by some
     frontier point, or inside some sweep point's halfspace system.  The
-    scan runs over outer.query_rows, the non-dominated bound rows."""
-    p = np.asarray(p, dtype=float)
+    scan runs over outer.query_rows, the non-dominated bound rows.  p must
+    be 3 finite numbers (ValidationError)."""
+    try:
+        p = np.asarray(p, dtype=float)
+        ok = p.shape == (3,) and np.isfinite(p).all()
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValidationError("a membership query must be 3 finite rates")
     if (p < -GEOM_TOL).any():
         return False
     if len(outer.points) and (outer.points >= p[None, :] - GEOM_TOL).all(axis=1).any():

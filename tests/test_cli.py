@@ -11,7 +11,7 @@ import yaml
 
 import secrecy_regions
 from secrecy_regions import ScenarioFile, ValidationError, dm, scenario
-from secrecy_regions.cli import main, run_figure, run_scenario
+from secrecy_regions.cli import _fmt, _fmt_column, main, run_figure, run_scenario
 from conftest import degraded_binary_channel, reveal_both_channel
 
 MINIMAL_GAUSSIAN = {
@@ -646,6 +646,13 @@ def _region_outputs(tmp_path, data):
     return (tmp_path / "r.csv").read_bytes() + (tmp_path / "r.json").read_bytes()
 
 
+def _fig2(tmp_path):
+    """fig2 at its default resolutions: a g_outer 51^3 sweep of seven chunks,
+    merged in FrontierAccumulator.finish."""
+    run_figure("fig2", tmp_path)
+    return (tmp_path / "fig2.csv").read_bytes() + (tmp_path / "fig2_summary.json").read_bytes()
+
+
 def _fig4(tmp_path):
     """fig4 at its default resolution: a cmac frontier of about 17k points."""
     run_figure("fig4", tmp_path)
@@ -679,6 +686,7 @@ def _dm_benchmark_shaped(bound):
 # sha256 of region outputs (CSV, then JSON summary) as the per-row staircase
 # and the row-by-row CSV writer produced them
 _REGION_GOLDEN = {
+    "fig2": "e1e0eb03b69d7b477c4cc3e80c7738de6963fcec412a47ae852636aea309f201",
     "fig4": "e88d2db6826e014bde425c30a61547bb7e4b24b99e13843d27071f85f58864f0",
     "gaussian_outer_30": "40463112d047fdb7f9aa7b2ad7b665ee9e2962117ab2038ca54f59c7160c654c",
     "cmac_101": "5f681f7ee238a5b14166c4210b7ee7b2c389b07c75f5eeea4637fd7ac4632fd2",
@@ -689,8 +697,35 @@ _REGION_GOLDEN = {
 
 @pytest.mark.parametrize(
     "name, build",
-    [("fig4", _fig4), ("gaussian_outer_30", _gaussian_outer_30), ("cmac_101", _cmac_101),
-     ("dm_inner", _dm_benchmark_shaped("inner")), ("dm_outer", _dm_benchmark_shaped("outer"))],
+    [("fig2", _fig2), ("fig4", _fig4), ("gaussian_outer_30", _gaussian_outer_30),
+     ("cmac_101", _cmac_101), ("dm_inner", _dm_benchmark_shaped("inner")),
+     ("dm_outer", _dm_benchmark_shaped("outer"))],
 )
 def test_region_outputs_match_their_golden_digests(tmp_path, name, build):
     assert hashlib.sha256(build(tmp_path)).hexdigest() == _REGION_GOLDEN[name]
+
+
+def _bits(*words):
+    """float64 values with the given int64 bit patterns."""
+    return np.array(words, dtype=np.int64).view(np.float64)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [],
+        [0.0, -0.0, 0.0, -0.0, 0.0],
+        [np.nan] * 5,  # a dm region's parameter columns
+        # NaNs with three payloads, one negative
+        [*_bits(0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000), 0.0, -0.0],
+        [5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, np.inf, -np.inf],
+        # the 10th significant digit's rounding edge, and one ulp either side
+        [x for e in (0.12345678905, 1.0000000005, 0.99999999995, 9999999999.5, 2.5e-10)
+         for x in (np.nextafter(e, 0.0), e, np.nextafter(e, 2 * e))],
+        np.tile(np.linspace(0.0, 1.0, 101), 7),  # a beta column: few values, each repeated
+        np.repeat([0.1, -0.0, 0.1 + 2**-56, np.nan, 0.1], 3),
+    ],
+)
+def test_fmt_column_formats_every_cell_as_fmt_does(column):
+    values = np.array(column, dtype=float)
+    assert _fmt_column(values) == [_fmt(x) for x in values.tolist()]

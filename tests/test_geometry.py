@@ -313,18 +313,81 @@ def test_staircase_matches_bruteforce(seed, n, levels, shape, duplicates):
     assert np.array_equal(_staircase(p), _brute_staircase(p))
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 2000))
-@settings(max_examples=40, deadline=None)
-def test_dedupe_picks_the_rows_np_unique_picks(seed, n):
-    rng = np.random.default_rng(seed)
-    # values that round to -0.0 and +0.0, and neighbours one grid step apart
-    values = np.array([-0.0, 0.0, -1e-12, 1e-12, 0.5, 0.5 + GEOM_TOL, 0.5 - GEOM_TOL, 1.0])
-    pts = rng.choice(values, size=(n, 3))
-    recs = np.arange(n, dtype=float)[:, None]
+def _two_sort_prune(pts, recs):
+    """A chunk pruned as two sorts did it: the first row of each GEOM_TOL
+    cell (np.unique), back in input order, then the Pareto rows of those."""
     _, first = np.unique(np.round(pts / GEOM_TOL) * GEOM_TOL, axis=0, return_index=True)
-    kept, kept_recs = FrontierAccumulator._dedupe(pts, recs)
-    assert np.array_equal(kept_recs[:, 0], np.sort(first))
-    assert np.array_equal(kept, pts[np.sort(first)])
+    first = np.sort(first)
+    pts, recs = pts[first], recs[first]
+    keep = _staircase_only_mask(pts)
+    return pts[keep], recs[keep]
+
+
+def _two_sort_frontier(pts, recs, chunk):
+    """FrontierAccumulator's points and records by _two_sort_prune: each
+    chunk, then the chunks' survivors together, then a (r0, r1, r2) sort."""
+    starts = range(0, len(pts), chunk)
+    kept = [_two_sort_prune(pts[i : i + chunk], recs[i : i + chunk]) for i in starts]
+    if len(kept) > 1:
+        kept = [_two_sort_prune(np.vstack([p for p, _ in kept]), np.vstack([r for _, r in kept]))]
+    p, r = kept[0]
+    order = np.lexsort(p.T[::-1])
+    return p[order], r[order]
+
+
+# values that round to -0.0 and +0.0, neighbours one GEOM_TOL apart, and
+# two values in one cell
+_TIED = np.array(
+    [-0.0, 0.0, -1e-12, 1e-12, -4e-10, 0.5, 0.5 + GEOM_TOL, 0.5 - GEOM_TOL, 0.5 + 4e-10, 1.0]
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 600),
+    jitter=st.booleans(),
+    r2_zero=st.sampled_from(["none", "some", "all"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_accumulator_matches_the_two_sort_prune(seed, n, jitter, r2_zero):
+    # with r2_zero rows look like g_outer's vertices, many on the r2 = 0 face
+    rng = np.random.default_rng(seed)
+    pts = rng.choice(_TIED, size=(n, 3))
+    if jitter:
+        pts = pts + rng.choice([0.0, 1e-12, -1e-12], size=pts.shape)
+    if r2_zero != "none":
+        pts[rng.random(n) < (0.5 if r2_zero == "some" else 1.0), 2] = 0.0
+    recs = np.arange(n, dtype=float)[:, None]
+    for chunk in (1, 97, n):
+        acc = FrontierAccumulator()
+        for i in range(0, n, chunk):
+            acc.add(pts[i : i + chunk], recs[i : i + chunk])
+        region = acc.finish("g_outer", np.zeros((1, 3)))
+        points, records = _two_sort_frontier(pts, recs, chunk)
+        assert region.points.tobytes() == points.tobytes()
+        assert region.records.tobytes() == records.tobytes()
+
+
+def test_pareto_frontier_of_no_rows_keeps_the_column_count():
+    assert pareto_frontier(np.zeros((0, 2))).shape == (0, 2)
+    assert pareto_frontier(np.zeros((0, 3))).shape == (0, 3)
+    for cols in (0, 1, 4):
+        with pytest.raises(ValidationError, match="2 or 3 rate columns"):
+            pareto_frontier(np.zeros((0, cols)))
+    with pytest.raises(ValidationError, match="2 or 3 rate columns"):
+        pareto_frontier(np.ones((5, 4)))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [[0.1, 0.1], [0.1, 0.1, 0.1, 0.1], [[0.1, 0.1, 0.1]], 0.1, [np.nan, 0.1, 0.1],
+     [0.1, np.inf, 0.1], [0.1, 0.1, -np.inf], ["a", "b", "c"], [None, 0.1, 0.1]],
+)
+def test_contains_refuses_a_query_that_is_not_three_finite_numbers(query):
+    bounds = np.array([[0.5, 0.4, 0.3, 0.6, 1.0]])
+    region = RateRegion("dm_inner", np.zeros((0, 3)), np.zeros((0, 1)), bounds)
+    with pytest.raises(ValidationError, match="3 finite rates"):
+        contains(region, query)
 
 
 def test_project_drops_axis():
