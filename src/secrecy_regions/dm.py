@@ -12,6 +12,13 @@ Python work is done per chain.  No sum runs over the chain axis, and a
 chain's bounds come out the same bits however the chains are split into
 blocks; the tests compare the default block size with a small one.
 
+Every sum over a short axis (a channel input or a marginalized variable) is
+_fold: the axis's slices added left to right with whole-array adds, which is
+the order numpy's own sum takes below 8 entries, at a fraction of its cost.
+The alphabet caps (MAX_CHANNEL_ALPHABET, MAX_AUX_ALPHABET) keep every such
+axis below 8 entries, so the bits are those of ndarray.sum.  The entropy sum
+over a marginal's cells stays numpy's pairwise sum.
+
 The Fourier-Motzkin check derives the inner region a second way, from the
 binning scheme's raw system over (r0, r1, r2, r1p, r2p).  Its coefficients
 do not depend on the chain, so the bin rates are eliminated once per process
@@ -163,25 +170,54 @@ _SUBSETS = {
 }
 
 
+def _marginal_plan() -> tuple:
+    """(name, keep, source, axes) for each marginal in _SUBSETS order:
+    `source` is the smallest marginal built before it that contains it, and
+    `axes` are the table axes summed out of it, the last first."""
+    built = [(0, 1, 2, 3, 4)]
+    plan = []
+    for name, keep in _SUBSETS.items():
+        source = min((k for k in built if set(keep) <= set(k)), key=len)
+        axes = [1 + i for i in reversed(range(len(source))) if source[i] not in keep]
+        built.append(keep)
+        plan.append((name, keep, source, axes))
+    return tuple(plan)
+
+
+_MARGINAL_PLAN = _marginal_plan()
+
+
+def _fold(t: np.ndarray, axis: int) -> np.ndarray:
+    """t.sum(axis) as ((0.0 + t[..0..]) + t[..1..]) + ..., the slices taken
+    by basic indexing.  It starts from numpy's identity 0.0, so a sum of
+    -0.0 is 0.0, as numpy makes it."""
+    lead = (slice(None),) * axis
+    total = t[lead + (0,)] + 0.0
+    for k in range(1, t.shape[axis]):
+        total += t[lead + (k,)]
+    return total
+
+
 def _joint5(p_u, p_v1v2, p_x1, p_x2, transition) -> np.ndarray:
-    """p(u, v1, v2, y1, y2) per chain, with the channel inputs summed out.
-    Every table but the transition has a leading chain axis."""
-    p_y_v1x2 = (p_x1[:, :, :, None, None, None] * transition).sum(axis=2)
-    p_y_v = (p_x2[:, None, :, :, None, None] * p_y_v1x2[:, :, None]).sum(axis=3)
+    """p(u, v1, v2, y1, y2) per chain, with the channel inputs summed out by
+    _fold, x1 then x2.  Every table but the transition has a leading chain
+    axis."""
+    p_y_v1x2 = _fold(p_x1[:, :, :, None, None, None] * transition, 2)
+    p_y_v = _fold(p_x2[:, None, :, :, None, None] * p_y_v1x2[:, :, None], 3)
     return p_u[:, :, None, None, None, None] * p_v1v2[..., None, None] * p_y_v[:, None]
 
 
 def _entropies(joint: np.ndarray) -> dict:
     """Entropy in bits of every marginal in _SUBSETS, one value per chain.
     `joint` has axes (chain, u, v1, v2, y1, y2).  Each marginal is summed out
-    of the smallest one already built that contains it, one axis at a time."""
+    of its _MARGINAL_PLAN source one axis at a time, each by _fold.  The sum
+    over a marginal's cells (up to 108 of them) stays numpy's pairwise sum."""
     tables = {(0, 1, 2, 3, 4): joint}
     h = {}
-    for name, keep in _SUBSETS.items():
-        source = min((k for k in tables if set(keep) <= set(k)), key=len)
+    for name, keep, source, axes in _MARGINAL_PLAN:
         table = tables[source]
-        for pos in reversed([i for i, axis in enumerate(source) if axis not in keep]):
-            table = table.sum(axis=1 + pos)
+        for axis in axes:
+            table = _fold(table, axis)
         tables[keep] = table
         h[name] = -xlogy(table, table).reshape(len(table), -1).sum(axis=1) / _LN2
     return h
@@ -404,7 +440,11 @@ class GridSpec:
 
 
 def _block_cells(grid: GridSpec, ch: DiscreteChannel, sweep_class: str) -> list:
-    """The number of cells of each per-parameter distribution of a chain."""
+    """The number of cells of each per-parameter distribution of a chain.
+    The one check of `sweep_class`: chain_count, chain_at and sweep_region
+    all come through here."""
+    if sweep_class not in ("inner", "outer"):
+        raise ValidationError(f"sweep class must be inner or outer, got {sweep_class!r}")
     if sweep_class == "inner":
         v_cells = [grid.v1_size] * grid.u_size + [grid.v2_size] * grid.u_size
     else:
@@ -449,7 +489,9 @@ def _chain_tables(blocks, grid: GridSpec, sweep_class: str, index: np.ndarray):
 
 
 def chain_at(grid: GridSpec, ch: DiscreteChannel, sweep_class: str, index: int) -> AuxiliaryChain:
-    """Materialize grid chain `index` as an AuxiliaryChain."""
+    """Materialize grid chain `index`, an integer in 0..chain_count - 1, as
+    an AuxiliaryChain."""
+    check_integer(index, "chain index", 0, chain_count(grid, ch, sweep_class) - 1)
     blocks = _chain_blocks(grid, ch, sweep_class)
     tables = _chain_tables(blocks, grid, sweep_class, np.array([index]))
     p_u, p_v1v2, px1, px2 = (t[0] for t in tables)
@@ -502,10 +544,8 @@ def sweep_region(ch: DiscreteChannel, sweep_class: str, grid: GridSpec) -> RateR
     Pareto frontier with chain-index provenance.  Deterministic given the
     grid; the chains are evaluated in this process, a block at a time.
     """
-    if sweep_class not in ("inner", "outer"):
-        raise ValidationError(f"sweep class must be inner or outer, got {sweep_class!r}")
-    kind = "dm_inner" if sweep_class == "inner" else "dm_outer"
     total = chain_count(grid, ch, sweep_class)
+    kind = "dm_inner" if sweep_class == "inner" else "dm_outer"
     if total > grid.max_chains:
         raise CapExceededError(
             f"grid enumerates {total} chains, above the cap of {grid.max_chains}"

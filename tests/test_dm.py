@@ -8,6 +8,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from secrecy_regions import (
     AuxiliaryChain,
@@ -37,6 +38,7 @@ from secrecy_regions.geometry import (
     contains,
     fm_eliminate,
 )
+from secrecy_regions.info import _LN2, MAX_CHANNEL_ALPHABET
 from conftest import (
     degraded_binary_channel,
     identity_uniform_chain,
@@ -370,7 +372,102 @@ def test_sweep_rows_match_single_chain_bounds(degraded_channel, sweep_class):
     for i, row in enumerate(rows):
         aux = chain_at(grid, degraded_channel, sweep_class, i)
         expected = region_bounds(aux, degraded_channel, kind)
-        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
+        assert row.tobytes() == expected.tobytes(), i
+
+
+@pytest.mark.parametrize("index", [3**6 + 5, -1, 2.5, "3", 10**30])
+def test_chain_at_refuses_an_index_off_the_grid(degraded_channel, index):
+    grid = GridSpec(u_size=1, v1_size=2, v2_size=2, resolution=3)
+    assert chain_count(grid, degraded_channel, "inner") == 3**6
+    with pytest.raises(ValidationError, match="chain index"):
+        chain_at(grid, degraded_channel, "inner", index)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda grid, ch: chain_count(grid, ch, "middle"),
+        lambda grid, ch: chain_at(grid, ch, "middle", 0),
+        lambda grid, ch: sweep_region(ch, "middle", grid),
+    ],
+    ids=["chain_count", "chain_at", "sweep_region"],
+)
+def test_unknown_sweep_class_is_refused(degraded_channel, call):
+    with pytest.raises(ValidationError, match="sweep class"):
+        call(GridSpec(1, 2, 2, 3), degraded_channel)
+
+
+def _awkward_floats(rng, shape):
+    """Values whose sums are order-sensitive: both signs over 1e-300..1e300,
+    values near 1 next to ones near its last bit, exact zeros, -0.0 and
+    subnormals, mixed cell by cell."""
+    sign = rng.choice([-1.0, 1.0], shape)
+    pools = np.stack([
+        sign * 10.0 ** rng.uniform(-300, 300, shape),
+        sign * rng.uniform(0.5, 2.0, shape),
+        sign * rng.uniform(0.5, 2.0, shape) * 1e-16,
+        rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308], shape),
+    ])
+    return np.take_along_axis(pools, rng.integers(0, len(pools), (1, *shape)), 0)[0]
+
+
+def test_fold_is_numpys_sum_bit_for_bit():
+    """_fold is ndarray.sum on every axis of 2- to 6-D arrays whose axes have
+    1 to 4 entries, the lengths the caps allow."""
+    assert max(MAX_CHANNEL_ALPHABET, dm.MAX_AUX_ALPHABET) < 8, (
+        "an alphabet cap reaches 8 entries, where numpy sums a contiguous last "
+        "axis pairwise; dm._fold no longer matches ndarray.sum and must be revisited"
+    )
+    rng = np.random.default_rng(19)
+    for ndim in range(2, 7):
+        for _ in range(40):
+            shape = tuple(rng.integers(1, 5, ndim))
+            for t in (_awkward_floats(rng, shape), np.full(shape, -0.0)):
+                for axis in range(ndim):
+                    folded, summed = dm._fold(t, axis), t.sum(axis=axis)
+                    assert folded.shape == summed.shape
+                    assert folded.tobytes() == summed.tobytes(), (shape, axis)
+
+
+def _numpy_sum_joint5(p_u, p_v1v2, p_x1, p_x2, transition):
+    """The evaluator's _joint5 as it was with ndarray.sum, kept as an oracle."""
+    p_y_v1x2 = (p_x1[:, :, :, None, None, None] * transition).sum(axis=2)
+    p_y_v = (p_x2[:, None, :, :, None, None] * p_y_v1x2[:, :, None]).sum(axis=3)
+    return p_u[:, :, None, None, None, None] * p_v1v2[..., None, None] * p_y_v[:, None]
+
+
+def _numpy_sum_entropies(joint):
+    """The evaluator's _entropies as it was with ndarray.sum, kept as an oracle."""
+    tables = {(0, 1, 2, 3, 4): joint}
+    h = {}
+    for name, keep in dm._SUBSETS.items():
+        source = min((k for k in tables if set(keep) <= set(k)), key=len)
+        table = tables[source]
+        for pos in reversed([i for i, axis in enumerate(source) if axis not in keep]):
+            table = table.sum(axis=1 + pos)
+        tables[keep] = table
+        h[name] = -xlogy(table, table).reshape(len(table), -1).sum(axis=1) / _LN2
+    return h
+
+
+@pytest.mark.parametrize("sweep_class", ["inner", "outer"])
+@pytest.mark.parametrize(
+    "shape, grid",
+    [((2, 2, 4, 3), GridSpec(3, 3, 2, 2)), ((3, 2, 4, 4), GridSpec(2, 3, 3, 2))],
+    ids=["x1x2=2x2", "x1x2=3x2"],
+)
+def test_grid_bounds_match_the_numpy_sum_evaluator(monkeypatch, shape, grid, sweep_class):
+    """Sweep bounds are the bits of the ndarray.sum evaluator on grids with
+    3- and 4-term sums over u, v1, v2, x1 and y, where a reordered sum would
+    move them."""
+    rng = np.random.default_rng(41)
+    rows = rng.dirichlet(np.ones(shape[2] * shape[3]), size=shape[0] * shape[1])
+    ch = DiscreteChannel(rows.reshape(shape))
+    args = ch, grid, sweep_class, f"dm_{sweep_class}", chain_count(grid, ch, sweep_class)
+    folded = dm._grid_bounds(*args)
+    monkeypatch.setattr(dm, "_joint5", _numpy_sum_joint5)
+    monkeypatch.setattr(dm, "_entropies", _numpy_sum_entropies)
+    assert folded.tobytes() == dm._grid_bounds(*args).tobytes()
 
 
 def test_sweep_refinement_monotone(degraded_channel):
