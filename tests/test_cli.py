@@ -653,6 +653,13 @@ def _fig2(tmp_path):
     return (tmp_path / "fig2.csv").read_bytes() + (tmp_path / "fig2_summary.json").read_bytes()
 
 
+def _fig3(tmp_path):
+    """fig3 at its default resolution: the g_inner and cmac frontiers projected
+    onto the (r1, r2) plane, the one preset figure that project writes."""
+    run_figure("fig3", tmp_path)
+    return (tmp_path / "fig3.csv").read_bytes() + (tmp_path / "fig3_summary.json").read_bytes()
+
+
 def _fig4(tmp_path):
     """fig4 at its default resolution: a cmac frontier of about 17k points."""
     run_figure("fig4", tmp_path)
@@ -687,6 +694,7 @@ def _dm_benchmark_shaped(bound):
 # and the row-by-row CSV writer produced them
 _REGION_GOLDEN = {
     "fig2": "e1e0eb03b69d7b477c4cc3e80c7738de6963fcec412a47ae852636aea309f201",
+    "fig3": "216bf35c13dd10d26a61693804adaeb6e57ca60ebd130d57310ae4ea9856203a",
     "fig4": "e88d2db6826e014bde425c30a61547bb7e4b24b99e13843d27071f85f58864f0",
     "gaussian_outer_30": "40463112d047fdb7f9aa7b2ad7b665ee9e2962117ab2038ca54f59c7160c654c",
     "cmac_101": "5f681f7ee238a5b14166c4210b7ee7b2c389b07c75f5eeea4637fd7ac4632fd2",
@@ -697,9 +705,9 @@ _REGION_GOLDEN = {
 
 @pytest.mark.parametrize(
     "name, build",
-    [("fig2", _fig2), ("fig4", _fig4), ("gaussian_outer_30", _gaussian_outer_30),
-     ("cmac_101", _cmac_101), ("dm_inner", _dm_benchmark_shaped("inner")),
-     ("dm_outer", _dm_benchmark_shaped("outer"))],
+    [("fig2", _fig2), ("fig3", _fig3), ("fig4", _fig4),
+     ("gaussian_outer_30", _gaussian_outer_30), ("cmac_101", _cmac_101),
+     ("dm_inner", _dm_benchmark_shaped("inner")), ("dm_outer", _dm_benchmark_shaped("outer"))],
 )
 def test_region_outputs_match_their_golden_digests(tmp_path, name, build):
     assert hashlib.sha256(build(tmp_path)).hexdigest() == _REGION_GOLDEN[name]

@@ -277,6 +277,54 @@ def test_pareto_mask_matches_staircase(seed, n, levels, on_plane, jitter):
     assert np.array_equal(_pareto_mask(pts), _staircase_only_mask(pts))
 
 
+def _unique_path_frontier(pts):
+    """pareto_frontier as it was with three sorts: np.unique's rows, the
+    Pareto mask of those, then an ascending (r0, r1, r2) lexsort."""
+    pts = np.unique(pts, axis=0)
+    full = pts if pts.shape[1] == 3 else np.column_stack([pts, np.zeros(len(pts))])
+    frontier = pts[_staircase_only_mask(full)]
+    return frontier[np.lexsort(frontier.T[::-1])]
+
+
+def _distinct(rows) -> set:
+    """The rows as a set of numbers: -0.0 and 0.0 are one value."""
+    return {tuple(r) for r in rows.tolist()}
+
+
+# -0.0 beside 0.0, one-ulp neighbours, and few levels, so rows repeat
+_TIE_LEVELS = np.array(
+    [-0.0, 0.0, 5e-324, 0.25, np.nextafter(0.25, 1.0), np.nextafter(0.5, 0.0), 0.5, 0.75, 1.0]
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 511, 512, 1500]) | st.integers(1, 1200),
+    cols=st.sampled_from([2, 3]),
+    trade_off=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_pareto_frontier_matches_the_unique_path(seed, n, cols, trade_off):
+    # with trade_off the last column falls as the others rise, so many rows
+    # survive and the filter rounds run at n >= 512
+    rng = np.random.default_rng(seed)
+    top = len(_TIE_LEVELS) - 1
+    idx = rng.integers(0, top + 1, size=(n, cols))
+    if trade_off:
+        idx[:, -1] = np.clip(top * (cols - 1) - idx[:, :-1].sum(axis=1) - rng.integers(0, 2, n),
+                             0, top)
+    pts = _TIE_LEVELS[idx]
+    new, old = pareto_frontier(pts), _unique_path_frontier(pts)
+    assert np.array_equal(new, old)
+    if len(_distinct(pts)) == len({r.tobytes() for r in pts}):  # no ±0.0 among equal rows
+        assert new.tobytes() == old.tobytes()
+    if cols == 3:
+        region = RateRegion("g_outer", np.zeros((0, 3)), np.zeros((0, 3)), pts)
+        kept = region.query_rows
+        assert len(_distinct(kept)) == len(kept)
+        assert _distinct(kept) == _distinct(pts[_staircase_only_mask(pts)])
+
+
 def _brute_staircase(p):
     """O(n^2): rows of pre-sorted p that no earlier row has r1 >= and r2 >=."""
     earlier = np.tri(len(p), k=-1, dtype=bool).T  # [a, b]: a < b
