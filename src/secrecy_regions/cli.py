@@ -27,14 +27,9 @@ SIM_COLUMNS = ("n", "trials", "pe1", "pe2", "equivocation_bits_per_use", "secrec
 MAX_FM_CHAINS = 100_000
 
 
-def _fmt(x) -> str:
-    """One cell as text: a string as it is, a number with 10 significant
-    digits, empty for None or NaN."""
-    if isinstance(x, str):
-        return x
-    if x is None or x != x:
-        return ""
-    return "%.10g" % x
+def _fmt(x: float) -> str:
+    """One number as text: 10 significant digits, empty for NaN."""
+    return "" if x != x else "%.10g" % x
 
 
 def _fmt_column(values: np.ndarray) -> list:
@@ -50,10 +45,17 @@ def _round10(x: float) -> float:
     return float("%.10g" % x)
 
 
-def _write_csv(path, header, rows) -> None:
-    """rows are sequences of cells, or lines already joined (_region_rows)."""
+def _write_csv(path, header, blocks) -> None:
+    """Write the header and each block's lines; the only code that formats
+    CSV cells.  A block is (kind, columns): columns holds one numeric array
+    per CSV column, equal in length, each formatted by _fmt_column, and
+    kind, unless None, is the first cell of each line."""
     lines = [",".join(header)]
-    lines += [row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in rows]
+    for kind, columns in blocks:
+        cells = [_fmt_column(c) for c in columns]
+        if kind is not None:
+            cells.insert(0, [kind] * len(cells[0]))
+        lines += map(",".join, zip(*cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -61,22 +63,21 @@ def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _region_rows(region: RateRegion) -> list:
-    """CSV lines for a swept frontier; beta/rho cells are empty when the sweep
-    has no such parameter (discrete-memoryless regions carry a chain index
-    instead, which the CSV omits).  Each column is formatted once per
-    distinct value (_fmt_column; a beta column has at most resolution of
-    them), and each line is joined once."""
-    n = len(region.points)
+def _region_rows(region: RateRegion) -> tuple:
+    """The CSV block of a swept frontier; beta/rho cells are empty when the
+    sweep has no such parameter (discrete-memoryless regions carry a chain
+    index instead, which the CSV omits)."""
     gaussian = region.kind in ("g_inner", "g_outer", "cmac")
-    params = region.records if gaussian else np.full((n, 3), np.nan)
-    cells = [_fmt_column(c) for c in np.vstack([region.points.T, params.T])]
-    return [",".join(line) for line in zip([region.kind] * n, *cells)]
+    params = region.records if gaussian else np.full((len(region.points), 3), np.nan)
+    return region.kind, np.vstack([region.points.T, params.T])
 
 
-def _projected_rows(kind: str, points2d):
-    """Rows of a frontier projected onto the (r1, r2) plane; r0 left empty."""
-    return [(kind, None, p[0], p[1], None, None, None) for p in points2d]
+def _projected_rows(kind: str, points2d) -> tuple:
+    """The CSV block of a frontier projected onto the (r1, r2) plane; r0 and
+    the parameters left empty."""
+    columns = np.full((6, len(points2d)), np.nan)
+    columns[1:3] = points2d.T
+    return kind, columns
 
 
 def _region_summary(region: RateRegion) -> dict:
@@ -95,7 +96,7 @@ def _region_summary(region: RateRegion) -> dict:
 def _write_region(sf: ScenarioFile, region: RateRegion) -> list:
     """The scenario's region CSV and, when asked for, its JSON summary."""
     written = [sf.data["output"]]
-    _write_csv(written[0], REGION_COLUMNS, _region_rows(region))
+    _write_csv(written[0], REGION_COLUMNS, [_region_rows(region)])
     if "summary" in sf.data:
         _write_json(sf.data["summary"], {region.kind: _region_summary(region)})
         written.append(sf.data["summary"])
@@ -125,7 +126,7 @@ def _run_simulate(sf: ScenarioFile) -> list:
     for cfg in configs:
         s = run_simulation(cfg, trials)
         rows.append((s.n, s.trials, s.pe1, s.pe2, s.equivocation_bits_per_use, s.secrecy_gap))
-    _write_csv(sf.data["output"], SIM_COLUMNS, rows)
+    _write_csv(sf.data["output"], SIM_COLUMNS, [(None, np.array(rows, float).T)])
     return [sf.data["output"]]
 
 
@@ -190,17 +191,16 @@ def run_figure(which: str, out_dir, resolution: int = 101, outer_resolution: int
     if which == "fig2":
         inner = sweep_gaussian(s, "g_inner", resolution)
         outer = sweep_gaussian(s, "g_outer", outer_resolution)
-        _write_csv(csv_path, REGION_COLUMNS, _region_rows(inner) + _region_rows(outer))
+        _write_csv(csv_path, REGION_COLUMNS, [_region_rows(inner), _region_rows(outer)])
         summary = {"g_inner": _region_summary(inner), "g_outer": _region_summary(outer)}
     else:
         inner = sweep_gaussian(s, "g_inner", resolution)
         cmac = sweep_gaussian(s, "cmac", resolution)
         if which == "fig3":
-            rows = _projected_rows("g_inner", project(inner.points, "r0"))
-            rows += _projected_rows("cmac", project(cmac.points, "r0"))
+            blocks = [_projected_rows(r.kind, project(r.points, "r0")) for r in (inner, cmac)]
         else:
-            rows = _region_rows(inner) + _region_rows(cmac)
-        _write_csv(csv_path, REGION_COLUMNS, rows)
+            blocks = [_region_rows(inner), _region_rows(cmac)]
+        _write_csv(csv_path, REGION_COLUMNS, blocks)
         inner_sum, cmac_sum = inner.max_sum_rate(), cmac.max_sum_rate()
         summary = {
             "g_inner": _region_summary(inner),

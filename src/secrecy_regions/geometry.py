@@ -95,14 +95,13 @@ class RateRegion:
         Every row shares the left-hand side A[:nb] @ p, so a row r that
         another row s weakly dominates (r <= s component-wise) never decides
         a query: lhs <= r + tol implies lhs <= s + tol for any tol.  With
-        three bound columns (g_outer, resolution**3 rows) those rows are
-        dropped, the first of equal rows kept.  With four or five the exact
-        skyline costs more than the scans it saves, so all rows stay.
+        three bound columns (g_outer, resolution**3 rows) the distinct
+        non-dominated rows stay, sorted (pareto_frontier; contains takes any
+        row).  With four or five the exact skyline costs more than the scans
+        it saves, so all rows stay.
         """
         rows = np.atleast_2d(self.bound_rows)
-        if rows.shape[1] != 3:
-            return rows
-        return rows[_pareto_mask(rows)]
+        return pareto_frontier(rows) if rows.shape[1] == 3 else rows
 
     def max_sum_rate(self) -> float:
         """Largest r1 + r2 on the frontier (0 for an empty region)."""
@@ -275,24 +274,20 @@ def _threshold_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return dominated
 
 
-def _pareto_mask(pts: np.ndarray, order=None) -> np.ndarray:
+def _pareto_mask(pts: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Mask of rows not component-wise dominated by any other distinct row;
-    of equal rows the first is kept.
+    of equal rows the first in order is kept.
 
-    Sort-filter skyline (Chomicki et al. 2003, "Skyline with presorting"):
-    after one (-r0, -r1, -r2) sort every dominator of a row comes before
-    it, and vectorized threshold rounds drop rows that are certainly
-    dominated.  Dominance is transitive, so the block staircase run on the
-    rows left, still in sorted order, gives the same mask as on all of them.
-    Both steps work on whole arrays or blocks; no step loops over rows.
-
-    order, when given, replaces that sort: row indices with r0
-    non-increasing and every weak dominator of a row before it, which is
-    all the filter and the staircase use.  Rows not in order are not kept.
+    Sort-filter skyline (Chomicki et al. 2003, "Skyline with presorting").
+    order is the caller's presort: row indices with r0 non-increasing and
+    every weak dominator of a row before it, as a (-r0, -r1, -r2) lexsort
+    gives.  The filter and the staircase only scan it, and rows not in it
+    are not kept.  Vectorized threshold rounds drop rows that are certainly
+    dominated; dominance is transitive, so the block staircase run on the
+    rows left, still in order, gives the same mask as on all of them.  Both
+    steps work on whole arrays or blocks; no step loops over rows.
     """
     keep = np.zeros(len(pts), dtype=bool)
-    if order is None:
-        order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
     left = np.arange(len(order))  # positions in sorted order
     while len(left) >= _FILTER_MIN_ROWS:
         p = pts[order[left]]
@@ -306,16 +301,16 @@ def _pareto_mask(pts: np.ndarray, order=None) -> np.ndarray:
 
 
 def pareto_frontier(points) -> np.ndarray:
-    """Component-wise non-dominated subset of an (N, 2) or (N, 3) array, in
-    stable (r0, r1, r2) order; (0, k) for k columns and no rows."""
+    """The distinct non-dominated rows of an (N, 2) or (N, 3) array, of equal
+    rows the first in input order, ascending in (r0, r1, r2); (0, k) for k
+    columns and no rows.  One sort: a stable descending lexsort is
+    _pareto_mask's presort, and the rows it keeps, reversed, are ascending."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] not in (2, 3):
         raise ValidationError("pareto_frontier expects 2 or 3 rate columns")
-    pts = np.unique(pts, axis=0)
     full = pts if pts.shape[1] == 3 else np.column_stack([pts, np.zeros(len(pts))])
-    frontier = pts[_pareto_mask(full)]
-    order = np.lexsort(frontier.T[::-1])
-    return frontier[order]
+    order = np.lexsort(-full.T[::-1])
+    return pts[order[_pareto_mask(full, order)[order]][::-1]]
 
 
 def _cell_frontier(pts: np.ndarray) -> np.ndarray:

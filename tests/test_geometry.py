@@ -274,7 +274,8 @@ def test_pareto_mask_matches_staircase(seed, n, levels, on_plane, jitter):
     pts = pts * 1e-3
     if jitter:
         pts = pts + rng.choice([0.0, 1e-12], size=pts.shape)
-    assert np.array_equal(_pareto_mask(pts), _staircase_only_mask(pts))
+    order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
+    assert np.array_equal(_pareto_mask(pts, order), _staircase_only_mask(pts))
 
 
 def _unique_path_frontier(pts):
