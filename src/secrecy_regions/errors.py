@@ -3,6 +3,8 @@
 import math
 from numbers import Integral, Real
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Input failed a structural or numerical validity check."""
@@ -21,6 +23,19 @@ def is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # math.isfinite converts an int to float first
         return False
+
+
+def finite_array(values):
+    """values as a float64 array when every entry is a finite int or float
+    (no bool, text or None) and the nesting is regular; else None."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):
+        return None
+    if arr.dtype.kind not in "iuf":
+        return None
+    arr = arr.astype(float, copy=False)
+    return arr if np.isfinite(arr).all() else None
 
 
 def is_integer(value) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError, check_integer, is_finite_real
+from .errors import CapExceededError, ValidationError, check_integer, finite_array, is_finite_real
 from .geometry import CONSTRAINT_PATTERNS, FrontierAccumulator, RateRegion, batch_vertices
 
 # Coefficient on the rho*sqrt(P1*P2) term in the numerator of the outer R0
@@ -106,6 +106,14 @@ def _cmac_bound_arrays(s: GaussianScenario, beta1, beta2):
     return both(priv1), both(priv2), both(priv1 + priv2), both(total)
 
 
+def _unit_interval(values, name: str) -> np.ndarray:
+    """values as floats; ValidationError unless each is a finite number in [0, 1]."""
+    x = finite_array(values)
+    if x is None or (x < 0).any() or (x > 1).any():
+        raise ValidationError(f"{name} must be finite numbers in [0, 1]")
+    return x
+
+
 def gaussian_bounds(
     s: GaussianScenario,
     kind: str,
@@ -116,15 +124,19 @@ def gaussian_bounds(
 ) -> np.ndarray:
     """The right-hand sides of CONSTRAINT_PATTERNS[kind] (g_inner, g_outer or
     cmac), one row per parameter point: beta1, beta2 and, for g_outer only,
-    rho are scalars or equal-length arrays."""
+    rho are numbers in [0, 1], scalars or equal-length arrays
+    (ValidationError otherwise, and for a rho missing or not wanted)."""
+    if kind not in ("g_inner", "g_outer", "cmac"):
+        raise ValidationError(f"unknown Gaussian bound kind {kind!r}")
+    if (rho is None) == (kind == "g_outer"):
+        raise ValidationError(f"{kind} {'needs' if rho is None else 'takes no'} rho")
+    beta1, beta2 = _unit_interval(beta1, "beta1"), _unit_interval(beta2, "beta2")
     if kind == "g_outer":
-        columns = _outer_bound_arrays(s, beta1, beta2, rho, r0_rho_coeff)
+        columns = _outer_bound_arrays(s, beta1, beta2, _unit_interval(rho, "rho"), r0_rho_coeff)
     elif kind == "g_inner":
         columns = _inner_bound_arrays(s, beta1, beta2)
-    elif kind == "cmac":
-        columns = _cmac_bound_arrays(s, beta1, beta2)
     else:
-        raise ValidationError(f"unknown Gaussian bound kind {kind!r}")
+        columns = _cmac_bound_arrays(s, beta1, beta2)
     return np.column_stack(columns)
 
 

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ValidationError, is_integer
+from .errors import ValidationError, finite_array, is_integer
 
 GEOM_TOL = 1e-9
 
@@ -303,10 +303,14 @@ def _pareto_mask(pts: np.ndarray, order: np.ndarray) -> np.ndarray:
 def pareto_frontier(points) -> np.ndarray:
     """The distinct non-dominated rows of an (N, 2) or (N, 3) array, of equal
     rows the first in input order, ascending in (r0, r1, r2); (0, k) for k
-    columns and no rows.  One sort: a stable descending lexsort is
-    _pareto_mask's presort, and the rows it keeps, reversed, are ascending."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] not in (2, 3):
+    columns and no rows; ValidationError unless every entry is a finite
+    number.  One sort: a stable descending lexsort is _pareto_mask's
+    presort, and the rows it keeps, reversed, are ascending."""
+    pts = finite_array(points)
+    if pts is None:
+        raise ValidationError("pareto_frontier expects finite rates")
+    pts = np.atleast_2d(pts)
+    if pts.ndim != 2 or pts.shape[1] not in (2, 3):
         raise ValidationError("pareto_frontier expects 2 or 3 rate columns")
     full = pts if pts.shape[1] == 3 else np.column_stack([pts, np.zeros(len(pts))])
     order = np.lexsort(-full.T[::-1])
@@ -384,12 +388,8 @@ def contains(outer: RateRegion, p) -> bool:
     frontier point, or inside some sweep point's halfspace system.  The
     scan runs over outer.query_rows, the non-dominated bound rows.  p must
     be 3 finite numbers (ValidationError)."""
-    try:
-        p = np.asarray(p, dtype=float)
-        ok = p.shape == (3,) and np.isfinite(p).all()
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
+    p = finite_array(p)
+    if p is None or p.shape != (3,):
         raise ValidationError("a membership query must be 3 finite rates")
     if (p < -GEOM_TOL).any():
         return False
@@ -401,11 +401,12 @@ def contains(outer: RateRegion, p) -> bool:
 
 
 def project(points, axis: str) -> np.ndarray:
-    """Drop the named rate coordinate and return the 2-D Pareto frontier."""
+    """Drop the named rate coordinate of an (N, 3) array of finite rates
+    (ValidationError otherwise) and return the 2-D Pareto frontier."""
     if axis not in RATE_VARS:
         raise ValidationError(f"axis must be one of {RATE_VARS}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        return np.zeros((0, 2))
+    pts = finite_array(points)
+    if pts is None or pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValidationError("project expects an (N, 3) array of finite rates")
     keep = [i for i, v in enumerate(RATE_VARS) if v != axis]
     return pareto_frontier(pts[:, keep])

@@ -93,6 +93,31 @@ def test_equal_noise_kills_secrecy_sum():
     assert region.points[:, 2].max() <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "kind, beta1, beta2, rho, match",
+    [
+        ("g_outer", 0.5, 0.5, None, "g_outer needs rho"),
+        ("g_inner", 0.5, 0.5, 0.5, "g_inner takes no rho"),
+        ("cmac", 0.5, 0.5, 0.0, "cmac takes no rho"),
+        ("g_inner", 2, 0.5, None, "beta1"),
+        ("g_inner", 0.5, -0.1, None, "beta2"),
+        ("g_inner", np.nan, 0.5, None, "beta1"),
+        ("cmac", 0.5, np.inf, None, "beta2"),
+        ("cmac", "a", 0.5, None, "beta1"),
+        ("cmac", "0.5", 0.5, None, "beta1"),
+        ("g_inner", True, 0.5, None, "beta1"),
+        ("g_inner", [0.5, None], [0.5, 0.5], None, "beta1"),
+        ("g_outer", [0.0, 1.0 + 1e-12], [0.5, 0.5], [0.5, 0.5], "beta1"),
+        ("g_outer", 0.5, 0.5, 1.5, "rho"),
+        ("g_outer", 0.5, 0.5, np.nan, "rho"),
+        ("g_outer", 0.5, 0.5, "x", "rho"),
+    ],
+)
+def test_gaussian_bounds_refuses_bad_parameters(kind, beta1, beta2, rho, match):
+    with pytest.raises(ValidationError, match=match):
+        gaussian_bounds(FIG_SCENARIO_3, kind, beta1, beta2, rho)
+
+
 def test_sweep_rejects_unknown_kind():
     with pytest.raises(ValidationError):
         sweep_gaussian(FIG_SCENARIO_3, "nope", 11)

@@ -439,6 +439,32 @@ def test_contains_refuses_a_query_that_is_not_three_finite_numbers(query):
         contains(region, query)
 
 
+@pytest.mark.parametrize(
+    "call, points",
+    [
+        *(("project", p) for p in [
+            np.ones((3, 2)), np.ones((3, 4)), np.ones(3), np.ones((2, 3, 3)), "0.1",
+            [["a", "b", "c"]], [[0.1, 0.2], [0.1, 0.2, 0.3]], [[True, False, True]],
+            [[None, 0.1, 0.1]], [[np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]], [[0.1, np.inf, 0.1]],
+        ]),
+        ("pareto_frontier", [[np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+        ("pareto_frontier", [[1.0, -np.inf]]),
+        ("pareto_frontier", [["a", "b"]]),
+        ("pareto_frontier", np.ones((2, 3, 3))),
+    ],
+)
+def test_project_and_pareto_frontier_take_only_finite_rates(call, points):
+    # a NaN row used to vanish from the frontier, and project raised
+    # IndexError or a raw ValueError
+    with pytest.raises(ValidationError, match="finite rates|rate columns"):
+        if call == "project":
+            project(points, "r0")
+        else:
+            pareto_frontier(points)
+    for axis in ("r0", "r1", "r2"):
+        assert project(np.zeros((0, 3)), axis).shape == (0, 2)
+
+
 def test_project_drops_axis():
     pts = np.array([[0.5, 1.0, 0.2], [0.1, 0.4, 0.9], [0.5, 1.0, 0.1]])
     f = project(pts, "r0")

@@ -31,12 +31,11 @@ def test_all_is_the_pinned_public_surface():
         getattr(secrecy_regions, name)
 
 
-def test_vertex_enumeration_lives_only_in_batch_vertices():
-    """np.linalg and itertools.combinations, the tools of vertex enumeration,
-    appear in src/ only inside geometry.batch_vertices, apart from the import
-    that brings combinations in: a second enumerator cannot grow back
-    unnoticed.  An import counts as a use of every name in its dotted path."""
-    tools = {"linalg", "combinations"}
+def _named_in_src(tools) -> set:
+    """(file, top-level statement, name) for each of the names in tools that
+    src/ loads, reads as an attribute or imports.  An import counts as a use
+    of every name in its dotted path; a statement without a name is given
+    by its type."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -48,10 +47,28 @@ def test_vertex_enumeration_lives_only_in_batch_vertices():
                 else:
                     names = {getattr(node, "id", None), getattr(node, "attr", None)}
                 found |= {(path.name, where, name) for name in names & tools}
-    assert found == {
+    return found
+
+
+def test_vertex_enumeration_lives_only_in_batch_vertices():
+    """np.linalg and itertools.combinations, the tools of vertex enumeration,
+    appear in src/ only inside geometry.batch_vertices, apart from the import
+    that brings combinations in: a second enumerator cannot grow back
+    unnoticed."""
+    assert _named_in_src({"linalg", "combinations"}) == {
         ("geometry.py", "ImportFrom", "combinations"),
         ("geometry.py", "batch_vertices", "combinations"),
         ("geometry.py", "batch_vertices", "linalg"),
+    }
+
+
+def test_csv_cells_are_formatted_only_in_write_csv():
+    """cli._fmt_column is named in src/ only inside cli._write_csv, and
+    cli._fmt only inside _fmt_column: a second path that formats CSV cells
+    cannot grow back unnoticed."""
+    assert _named_in_src({"_fmt", "_fmt_column"}) == {
+        ("cli.py", "_write_csv", "_fmt_column"),
+        ("cli.py", "_fmt_column", "_fmt"),
     }
 
 
