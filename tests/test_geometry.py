@@ -430,7 +430,8 @@ def test_pareto_frontier_of_no_rows_keeps_the_column_count():
 @pytest.mark.parametrize(
     "query",
     [[0.1, 0.1], [0.1, 0.1, 0.1, 0.1], [[0.1, 0.1, 0.1]], 0.1, [np.nan, 0.1, 0.1],
-     [0.1, np.inf, 0.1], [0.1, 0.1, -np.inf], ["a", "b", "c"], [None, 0.1, 0.1]],
+     [0.1, np.inf, 0.1], [0.1, 0.1, -np.inf], ["a", "b", "c"], [None, 0.1, 0.1],
+     ["0.1", "0.1", "0.1"], [True, False, False], [10**400, 0, 0]],
 )
 def test_contains_refuses_a_query_that_is_not_three_finite_numbers(query):
     bounds = np.array([[0.5, 0.4, 0.3, 0.6, 1.0]])
@@ -454,8 +455,6 @@ def test_contains_refuses_a_query_that_is_not_three_finite_numbers(query):
     ],
 )
 def test_project_and_pareto_frontier_take_only_finite_rates(call, points):
-    # a NaN row used to vanish from the frontier, and project raised
-    # IndexError or a raw ValueError
     with pytest.raises(ValidationError, match="finite rates|rate columns"):
         if call == "project":
             project(points, "r0")
