@@ -25,17 +25,21 @@ def is_finite_real(value) -> bool:
         return False
 
 
-def finite_array(values):
-    """values as a float64 array when every entry is a finite int or float
-    (no bool, text or None) and the nesting is regular; else None."""
+def real_array(values):
+    """values as a float64 array when every entry is an int or float (no
+    bool, text, None or int beyond the float range) and the nesting is
+    regular; else None.  NaN and inf pass."""
     try:
         arr = np.asarray(values)
     except (TypeError, ValueError):
         return None
-    if arr.dtype.kind not in "iuf":
-        return None
-    arr = arr.astype(float, copy=False)
-    return arr if np.isfinite(arr).all() else None
+    return arr.astype(float, copy=False) if arr.dtype.kind in "iuf" else None
+
+
+def finite_array(values):
+    """real_array(values) when every entry is finite; else None."""
+    arr = real_array(values)
+    return arr if arr is not None and np.isfinite(arr).all() else None
 
 
 def is_integer(value) -> bool:

@@ -14,7 +14,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError, check_integer, finite_array, is_finite_real
+from .errors import (
+    CapExceededError,
+    ValidationError,
+    check_integer,
+    finite_array,
+    is_finite_real,
+    real_array,
+)
 from .geometry import CONSTRAINT_PATTERNS, FrontierAccumulator, RateRegion, batch_vertices
 
 # Coefficient on the rho*sqrt(P1*P2) term in the numerator of the outer R0
@@ -48,8 +55,12 @@ class GaussianScenario:
 
 
 def capacity_fn(x):
-    """Gaussian capacity function 0.5 * log2(1 + x), x = SNR >= 0."""
-    x = np.asarray(x, dtype=float)
+    """Gaussian capacity function 0.5 * log2(1 + x), x = SNR >= 0: a number
+    or an array of them (ValidationError otherwise); inf and NaN pass
+    through, so a sweep can refuse its overflowing bounds as a whole."""
+    x = real_array(x)
+    if x is None:
+        raise ValidationError("capacity_fn expects real numbers")
     if np.any(x < 0):
         raise ValidationError("capacity_fn requires a non-negative argument")
     out = 0.5 * np.log2(1.0 + x)
@@ -124,19 +135,22 @@ def gaussian_bounds(
 ) -> np.ndarray:
     """The right-hand sides of CONSTRAINT_PATTERNS[kind] (g_inner, g_outer or
     cmac), one row per parameter point: beta1, beta2 and, for g_outer only,
-    rho are numbers in [0, 1], scalars or equal-length arrays
+    rho are numbers in [0, 1], scalars or equal-length 1-D arrays
     (ValidationError otherwise, and for a rho missing or not wanted)."""
     if kind not in ("g_inner", "g_outer", "cmac"):
         raise ValidationError(f"unknown Gaussian bound kind {kind!r}")
     if (rho is None) == (kind == "g_outer"):
         raise ValidationError(f"{kind} {'needs' if rho is None else 'takes no'} rho")
-    beta1, beta2 = _unit_interval(beta1, "beta1"), _unit_interval(beta2, "beta2")
+    names = ("beta1", "beta2", "rho") if kind == "g_outer" else ("beta1", "beta2")
+    params = [_unit_interval(v, name) for v, name in zip((beta1, beta2, rho), names)]
+    if any(x.ndim > 1 for x in params) or len({x.size for x in params if x.ndim}) > 1:
+        raise ValidationError(f"{', '.join(names)} must be scalars or equal-length 1-D arrays")
     if kind == "g_outer":
-        columns = _outer_bound_arrays(s, beta1, beta2, _unit_interval(rho, "rho"), r0_rho_coeff)
+        columns = _outer_bound_arrays(s, *params, r0_rho_coeff)
     elif kind == "g_inner":
-        columns = _inner_bound_arrays(s, beta1, beta2)
+        columns = _inner_bound_arrays(s, *params)
     else:
-        columns = _cmac_bound_arrays(s, beta1, beta2)
+        columns = _cmac_bound_arrays(s, *params)
     return np.column_stack(columns)
 
 

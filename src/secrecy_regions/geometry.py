@@ -2,6 +2,10 @@
 maximal-vertex enumeration for 3-D rate polytopes, Pareto frontiers,
 projection, and region membership.
 
+Every Pareto frontier (of a sweep, of a projection, and of the bound rows
+that membership queries scan) comes from one exact skyline, _staircase: a
+block maxima sweep over rows presorted by (-r0, -r1, -r2).
+
 All geometric comparisons use the absolute tolerance GEOM_TOL = 1e-9;
 inputs are closed-form values with ~1e-15 native error, so this leaves
 several orders of margin.
@@ -75,8 +79,10 @@ class RateRegion:
     points:     (F, 3) Pareto-maximal frontier, sorted by (r0, r1, r2)
     records:    (F, k) provenance row per frontier point (chain index, or
                 sweep parameters beta1/beta2[/rho])
-    bound_rows: (M, nb) right-hand sides of the defining inequalities, one
-                row per sweep point, matching CONSTRAINT_PATTERNS[kind]
+    bound_rows: (M, nb) finite right-hand sides of the defining
+                inequalities, one row per sweep point, nb the rows of
+                CONSTRAINT_PATTERNS[kind] before its three r >= 0 rows
+                (ValidationError otherwise)
     """
 
     kind: str
@@ -87,6 +93,11 @@ class RateRegion:
     def __post_init__(self):
         if self.kind not in CONSTRAINT_PATTERNS:
             raise ValidationError(f"unknown bound kind {self.kind!r}")
+        rows = finite_array(self.bound_rows)
+        nb = len(CONSTRAINT_PATTERNS[self.kind]) - 3
+        if rows is None or rows.ndim != 2 or rows.shape[1] != nb:
+            raise ValidationError(f"{self.kind} bound_rows must be (M, {nb}) finite numbers")
+        object.__setattr__(self, "bound_rows", rows)
 
     @cached_property
     def query_rows(self) -> np.ndarray:
@@ -100,7 +111,7 @@ class RateRegion:
         row).  With four or five the exact skyline costs more than the scans
         it saves, so all rows stay.
         """
-        rows = np.atleast_2d(self.bound_rows)
+        rows = self.bound_rows
         return pareto_frontier(rows) if rows.shape[1] == 3 else rows
 
     def max_sum_rate(self) -> float:
@@ -144,6 +155,8 @@ def fm_eliminate(A: np.ndarray, b: np.ndarray, j: int):
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.shape != (len(A),):
+        raise ValidationError("fm_eliminate expects a 2-D A and one b entry per row of A")
     if not (is_integer(j) and 0 <= j < A.shape[1]):
         raise ValidationError(f"column {j!r} outside 0..{A.shape[1] - 1}")
     col = A[:, j]
@@ -165,19 +178,23 @@ def batch_vertices(A: np.ndarray, B: np.ndarray):
     Pareto-maximal in their own polytope.
 
     A is (m, 3), and no row may have both a positive and a negative
-    coefficient (ValidationError); B is (N, m), one right-hand-side row per
-    polytope.  Returns (points, owner), owner[i] the row of B behind
-    points[i]; nothing is deduplicated.  Row triples with |det| < 1e-12, or
-    whose positive coefficients miss one of r0, r1, r2, are skipped, and that
-    is exact: a covering triple's rows are non-negative and tight at its
-    vertex, so no feasible point dominates it; at a maximal vertex v the
-    tight upper rows cover every r_i (else v + t e_i stays feasible), so does
-    a basis of them, and tight lower rows complete it to a regular triple.
+    coefficient; B is (N, m) finite numbers, one right-hand-side row per
+    polytope, or one (m,) row (ValidationError otherwise).  Returns (points,
+    owner), owner[i] the row of B behind points[i]; nothing is deduplicated.
+    Row triples with |det| < 1e-12, or whose positive coefficients miss one
+    of r0, r1, r2, are skipped, and that is exact: a covering triple's rows
+    are non-negative and tight at its vertex, so no feasible point dominates
+    it; at a maximal vertex v the tight upper rows cover every r_i (else
+    v + t e_i stays feasible), so does a basis of them, and tight lower rows
+    complete it to a regular triple.
     No bounding box is added: every pattern the package builds has the r >= 0
     rows and a row with all rate coefficients positive, so it is bounded.
     """
     A = np.asarray(A, dtype=float)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    B = finite_array(B)
+    if B is None or B.ndim not in (1, 2) or B.shape[-1] != len(A):
+        raise ValidationError(f"B must be an (N, {len(A)}) array of finite numbers")
+    B = np.atleast_2d(B)
     if ((A > 0).any(axis=1) & (A < 0).any(axis=1)).any():
         raise ValidationError("a constraint row has both positive and negative coefficients")
     combos = np.array(list(combinations(range(A.shape[0]), 3)))
@@ -206,16 +223,23 @@ _EARLIER = np.tri(_STAIR_BLOCK, _STAIR_BLOCK, -1, dtype=bool)  # [b, a]: a < b
 
 
 def _staircase(p: np.ndarray) -> np.ndarray:
-    """Mask over rows p, sorted by (-r0, -r1, -r2), of those that no earlier
-    row weakly dominates: the Pareto-maximal rows, the first of equal ones.
+    """Mask over rows p of those that no earlier row weakly dominates: the
+    Pareto-maximal rows, the first of equal ones.
 
-    Every earlier row has r0 >=, so a row is dropped exactly when an earlier
-    row has r1 >= and r2 >=.  Block sweep, with no per-row Python: each block
-    of _STAIR_BLOCK rows is tested against the 2-D maxima staircase (r1
-    ascending, r2 strictly descending) of all earlier blocks with one
-    searchsorted, and against its own earlier rows with one strictly lower
-    triangular comparison; its survivors are then merged into the staircase.
-    Only comparisons decide, so ties and equal rows are exact.
+    p is presorted: r0 never rises and every weak dominator of a row comes
+    before it, as a stable (-r0, -r1, -r2) lexsort gives.  Every earlier row
+    then has r0 >=, so a row is dropped exactly when an earlier row has
+    r1 >= and r2 >=: the maxima sweep of Kung, Luccio & Preparata (1975)
+    over a presorted input (Chomicki et al. 2003, "Skyline with presorting").
+
+    Block sweep, with no per-row Python: each block of _STAIR_BLOCK rows is
+    tested against the 2-D maxima staircase (r1 ascending, r2 strictly
+    descending) of all earlier blocks with one searchsorted, and the rows it
+    leaves open against one another with one strictly lower triangular
+    comparison; the survivors are then merged into the staircase.  A row
+    that a covered row covers is covered too (weak dominance is transitive),
+    so skipping the covered rows in the block comparison is exact.  Only
+    comparisons decide, so ties and equal rows are exact.
     """
     n = len(p)
     keep = np.zeros(n, dtype=bool)
@@ -223,14 +247,14 @@ def _staircase(p: np.ndarray) -> np.ndarray:
     stair_r2 = np.full(1, -np.inf)  # strictly descending, then a -inf sentinel
     for lo in range(0, n, _STAIR_BLOCK):
         r1, r2 = p[lo : lo + _STAIR_BLOCK, 1], p[lo : lo + _STAIR_BLOCK, 2]
-        m = len(r1)
         # the staircase point with the least r1 >= r1 has the largest r2 of them
-        covered = stair_r2[np.searchsorted(stair_r1, r1)] >= r2
-        dominated = (
+        open_ = np.flatnonzero(stair_r2[np.searchsorted(stair_r1, r1)] < r2)
+        r1, r2 = r1[open_], r2[open_]
+        m = len(open_)
+        kept = ~(
             _EARLIER[:m, :m] & (r1[None, :] >= r1[:, None]) & (r2[None, :] >= r2[:, None])
         ).any(axis=1)
-        kept = ~(covered | dominated)
-        keep[lo : lo + m] = kept
+        keep[lo + open_[kept]] = True
         # the 2-D maxima of staircase and survivors: by (-r1, -r2), each row
         # above the running maximum of r2
         c1 = np.concatenate([stair_r1, r1[kept]])
@@ -244,68 +268,12 @@ def _staircase(p: np.ndarray) -> np.ndarray:
     return keep
 
 
-# Below this many rows the staircase alone is cheaper than a filter round.
-_FILTER_MIN_ROWS = 512
-# r1 thresholds per filter round; each costs a few vectorized passes.
-_FILTER_THRESHOLDS = 16
-
-
-def _threshold_filter(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Rows (r1, r2), sorted by (-r0, -r1, -r2), that an earlier row weakly
-    dominates, found with a few r1 thresholds; it may miss some, never adds.
-
-    For a threshold t, the running maximum of r2 over rows with r1 >= t
-    covers every row whose r1 <= t; each row is tested against the smallest
-    threshold at or above its r1.  O(n) memory: one threshold at a time.
-    """
-    n = len(r1)
-    q = (np.arange(1, _FILTER_THRESHOLDS + 1) * (n - 1)) // _FILTER_THRESHOLDS
-    thresholds = np.unique(np.partition(r1, q)[q])  # the last one is max(r1)
-    # row 0 has nothing before it; the others grouped by threshold
-    bucket = np.searchsorted(thresholds, r1[1:])
-    members = 1 + np.argsort(bucket, kind="stable")
-    edges = np.concatenate([[0], np.cumsum(np.bincount(bucket, minlength=len(thresholds)))])
-    dominated = np.zeros(n, dtype=bool)
-    for t, lo, hi in zip(thresholds, edges[:-1], edges[1:]):
-        rows = members[lo:hi]
-        # NaN marks "no such row yet", and fmax skips it
-        best = np.fmax.accumulate(np.where(r1 >= t, r2, np.nan))
-        dominated[rows] = best[rows - 1] >= r2[rows]
-    return dominated
-
-
-def _pareto_mask(pts: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Mask of rows not component-wise dominated by any other distinct row;
-    of equal rows the first in order is kept.
-
-    Sort-filter skyline (Chomicki et al. 2003, "Skyline with presorting").
-    order is the caller's presort: row indices with r0 non-increasing and
-    every weak dominator of a row before it, as a (-r0, -r1, -r2) lexsort
-    gives.  The filter and the staircase only scan it, and rows not in it
-    are not kept.  Vectorized threshold rounds drop rows that are certainly
-    dominated; dominance is transitive, so the block staircase run on the
-    rows left, still in order, gives the same mask as on all of them.  Both
-    steps work on whole arrays or blocks; no step loops over rows.
-    """
-    keep = np.zeros(len(pts), dtype=bool)
-    left = np.arange(len(order))  # positions in sorted order
-    while len(left) >= _FILTER_MIN_ROWS:
-        p = pts[order[left]]
-        dominated = _threshold_filter(p[:, 1], p[:, 2])
-        left = left[~dominated]
-        if 2 * dominated.sum() < len(dominated):
-            break  # a further round would not pay for itself
-    rest = order[left]
-    keep[rest[_staircase(pts[rest])]] = True
-    return keep
-
-
 def pareto_frontier(points) -> np.ndarray:
     """The distinct non-dominated rows of an (N, 2) or (N, 3) array, of equal
     rows the first in input order, ascending in (r0, r1, r2); (0, k) for k
     columns and no rows; ValidationError unless every entry is a finite
-    number.  One sort: a stable descending lexsort is _pareto_mask's
-    presort, and the rows it keeps, reversed, are ascending."""
+    number.  One sort: a stable descending lexsort is _staircase's presort,
+    and the rows it keeps, reversed, are ascending."""
     pts = finite_array(points)
     if pts is None:
         raise ValidationError("pareto_frontier expects finite rates")
@@ -314,13 +282,13 @@ def pareto_frontier(points) -> np.ndarray:
         raise ValidationError("pareto_frontier expects 2 or 3 rate columns")
     full = pts if pts.shape[1] == 3 else np.column_stack([pts, np.zeros(len(pts))])
     order = np.lexsort(-full.T[::-1])
-    return pts[order[_pareto_mask(full, order)[order]][::-1]]
+    return pts[order[_staircase(full[order])]][::-1]
 
 
 def _cell_frontier(pts: np.ndarray) -> np.ndarray:
     """Indices of the Pareto-maximal rows among the first input row of each
-    GEOM_TOL cell, in no particular order.  FrontierAccumulator says how it
-    sorts and why that is exact."""
+    GEOM_TOL cell, in the order _staircase scans them.  FrontierAccumulator
+    says how it sorts and why that is exact."""
     cells = np.round(pts / GEOM_TOL)
     cells *= -GEOM_TOL  # ascending keys are descending cells; -0.0 == 0.0
     order = np.lexsort(cells.T[::-1])
@@ -330,7 +298,7 @@ def _cell_frontier(pts: np.ndarray) -> np.ndarray:
     del cells
     first = order[lead]
     first = first[np.argsort(-pts[first, 0], kind="stable")]
-    return np.nonzero(_pareto_mask(pts, first))[0]
+    return first[_staircase(pts[first])]
 
 
 class FrontierAccumulator:
@@ -343,11 +311,11 @@ class FrontierAccumulator:
     and drops the dominated ones, sorting once: one stable lexsort of the
     negated cells puts the cells in descending (r0, r1, r2) order, each led
     by its first input row, and those leaders, stable-sorted on -r0, are the
-    order in which _pareto_mask's skyline filter and staircase scan them.
-    That is exact, because those two need only two properties of the order:
-    no two leaders are equal, as they lie in distinct cells; and r0 never
-    rises, with every dominator of a leader before it among equal r0, as
-    the dominator's cell is >= in every coordinate and not the same cell.
+    order in which _staircase scans them.  That is exact, because the
+    staircase needs only two properties of the order: no two leaders are
+    equal, as they lie in distinct cells; and r0 never rises, with every
+    dominator of a leader before it among equal r0, as the dominator's cell
+    is >= in every coordinate and not the same cell.
 
     finish prunes the chunks' survivors together.  A chunk's survivors lie
     in distinct cells, so a cell shared across chunks keeps the earliest
@@ -380,7 +348,7 @@ class FrontierAccumulator:
             keep = _cell_frontier(pts)
             pts, recs = pts[keep], recs[keep]
         order = np.lexsort(pts.T[::-1])
-        return RateRegion(kind, pts[order], recs[order], np.atleast_2d(bound_rows))
+        return RateRegion(kind, pts[order], recs[order], bound_rows)
 
 
 def contains(outer: RateRegion, p) -> bool:

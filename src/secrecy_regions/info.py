@@ -22,10 +22,11 @@ _LN2 = np.log(2.0)
 
 def float_table(value, what: str, ndim: int) -> np.ndarray:
     """value as a float array with exactly ndim axes, or a ValidationError
-    (text, ragged nesting and a wrong rank all arrive from scenario files)."""
+    (text, ragged nesting, ints beyond the float range and a wrong rank all
+    arrive from scenario files)."""
     try:
         table = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be a table of numbers: {exc}") from exc
     if table.ndim != ndim:
         raise ValidationError(f"{what} must be a {ndim}-index table, got {table.ndim} indices")

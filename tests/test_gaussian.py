@@ -31,6 +31,16 @@ def test_capacity_fn_values():
         capacity_fn(-0.5)
 
 
+@pytest.mark.parametrize(
+    "x",
+    ["x", "1.0", pytest.param(10**400, id="10**400"),
+     pytest.param([1.0, 10**400], id="[1, 10**400]"), [[1.0], [1.0, 2.0]], None],
+)
+def test_capacity_fn_refuses_what_is_not_numbers(x):
+    with pytest.raises(ValidationError, match="capacity_fn expects real numbers"):
+        capacity_fn(x)
+
+
 def test_capacity_fn_array():
     out = capacity_fn(np.array([0.0, 3.0]))
     assert np.allclose(out, [0.0, 1.0])
@@ -111,11 +121,22 @@ def test_equal_noise_kills_secrecy_sum():
         ("g_outer", 0.5, 0.5, 1.5, "rho"),
         ("g_outer", 0.5, 0.5, np.nan, "rho"),
         ("g_outer", 0.5, 0.5, "x", "rho"),
+        ("g_inner", [0.1, 0.2], [0.1, 0.2, 0.3], None, "equal-length 1-D"),
+        ("cmac", [[0.1, 0.2]], [[0.1, 0.2]], None, "equal-length 1-D"),
+        ("g_inner", 0.1, np.full((2, 5), 0.1), None, "equal-length 1-D"),
+        ("g_outer", [0.1, 0.2], [0.1, 0.2], [0.1, 0.2, 0.3], "equal-length 1-D"),
+        ("g_outer", 0.1, [0.1, 0.2], [[0.1, 0.2]], "equal-length 1-D"),
     ],
 )
 def test_gaussian_bounds_refuses_bad_parameters(kind, beta1, beta2, rho, match):
     with pytest.raises(ValidationError, match=match):
         gaussian_bounds(FIG_SCENARIO_3, kind, beta1, beta2, rho)
+
+
+def test_gaussian_bounds_takes_scalars_beside_arrays():
+    rows = gaussian_bounds(FIG_SCENARIO_3, "g_outer", 0.5, [0.1, 0.2, 0.3], 0.25)
+    one = gaussian_bounds(FIG_SCENARIO_3, "g_outer", 0.5, 0.2, 0.25)
+    assert rows.shape == (3, 3) and np.array_equal(rows[1:2], one)
 
 
 def test_sweep_rejects_unknown_kind():

@@ -19,7 +19,6 @@ from secrecy_regions.geometry import (
     CONSTRAINT_PATTERNS,
     GEOM_TOL,
     FrontierAccumulator,
-    _pareto_mask,
     _prune_pairwise,
     _staircase,
     contains,
@@ -65,6 +64,30 @@ def test_batch_vertices_refuses_a_mixed_sign_row():
     A = np.vstack([[1.0, -1.0, 0.0], np.eye(3), -np.eye(3)])
     with pytest.raises(ValidationError, match="both positive and negative"):
         batch_vertices(A, np.ones(7))
+
+
+_BOX = np.vstack([np.eye(3), -np.eye(3)])
+
+
+@pytest.mark.parametrize(
+    "B",
+    [
+        [1.0, np.nan, 1.0, 0.0, 0.0, 0.0],
+        [[1.0, 1.0, 1.0, 0.0, 0.0, 0.0], [np.inf, 1.0, 1.0, 0.0, 0.0, 0.0]],
+        np.ones((2, 3)),
+        np.ones((2, 7)),
+        np.ones((2, 2, 6)),
+        1.0,
+        [["a"] * 6],
+        [[1.0] * 5 + [None]],
+        [[10**400, 1, 1, 0, 0, 0]],
+        [[1.0] * 6, [1.0] * 5],
+    ],
+)
+def test_batch_vertices_refuses_b_that_is_not_n_by_m_finite_numbers(B):
+    # NaN used to give no vertices, inf five bogus ones, a short row an IndexError
+    with pytest.raises(ValidationError, match=r"\(N, 6\) array of finite numbers"):
+        batch_vertices(_BOX, B)
 
 
 def test_batch_vertices_matches_single():
@@ -228,6 +251,16 @@ def test_fm_eliminate_refuses_a_column_outside_the_system(j):
         fm_eliminate(A, np.ones(3), j)
 
 
+@pytest.mark.parametrize(
+    "A, b",
+    [(np.eye(3), np.ones(2)), (np.eye(3), np.ones(4)), (np.eye(3), np.ones((3, 1))),
+     (np.ones(3), np.ones(3))],
+)
+def test_fm_eliminate_refuses_a_b_that_does_not_match_a(A, b):
+    with pytest.raises(ValidationError, match="one b entry per row of A"):
+        fm_eliminate(A, b, 0)
+
+
 def _brute_frontier(pts):
     """Rows of pts that no other row dominates (>= everywhere, > somewhere)."""
     keep = [
@@ -239,8 +272,8 @@ def _brute_frontier(pts):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3000))
 @settings(max_examples=30, deadline=None)
 def test_pareto_frontier_matches_bruteforce(seed, count):
-    # 24 levels per axis: up to 3000 distinct rows, so the vectorized
-    # filter runs as well as the staircase
+    # 24 levels per axis: up to 3000 distinct rows, so the staircase runs
+    # over several blocks
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 24, size=(count, 3)).astype(float) / 23.0
     fast = pareto_frontier(pts)
@@ -249,33 +282,11 @@ def test_pareto_frontier_matches_bruteforce(seed, count):
 
 
 def _staircase_only_mask(points):
-    """_pareto_mask without its vectorized filter rounds."""
+    """Mask of the rows _staircase keeps, over points in input order."""
     order = np.lexsort((-points[:, 2], -points[:, 1], -points[:, 0]))
     keep = np.zeros(len(points), dtype=bool)
     keep[order[_staircase(points[order])]] = True
     return keep
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 4000),
-    levels=st.integers(1, 60),
-    on_plane=st.booleans(),
-    jitter=st.booleans(),
-)
-@settings(max_examples=60, deadline=None)
-def test_pareto_mask_matches_staircase(seed, n, levels, on_plane, jitter):
-    # integer-grid coordinates repeat r0/r1/r2 values and whole rows; rows
-    # on a plane are mostly mutually non-dominated, so few are filtered
-    rng = np.random.default_rng(seed)
-    pts = rng.integers(0, levels + 1, size=(n, 3)).astype(float)
-    if on_plane:
-        pts[:, 2] = 2 * levels - pts[:, 0] - pts[:, 1]
-    pts = pts * 1e-3
-    if jitter:
-        pts = pts + rng.choice([0.0, 1e-12], size=pts.shape)
-    order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
-    assert np.array_equal(_pareto_mask(pts, order), _staircase_only_mask(pts))
 
 
 def _unique_path_frontier(pts):
@@ -307,7 +318,7 @@ _TIE_LEVELS = np.array(
 @settings(max_examples=60, deadline=None)
 def test_pareto_frontier_matches_the_unique_path(seed, n, cols, trade_off):
     # with trade_off the last column falls as the others rise, so many rows
-    # survive and the filter rounds run at n >= 512
+    # survive and later blocks leave many rows open
     rng = np.random.default_rng(seed)
     top = len(_TIE_LEVELS) - 1
     idx = rng.integers(0, top + 1, size=(n, cols))
@@ -335,29 +346,43 @@ def _brute_staircase(p):
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([1, 255, 256, 257, 513]) | st.integers(1, 800),
-    levels=st.integers(1, 40),
-    shape=st.sampled_from(["grid", "plane", "r0_groups", "r1_ties", "r2_ties"]),
+    n=st.sampled_from([1, 255, 256, 257, 513, 1025, 2049, 4000]) | st.integers(1, 800),
+    levels=st.integers(1, 60),
+    shape=st.sampled_from(
+        ["grid", "plane", "grid_plane", "r0_groups", "r1_ties", "r2_ties", "covered"]
+    ),
     duplicates=st.booleans(),
+    jitter=st.booleans(),
 )
-@settings(max_examples=80, deadline=None)
-def test_staircase_matches_bruteforce(seed, n, levels, shape, duplicates):
-    # n at the block edges and past them; whole duplicate rows, equal-r0
-    # groups, and ties in one of r1 or r2 only
+@settings(max_examples=100, deadline=None)
+def test_staircase_matches_bruteforce(seed, n, levels, shape, duplicates, jitter):
+    # n at the block edges and several blocks past them; whole duplicate
+    # rows, equal-r0 groups, ties in one of r1 or r2 only, integer rows on a
+    # plane (mostly mutually non-dominated), and "covered", where a few
+    # leading rows dominate nearly all others, so later blocks are covered
+    # by the staircase completely and leave no row open
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 3))
     if shape == "grid":
         pts = rng.integers(0, levels + 1, size=(n, 3)).astype(float)
     elif shape == "plane":
         pts[:, 2] = 2.0 - pts[:, 0] - pts[:, 1]
+    elif shape == "grid_plane":
+        pts = rng.integers(0, levels + 1, size=(n, 3)).astype(float)
+        pts[:, 2] = 2 * levels - pts[:, 0] - pts[:, 1]
+        pts *= 1e-3
     elif shape == "r0_groups":
         pts[:, 0] = rng.integers(0, levels + 1, size=n)
     elif shape == "r1_ties":
         pts[:, 1] = rng.integers(0, levels + 1, size=n)
-    else:
+    elif shape == "r2_ties":
         pts[:, 2] = rng.integers(0, levels + 1, size=n)
+    else:
+        pts[: min(n, 8)] += 1.0
     if duplicates:
         pts[rng.random(n) < 0.3] = pts[rng.integers(0, n)]
+    if jitter:
+        pts = pts + rng.choice([0.0, 1e-12], size=pts.shape)
     p = pts[np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))]
     assert np.array_equal(_staircase(p), _brute_staircase(p))
 
@@ -562,6 +587,26 @@ def test_contains_matches_full_scan_on_hand_built_rows(seed, n, trade_off):
     for i, r in enumerate(kept):
         others = np.delete(kept, i, axis=0)
         assert not (others >= r).all(axis=1).any()
+
+
+@pytest.mark.parametrize(
+    "kind, rows",
+    [
+        ("g_outer", [[np.nan, 1.0, 1.0]]),
+        ("g_outer", [[0.5, np.inf, 1.0]]),
+        ("g_outer", np.ones((2, 5))),
+        ("cmac", np.ones((2, 3))),
+        ("dm_inner", np.ones((2, 4))),
+        ("dm_outer", np.ones(5)),
+        ("g_outer", [["a", "b", "c"]]),
+        ("g_outer", [[10**400, 1, 1]]),
+        ("g_outer", [[1.0, 1.0, 1.0], [1.0, 1.0]]),
+    ],
+)
+def test_rate_region_refuses_bound_rows_off_its_pattern(kind, rows):
+    # refused when built, not at the first contains (which named pareto_frontier)
+    with pytest.raises(ValidationError, match="bound_rows must be"):
+        RateRegion(kind, np.zeros((0, 3)), np.zeros((0, 1)), rows)
 
 
 def test_sweeps_leave_query_rows_uncomputed():

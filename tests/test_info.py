@@ -45,6 +45,8 @@ def test_distribution_validation():
         FiniteDistribution(np.array([0.5, 0.6]))
     with pytest.raises(ValidationError):
         FiniteDistribution(np.array([1.1, -0.1]))
+    with pytest.raises(ValidationError, match="table of numbers"):
+        FiniteDistribution([10**400, 0])  # numpy raises OverflowError converting it
 
 
 def test_channel_validation():
@@ -54,6 +56,10 @@ def test_channel_validation():
     t_bad[0, 0, 0, 0] = 0.3
     with pytest.raises(ValidationError):
         DiscreteChannel(t_bad)
+    t_huge = t.tolist()
+    t_huge[0][0][0][0] = 10**400
+    with pytest.raises(ValidationError, match="table of numbers"):
+        DiscreteChannel(t_huge)
 
 
 @pytest.mark.parametrize("axis", range(4))
