@@ -1,8 +1,8 @@
 """Inner and outer bounds on the secrecy rate region of a two-sender wiretap
 channel with a common message, plus a small random-binning simulator.
 
-The public surface: exact information measures over dense tables (`info`),
-polyhedral rate-region machinery (`geometry`), discrete-memoryless and
+The public surface: distributions, channels and entropy over dense tables
+(`info`), polyhedral rate-region machinery (`geometry`), discrete-memoryless and
 Gaussian bound evaluation and sweeps (`dm`: region_bounds and sweep_region;
 `gaussian`: gaussian_bounds and sweep_gaussian), the Monte Carlo
 coding-scheme simulator (`binning`), and scenario/CLI plumbing.
@@ -49,14 +49,7 @@ from .geometry import (
     pareto_frontier,
     project,
 )
-from .info import (
-    DiscreteChannel,
-    FiniteDistribution,
-    JointDistribution,
-    assemble_joint,
-    entropy_bits,
-    mutual_information,
-)
+from .info import DiscreteChannel, FiniteDistribution, entropy_bits
 from .scenario import ScenarioFile
 
 __version__ = "0.1.0"
@@ -70,7 +63,6 @@ __all__ = [
     "FiniteDistribution",
     "GaussianScenario",
     "GridSpec",
-    "JointDistribution",
     "R0_RHO_COEFF_AS_PRINTED",
     "R0_RHO_COEFF_DERIVATION",
     "RateRegion",
@@ -78,7 +70,6 @@ __all__ = [
     "SimulationSummary",
     "ValidationError",
     "achievability_constraint_system",
-    "assemble_joint",
     "batch_vertices",
     "capacity_fn",
     "chain_at",
@@ -94,7 +85,6 @@ __all__ = [
     "fm_region_polytope",
     "gaussian_bounds",
     "generate_codebook",
-    "mutual_information",
     "pareto_frontier",
     "posterior_w1w2",
     "project",

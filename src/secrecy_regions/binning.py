@@ -12,6 +12,7 @@ whose two rows pass both get the full joint-type count.  The eavesdropper's
 equivocation is measured from the exact posterior over the message pair,
 obtained by summing channel likelihoods over every (w0, q, q') for each
 (w1, w2).  `transmit` and the three scans take a (B, n) stack of trials,
+refused (ValidationError) unless it holds integer symbols of their alphabet,
 and `run_simulation` calls each once per chunk of trials, with chunk x
 tuples <= TRIAL_TUPLES.  The codebook, encoder, channel and message draws
 come from the four streams of `seed_streams`.
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .dm import AuxiliaryChain
-from .errors import CapExceededError, ValidationError, check_integer, is_finite_real
+from .errors import CapExceededError, ValidationError, check_integer, is_finite_real, is_integer
 from .info import DiscreteChannel, entropy_bits
 
 MAX_BLOCKLENGTH = 16
@@ -176,6 +177,30 @@ def _check_symbol_cap(cfg: CodeConfig) -> None:
         )
 
 
+def _symbol_stack(values, size: int, n: int, what: str) -> np.ndarray:
+    """values as an integer (B, n) array, B >= 1, of symbols in 0..size-1, or
+    a ValidationError: numpy would wrap a negative symbol round to the end of
+    the alphabet, and a float, out-of-range or wrong-length stack would end in
+    a raw IndexError, ValueError or TypeError."""
+    try:
+        stack = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting
+        stack = None
+    if (
+        stack is None
+        or stack.dtype.kind not in "iu"
+        or stack.ndim != 2
+        or stack.shape[0] < 1
+        or stack.shape[1] != n
+        or stack.min() < 0
+        or stack.max() >= size
+    ):
+        raise ValidationError(
+            f"{what} must be a (B, {n}) stack of integer symbols in 0..{size - 1}"
+        )
+    return stack.astype(np.int64, copy=False)  # uint64 codes would add to int64 ones as floats
+
+
 def check_simulation(cfg: CodeConfig, trials: int) -> None:
     """Refuse a run before anything is drawn: trials that are not an integer
     >= 1 (ValidationError), or more than MAX_TRIALS trials, MAX_TUPLES codeword
@@ -214,10 +239,12 @@ def generate_codebook(cfg: CodeConfig) -> Codebook:
 
 
 def encode(cb: Codebook, w0: int, w1: int, w2: int, rng: np.random.Generator):
-    """Pick bin indices uniformly, then draw the channel inputs symbol-wise."""
+    """Pick bin indices uniformly, then draw the channel inputs symbol-wise.
+    Each message index must be an integer below its message count."""
     cfg = cb.config
-    if not (0 <= w0 < cfg.m0 and 0 <= w1 < cfg.m1 and 0 <= w2 < cfg.m2):
-        raise ValidationError("message index out of range")
+    w, counts = (w0, w1, w2), (cfg.m0, cfg.m1, cfg.m2)
+    if not all(is_integer(i) and 0 <= i < m for i, m in zip(w, counts)):
+        raise ValidationError(f"message indices (w0, w1, w2) {w} are not integers below {counts}")
     q = int(rng.integers(cfg.m1p))
     qp = int(rng.integers(cfg.m2p))
     v1_seq = cb.v1[w0, w1, q]
@@ -230,10 +257,13 @@ def encode(cb: Codebook, w0: int, w1: int, w2: int, rng: np.random.Generator):
 def transmit(cb: Codebook, x1: np.ndarray, x2: np.ndarray, rng: np.random.Generator):
     """Pass a (B, n) stack of inputs through the memoryless channel; returns
     (y1, y2), each (B, n).  Row by row, so B one-row calls draw the same."""
-    t = cb.channel.transition
-    ny2 = cb.channel.y2_size
-    pair = _sample_categorical(t[x1, x2].reshape(*np.shape(x1), -1), rng)
-    return pair // ny2, pair % ny2
+    ch, n = cb.channel, cb.config.n
+    x1 = _symbol_stack(x1, ch.x1_size, n, "x1")
+    x2 = _symbol_stack(x2, ch.x2_size, n, "x2")
+    if len(x1) != len(x2):
+        raise ValidationError(f"x1 stacks {len(x1)} trials and x2 {len(x2)}")
+    pair = _sample_categorical(ch.transition[x1, x2].reshape(*x1.shape, -1), rng)
+    return pair // ch.y2_size, pair % ch.y2_size
 
 
 def _allowed_counts(ref: np.ndarray, n: int, eps: float) -> np.ndarray:
@@ -294,9 +324,9 @@ def decode_rx1(cb: Codebook, y1: np.ndarray):
     block.  MAX_TUPLES bounds the tuples before any of this is allocated,
     and run_simulation keeps B x tuples at most max(TRIAL_TUPLES, tuples).
     """
-    cfg, aux, y = cb.config, cb.config.aux, np.asarray(y1)
-    ref = cb.reference_rx1
+    cfg, aux, ref = cb.config, cb.config.aux, cb.reference_rx1
     n, ny1, count = cfg.n, ref.shape[-1], cfg.tuple_count
+    y = _symbol_stack(y1, ny1, n, "y1")
     tuples = cb.tuples
     allowed = _allowed_counts(ref, n, cfg.typicality_eps)
     rows1 = (cb.u[:, None, :] * aux.v1_size + cb.v1.reshape(cfg.m0, -1, n)) * ny1
@@ -320,7 +350,8 @@ def decode_rx1(cb: Codebook, y1: np.ndarray):
 def decode_rx2(cb: Codebook, y2: np.ndarray) -> list:
     """Typicality scan over the common-message codewords only; for a (B, n)
     stack of outputs, the list of B results (w0, or None)."""
-    cfg, ref, y = cb.config, cb.reference_rx2, np.asarray(y2)
+    cfg, ref = cb.config, cb.reference_rx2
+    y = _symbol_stack(y2, ref.shape[1], cfg.n, "y2")
     allowed = _allowed_counts(ref, cfg.n, cfg.typicality_eps)
     mask = _typical_mask(cb.u * ref.shape[1] + y[:, None, :], allowed)
     hits, first = mask.sum(axis=1), mask.argmax(axis=1)
@@ -335,7 +366,8 @@ def posterior_w1w2(cb: Codebook, y2: np.ndarray) -> np.ndarray:
     Peak memory: beside the cached `tuples` table, one int64 index and one
     float64 gather of tuples x n each; the gather is made per trial, never
     for B x tuples x n at once."""
-    cfg, n, y = cb.config, cb.config.n, np.asarray(y2)
+    cfg, n = cb.config, cb.config.n
+    y = _symbol_stack(y2, cb.channel.y2_size, n, "y2")
     symbols = cb._log_y2.shape[1]  # |U||V1||V2|
     tables = cb._log_y2[y].reshape(len(y), -1)  # log p(y2[b, t] | symbol) at t*symbols + symbol
     index = cb.tuples.reshape(-1, n) + symbols * np.arange(n)

@@ -15,11 +15,12 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .binning import check_simulation, run_simulation
-from .dm import fm_matches_direct, random_inner_chain, sweep_region
+from .binning import CodeConfig, check_simulation, run_simulation
+from .dm import AuxiliaryChain, GridSpec, fm_matches_direct, random_inner_chain, sweep_region
 from .errors import CapExceededError, ValidationError, check_integer
 from .gaussian import R0_RHO_COEFF_DERIVATION, GaussianScenario, sweep_gaussian
 from .geometry import RateRegion, project
+from .info import DiscreteChannel, FiniteDistribution
 from .scenario import ScenarioFile
 
 REGION_COLUMNS = ("bound_kind", "r0", "r1", "r2", "beta1", "beta2", "rho")
@@ -104,30 +105,42 @@ def _write_region(sf: ScenarioFile, region: RateRegion) -> list:
 
 
 def _run_gaussian(sf: ScenarioFile) -> list:
-    kind = {"inner": "g_inner", "outer": "g_outer", "cmac": "cmac"}[sf.data["bound"]]
-    region = sweep_gaussian(
-        sf.gaussian_scenario(), kind, sf.resolution(), r0_rho_coeff=sf.r0_rho_coeff()
-    )
+    d = sf.data
+    kind = {"inner": "g_inner", "outer": "g_outer", "cmac": "cmac"}[d["bound"]]
+    # sweep_gaussian alone sets the defaults of the keys a file leaves out
+    options = {key: d[key] for key in ("resolution", "r0_rho_coeff") if key in d}
+    region = sweep_gaussian(GaussianScenario(**d["scenario"]), kind, **options)
     return _write_region(sf, region)
 
 
 def _run_dm(sf: ScenarioFile) -> list:
-    region = sweep_region(sf.discrete_channel(), sf.data["bound"], sf.grid_spec())
+    grid = GridSpec(**sf.data.get("grid", {}))
+    region = sweep_region(DiscreteChannel(sf.data["channel"]), sf.data["bound"], grid)
     return _write_region(sf, region)
 
 
 def _run_simulate(sf: ScenarioFile) -> list:
-    trials = sf.data["trials"]
-    code = sf.code_config()  # checks code.n even where blocklengths replaces it
-    configs = [replace(code, n=n) for n in sf.blocklengths()]
+    d, a = sf.data, sf.data["aux"]
+    trials = d["trials"]
+    aux = AuxiliaryChain.inner(
+        FiniteDistribution(a["p_u"]),
+        a["p_v1_given_u"],
+        a["p_v2_given_u"],
+        a["p_x1_given_v1"],
+        a["p_x2_given_v2"],
+    )
+    rates = {"r0": 0.0, "r1": 0.0, "r2": 0.0, "r1p": 0.0, "r2p": 0.0}
+    # the code at its own blocklength n, which is checked even where blocklengths replaces it
+    code = CodeConfig(aux=aux, channel=DiscreteChannel(d["channel"]), **{**rates, **d["code"]})
+    configs = [replace(code, n=n) for n in d.get("blocklengths", [code.n])]
     for cfg in configs:  # refuse the whole scenario before its first blocklength runs
         check_simulation(cfg, trials)
     rows = []
     for cfg in configs:
         s = run_simulation(cfg, trials)
         rows.append((s.n, s.trials, s.pe1, s.pe2, s.equivocation_bits_per_use, s.secrecy_gap))
-    _write_csv(sf.data["output"], SIM_COLUMNS, [(None, np.array(rows, float).T)])
-    return [sf.data["output"]]
+    _write_csv(d["output"], SIM_COLUMNS, [(None, np.array(rows, float).T)])
+    return [d["output"]]
 
 
 def _run_fm_check(sf: ScenarioFile) -> list:
@@ -136,7 +149,7 @@ def _run_fm_check(sf: ScenarioFile) -> list:
     check_integer(seed, "seed", 0)
     if chains > MAX_FM_CHAINS:
         raise CapExceededError(f"{chains} chains, above the cap of {MAX_FM_CHAINS}")
-    ch = sf.discrete_channel()
+    ch = DiscreteChannel(sf.data["channel"])
     rng = np.random.default_rng(seed)
     report = []
     for i in range(chains):

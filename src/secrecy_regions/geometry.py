@@ -153,10 +153,11 @@ def fm_eliminate(A: np.ndarray, b: np.ndarray, j: int):
     upper bound on x_j with every lower bound.  Returns (A, b) with column j
     deleted and parallel rows merged by _prune_pairwise.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or b.shape != (len(A),):
-        raise ValidationError("fm_eliminate expects a 2-D A and one b entry per row of A")
+    A, b = finite_array(A), finite_array(b)
+    if A is None or b is None or A.ndim != 2 or b.shape != (len(A),):
+        raise ValidationError(
+            "fm_eliminate expects a 2-D A and one b entry per row of A, all finite numbers"
+        )
     if not (is_integer(j) and 0 <= j < A.shape[1]):
         raise ValidationError(f"column {j!r} outside 0..{A.shape[1] - 1}")
     col = A[:, j]
@@ -177,10 +178,11 @@ def batch_vertices(A: np.ndarray, B: np.ndarray):
     """The vertices of many polytopes sharing constraint pattern A that are
     Pareto-maximal in their own polytope.
 
-    A is (m, 3), and no row may have both a positive and a negative
-    coefficient; B is (N, m) finite numbers, one right-hand-side row per
-    polytope, or one (m,) row (ValidationError otherwise).  Returns (points,
-    owner), owner[i] the row of B behind points[i]; nothing is deduplicated.
+    A is (m, 3) finite numbers, m >= 3, and no row may have both a positive
+    and a negative coefficient; B is (N, m) finite numbers, one right-hand-side
+    row per polytope, or one (m,) row (ValidationError otherwise).  Returns
+    (points, owner), owner[i] the row of B behind points[i]; nothing is
+    deduplicated.
     Row triples with |det| < 1e-12, or whose positive coefficients miss one
     of r0, r1, r2, are skipped, and that is exact: a covering triple's rows
     are non-negative and tight at its vertex, so no feasible point dominates
@@ -190,7 +192,9 @@ def batch_vertices(A: np.ndarray, B: np.ndarray):
     No bounding box is added: every pattern the package builds has the r >= 0
     rows and a row with all rate coefficients positive, so it is bounded.
     """
-    A = np.asarray(A, dtype=float)
+    A = finite_array(A)
+    if A is None or A.ndim != 2 or A.shape[1] != 3 or len(A) < 3:
+        raise ValidationError("A must be an (m, 3) array of finite numbers, m >= 3")
     B = finite_array(B)
     if B is None or B.ndim not in (1, 2) or B.shape[-1] != len(A):
         raise ValidationError(f"B must be an (N, {len(A)}) array of finite numbers")

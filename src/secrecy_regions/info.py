@@ -1,14 +1,13 @@
-"""Finite distributions, discrete channels, and exact entropy / mutual
-information evaluation in bits.
+"""Finite distributions, discrete channels, the checks of their tables, and
+entropy in bits.
 
 Everything here is a pure function over small dense numpy tables; channel
-alphabets are capped at MAX_CHANNEL_ALPHABET symbols per variable, so a full
-joint over seven variables is at most 4**7 entries.
+alphabets are capped at MAX_CHANNEL_ALPHABET symbols per variable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -106,74 +105,3 @@ class DiscreteChannel:
     def y2_marginal(self) -> np.ndarray:
         """p(y2 | x1, x2)."""
         return self.transition.sum(axis=2)
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Dense joint mass table over named variables."""
-
-    names: tuple
-    mass: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.mass, dtype=float)
-        names = tuple(self.names)
-        object.__setattr__(self, "mass", m)
-        object.__setattr__(self, "names", names)
-        if len(names) != m.ndim:
-            raise ValidationError("variable names do not match table rank")
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate variable names")
-        check_distribution(m, "joint distribution")
-
-    def _axes(self, group) -> tuple:
-        unknown = [v for v in group if v not in self.names]
-        if unknown:
-            raise ValidationError(f"unknown variables: {unknown}")
-        return tuple(self.names.index(v) for v in group)
-
-    def entropy_of(self, group) -> float:
-        """Joint entropy H(group) in bits."""
-        drop = self._axes([v for v in self.names if v not in set(group)])
-        table = self.mass.sum(axis=drop) if drop else self.mass
-        return entropy_bits(table)
-
-
-def mutual_information(j: JointDistribution, group_a, group_b, given=()) -> float:
-    """Conditional mutual information I(A; B | C) in bits.
-
-    Evaluated as H(A,C) + H(B,C) - H(A,B,C) - H(C); tiny negative values from
-    float cancellation are clamped to zero.
-    """
-    a, b, c = set(group_a), set(group_b), set(given)
-    if a & b or a & c or b & c:
-        raise ValidationError("variable groups must be disjoint")
-    for g in (a, b, c):
-        j._axes(list(g))
-    value = (
-        j.entropy_of(a | c)
-        + j.entropy_of(b | c)
-        - j.entropy_of(a | b | c)
-        - j.entropy_of(c)
-    )
-    if value < -1e-9:
-        raise ValidationError(f"mutual information evaluated to {value}, far below zero")
-    return max(value, 0.0)
-
-
-def assemble_joint(aux, ch: DiscreteChannel) -> JointDistribution:
-    """Full joint over (U, V1, V2, X1, X2, Y1, Y2) from an auxiliary chain
-    composed with a channel; the chain U -> (V1,V2) -> (X1,X2) -> (Y1,Y2)
-    holds by construction.
-    """
-    aux.check_channel(ch)
-    mass = np.einsum(
-        "u,uab,ax,by,xycd->uabxycd",
-        aux.p_u.probs,
-        aux.p_v1v2_given_u,
-        aux.p_x1_given_v1,
-        aux.p_x2_given_v2,
-        ch.transition,
-        optimize=True,
-    )
-    return JointDistribution(("U", "V1", "V2", "X1", "X2", "Y1", "Y2"), mass)

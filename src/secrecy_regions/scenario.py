@@ -2,8 +2,9 @@
 a discrete-memoryless sweep, a simulator run, or a projection-equivalence
 check) that the command line executes.
 
-The parsed form is kept as plain nested dictionaries; typed objects are
-constructed on demand.
+The parsed form is kept as plain nested dictionaries, and only their
+structure is checked here: the runners in `cli` build the typed objects,
+which check the values.
 """
 
 from __future__ import annotations
@@ -12,11 +13,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .binning import CodeConfig
-from .dm import AuxiliaryChain, GridSpec
 from .errors import ValidationError
-from .gaussian import R0_RHO_COEFF_DERIVATION, GaussianScenario
-from .info import DiscreteChannel, FiniteDistribution
 
 KINDS = ("gaussian", "dm", "simulate", "fm-check")
 
@@ -87,11 +84,10 @@ class ScenarioFile:
         elif self.kind == "simulate":
             _check_keys(_require_mapping(self.data["aux"], "aux"), _AUX_KEYS, (), "aux")
             _check_keys(_require_mapping(self.data["code"], "code"), ("n",), _CODE_KEYS, "code")
-            lengths = self.blocklengths()
-            if not isinstance(lengths, list) or not lengths:
-                raise ValidationError("blocklengths: expected a non-empty list")
-
-    # -- construction -------------------------------------------------------
+            if "blocklengths" in self.data:
+                lengths = self.data["blocklengths"]
+                if not isinstance(lengths, list) or not lengths:
+                    raise ValidationError("blocklengths: expected a non-empty list")
 
     @classmethod
     def parse(cls, text: str) -> "ScenarioFile":
@@ -109,42 +105,3 @@ class ScenarioFile:
     def load(cls, path) -> "ScenarioFile":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.parse(fh.read())
-
-    # -- typed accessors ----------------------------------------------------
-
-    def gaussian_scenario(self) -> GaussianScenario:
-        return GaussianScenario(**self.data["scenario"])
-
-    def resolution(self) -> int:
-        return self.data.get("resolution", 101)
-
-    def r0_rho_coeff(self) -> float:
-        return self.data.get("r0_rho_coeff", R0_RHO_COEFF_DERIVATION)
-
-    def discrete_channel(self) -> DiscreteChannel:
-        return DiscreteChannel(self.data["channel"])
-
-    def grid_spec(self) -> GridSpec:
-        return GridSpec(**self.data.get("grid", {}))
-
-    def auxiliary_chain(self) -> AuxiliaryChain:
-        a = self.data["aux"]
-        return AuxiliaryChain.inner(
-            FiniteDistribution(a["p_u"]),
-            a["p_v1_given_u"],
-            a["p_v2_given_u"],
-            a["p_x1_given_v1"],
-            a["p_x2_given_v2"],
-        )
-
-    def code_config(self) -> CodeConfig:
-        """The code at its own blocklength `code.n`."""
-        defaults = {"r0": 0.0, "r1": 0.0, "r2": 0.0, "r1p": 0.0, "r2p": 0.0}
-        return CodeConfig(
-            aux=self.auxiliary_chain(),
-            channel=self.discrete_channel(),
-            **{**defaults, **self.data["code"]},
-        )
-
-    def blocklengths(self) -> list:
-        return self.data.get("blocklengths", [self.data["code"]["n"]])

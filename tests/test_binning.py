@@ -142,8 +142,11 @@ def test_codeword_frequencies_match_conditional():
 def test_encode_rejects_out_of_range():
     cb = generate_codebook(make_config())
     rng = np.random.default_rng(0)
-    with pytest.raises(ValidationError):
-        encode(cb, 0, 99, 0, rng)
+    # a float, text or None index used to end in numpy's IndexError or a TypeError,
+    # and True to pass as message 1
+    for w in [(0, 99, 0), (-1, 0, 0), (0.5, 0, 0), (0, "1", 0), (0, None, 0), (0, 0, True)]:
+        with pytest.raises(ValidationError, match="message indices"):
+            encode(cb, *w, rng)
 
 
 def test_encode_identity_maps_reproduce_codeword():
@@ -266,6 +269,52 @@ def test_posterior_cap(monkeypatch):
     cb = generate_codebook(make_config(r1p=0.5))
     with pytest.raises(CapExceededError):
         posterior_w1w2(cb, np.zeros((1, 4), dtype=int))
+
+
+_ROW = np.zeros((1, 4), dtype=int)
+_STAGES = {
+    "transmit x1": lambda cb, s: transmit(cb, s, _ROW, np.random.default_rng(0)),
+    "transmit x2": lambda cb, s: transmit(cb, _ROW, s, np.random.default_rng(0)),
+    "decode_rx1": decode_rx1,
+    "decode_rx2": decode_rx2,
+    "posterior_w1w2": posterior_w1w2,
+}
+
+
+@pytest.mark.parametrize("stage", _STAGES)
+@pytest.mark.parametrize(
+    "stack",
+    [
+        np.full((1, 4), -1),  # numpy would wrap it round to the last symbol
+        np.full((1, 4), 7),
+        np.zeros((1, 4)),
+        np.zeros((1, 4), dtype=bool),
+        np.zeros((1, 3), dtype=int),
+        np.zeros(4, dtype=int),
+        np.zeros((0, 4), dtype=int),
+        [[0, 0, 0, 0], [0]],
+        [["a"] * 4],
+    ],
+)
+def test_stages_refuse_a_stack_that_is_not_b_by_n_symbols(stage, stack):
+    # X1, X2 and Y2 are binary and Y1 4-ary, at n = 4
+    cb = generate_codebook(make_config())
+    with pytest.raises(ValidationError, match=r"\(B, 4\) stack of integer symbols"):
+        _STAGES[stage](cb, stack)
+
+
+@pytest.mark.parametrize("stage", _STAGES)
+def test_stages_take_an_unsigned_stack_as_a_signed_one(stage):
+    # uint64 codes used to add to int64 ones as floats: both decoders ended in a TypeError
+    cb = generate_codebook(make_config())
+    stack = np.array([[0, 1, 1, 0]])
+    np.testing.assert_equal(_STAGES[stage](cb, stack.astype(np.uint64)), _STAGES[stage](cb, stack))
+
+
+def test_transmit_refuses_stacks_of_unequal_trials():
+    cb = generate_codebook(make_config())
+    with pytest.raises(ValidationError, match="x1 stacks 1 trials and x2 2"):
+        transmit(cb, _ROW, np.zeros((2, 4), dtype=int), np.random.default_rng(0))
 
 
 def _refuse(*args, **kwargs):

@@ -62,8 +62,8 @@ def fm_check_data(output):
 def test_parse_minimal_gaussian(tmp_path):
     sf = ScenarioFile.parse(gaussian_scenario_text(tmp_path / "r.csv"))
     assert sf.kind == "gaussian"
-    assert sf.resolution() == 11
-    assert sf.gaussian_scenario().sigma2_sq == 0.3
+    assert sf.data["resolution"] == 11
+    assert sf.data["scenario"]["sigma2_sq"] == 0.3
 
 
 def test_parse_rejects_unknown_keys(tmp_path):
@@ -89,7 +89,7 @@ def test_parse_rejects_bad_yaml():
         ScenarioFile.parse("kind: [unclosed\n")
 
 
-def test_dm_scenario_alphabet_cap(tmp_path):
+def test_dm_scenario_alphabet_cap(tmp_path, capsys):
     data = {
         "kind": "dm",
         "bound": "inner",
@@ -97,9 +97,11 @@ def test_dm_scenario_alphabet_cap(tmp_path):
         "grid": {"u_size": 5},
         "output": str(tmp_path / "r.csv"),
     }
-    sf = ScenarioFile.parse(yaml.safe_dump(data))
-    with pytest.raises(ValidationError, match="1..3"):
-        sf.grid_spec()
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["run", str(path)]) == 1
+    assert "1..3" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 # -- scenario execution -----------------------------------------------------

@@ -90,6 +90,24 @@ def test_batch_vertices_refuses_b_that_is_not_n_by_m_finite_numbers(B):
         batch_vertices(_BOX, B)
 
 
+@pytest.mark.parametrize(
+    "A",
+    [
+        np.vstack([[np.nan, 1.0, 1.0], _BOX[1:]]),  # used to give (0, 3) vertices
+        np.vstack([[np.inf, 1.0, 1.0], _BOX[1:]]),
+        [["a", 1.0, 1.0]] + _BOX[1:].tolist(),
+        [[10**400, 1, 1]] + _BOX[1:].astype(int).tolist(),
+        np.ones((6, 2)),
+        np.ones((6, 4)),
+        np.ones(6),
+        np.eye(3)[:2],
+    ],
+)
+def test_batch_vertices_refuses_a_that_is_not_m_by_3_finite_numbers(A):
+    with pytest.raises(ValidationError, match=r"\(m, 3\) array of finite numbers"):
+        batch_vertices(A, np.ones((2, len(A))))
+
+
 def test_batch_vertices_matches_single():
     A = np.vstack([np.eye(3), [1.0, 1.0, 1.0], -np.eye(3)])
     rhs = np.array([[0.5, 0.7, 0.3, 1.0, 0, 0, 0], [1.0, 1.0, 1.0, 1.5, 0, 0, 0]])
@@ -254,7 +272,10 @@ def test_fm_eliminate_refuses_a_column_outside_the_system(j):
 @pytest.mark.parametrize(
     "A, b",
     [(np.eye(3), np.ones(2)), (np.eye(3), np.ones(4)), (np.eye(3), np.ones((3, 1))),
-     (np.ones(3), np.ones(3))],
+     (np.ones(3), np.ones(3)),
+     # a NaN A used to give an empty system, text and 10**400 a raw numpy error
+     (np.full((3, 3), np.nan), np.ones(3)), ([["a"] * 3] * 3, np.ones(3)),
+     ([[10**400, 0, 0]] * 3, np.ones(3)), (np.eye(3), [np.inf, 1.0, 1.0])],
 )
 def test_fm_eliminate_refuses_a_b_that_does_not_match_a(A, b):
     with pytest.raises(ValidationError, match="one b entry per row of A"):
