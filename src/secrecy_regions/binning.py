@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import logsumexp
 
-from .dm import AuxiliaryChain
-from .errors import CapExceededError, ValidationError, check_integer, is_finite_real, is_integer
+from .dm import AuxiliaryChain, _require_inner
+from .errors import CapExceededError, ValidationError, check_integer, check_real, fits
 from .info import DiscreteChannel, entropy_bits
 
 MAX_BLOCKLENGTH = 16
@@ -67,15 +67,9 @@ class CodeConfig:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "seed", int(self.seed))
         for name in ("r0", "r1", "r2", "r1p", "r2p"):
-            v = getattr(self, name)
-            if not is_finite_real(v) or v < 0:
-                raise ValidationError(f"rate {name} must be a finite number >= 0, got {v!r}")
-        if not is_finite_real(self.typicality_eps) or self.typicality_eps <= 0:
-            raise ValidationError(
-                f"typicality_eps must be a finite number > 0, got {self.typicality_eps!r}"
-            )
-        if self.aux.kind != "inner":
-            raise ValidationError("the binning scheme requires an inner-class chain")
+            check_real(getattr(self, name), f"rate {name}", 0)
+        check_real(self.typicality_eps, "typicality_eps", 0, strict=True)
+        _require_inner(self.aux)
         self.aux.check_channel(self.channel)
 
     @cached_property
@@ -118,12 +112,23 @@ def _sample_categorical(rows: np.ndarray, rng: np.random.Generator) -> np.ndarra
 
 @dataclass(frozen=True)
 class Codebook:
-    """Superposition/binning codebook, regenerable bit-exactly from the seed."""
+    """Superposition/binning codebook, regenerable bit-exactly from the seed.
+    u, v1 and v2 hold integer symbols of U, V1 and V2 in the shapes below
+    (ValidationError otherwise)."""
 
     config: CodeConfig
     u: np.ndarray = field(repr=False)  # (M0, n)
     v1: np.ndarray = field(repr=False)  # (M0, M1, M1p, n)
     v2: np.ndarray = field(repr=False)  # (M0, M2, M2p, n)
+
+    def __post_init__(self):
+        cfg, aux = self.config, self.config.aux
+        for name, size, shape in (
+            ("u", aux.u_size, (cfg.m0, cfg.n)),
+            ("v1", aux.v1_size, (cfg.m0, cfg.m1, cfg.m1p, cfg.n)),
+            ("v2", aux.v2_size, (cfg.m0, cfg.m2, cfg.m2p, cfg.n)),
+        ):
+            object.__setattr__(self, name, _symbol_stack(getattr(self, name), size, shape, name))
 
     @property
     def channel(self) -> DiscreteChannel:
@@ -177,26 +182,21 @@ def _check_symbol_cap(cfg: CodeConfig) -> None:
         )
 
 
-def _symbol_stack(values, size: int, n: int, what: str) -> np.ndarray:
-    """values as an integer (B, n) array, B >= 1, of symbols in 0..size-1, or
-    a ValidationError: numpy would wrap a negative symbol round to the end of
+def _symbol_stack(values, size: int, shape: tuple, what: str) -> np.ndarray:
+    """values as a non-empty integer array of symbols in 0..size-1 that fits
+    shape (errors.fits: an int fixes an axis, a str names a free one), or a
+    ValidationError: numpy would wrap a negative symbol round to the end of
     the alphabet, and a float, out-of-range or wrong-length stack would end in
     a raw IndexError, ValueError or TypeError."""
     try:
         stack = np.asarray(values)
     except (TypeError, ValueError):  # ragged nesting
-        stack = None
-    if (
-        stack is None
-        or stack.dtype.kind not in "iu"
-        or stack.ndim != 2
-        or stack.shape[0] < 1
-        or stack.shape[1] != n
-        or stack.min() < 0
-        or stack.max() >= size
-    ):
+        stack = np.zeros(0)
+    ok = stack.dtype.kind in "iu" and fits(stack, shape) and stack.size > 0
+    if not (ok and stack.min() >= 0 and stack.max() < size):
+        axes = ", ".join(map(str, shape))
         raise ValidationError(
-            f"{what} must be a (B, {n}) stack of integer symbols in 0..{size - 1}"
+            f"{what} must be a ({axes}) stack of integer symbols in 0..{size - 1}"
         )
     return stack.astype(np.int64, copy=False)  # uint64 codes would add to int64 ones as floats
 
@@ -242,9 +242,8 @@ def encode(cb: Codebook, w0: int, w1: int, w2: int, rng: np.random.Generator):
     """Pick bin indices uniformly, then draw the channel inputs symbol-wise.
     Each message index must be an integer below its message count."""
     cfg = cb.config
-    w, counts = (w0, w1, w2), (cfg.m0, cfg.m1, cfg.m2)
-    if not all(is_integer(i) and 0 <= i < m for i, m in zip(w, counts)):
-        raise ValidationError(f"message indices (w0, w1, w2) {w} are not integers below {counts}")
+    for name, w, m in (("w0", w0, cfg.m0), ("w1", w1, cfg.m1), ("w2", w2, cfg.m2)):
+        check_integer(w, f"message index {name}", 0, m - 1)
     q = int(rng.integers(cfg.m1p))
     qp = int(rng.integers(cfg.m2p))
     v1_seq = cb.v1[w0, w1, q]
@@ -258,8 +257,8 @@ def transmit(cb: Codebook, x1: np.ndarray, x2: np.ndarray, rng: np.random.Genera
     """Pass a (B, n) stack of inputs through the memoryless channel; returns
     (y1, y2), each (B, n).  Row by row, so B one-row calls draw the same."""
     ch, n = cb.channel, cb.config.n
-    x1 = _symbol_stack(x1, ch.x1_size, n, "x1")
-    x2 = _symbol_stack(x2, ch.x2_size, n, "x2")
+    x1 = _symbol_stack(x1, ch.x1_size, ("B", n), "x1")
+    x2 = _symbol_stack(x2, ch.x2_size, ("B", n), "x2")
     if len(x1) != len(x2):
         raise ValidationError(f"x1 stacks {len(x1)} trials and x2 {len(x2)}")
     pair = _sample_categorical(ch.transition[x1, x2].reshape(*x1.shape, -1), rng)
@@ -326,7 +325,7 @@ def decode_rx1(cb: Codebook, y1: np.ndarray):
     """
     cfg, aux, ref = cb.config, cb.config.aux, cb.reference_rx1
     n, ny1, count = cfg.n, ref.shape[-1], cfg.tuple_count
-    y = _symbol_stack(y1, ny1, n, "y1")
+    y = _symbol_stack(y1, ny1, ("B", n), "y1")
     tuples = cb.tuples
     allowed = _allowed_counts(ref, n, cfg.typicality_eps)
     rows1 = (cb.u[:, None, :] * aux.v1_size + cb.v1.reshape(cfg.m0, -1, n)) * ny1
@@ -351,7 +350,7 @@ def decode_rx2(cb: Codebook, y2: np.ndarray) -> list:
     """Typicality scan over the common-message codewords only; for a (B, n)
     stack of outputs, the list of B results (w0, or None)."""
     cfg, ref = cb.config, cb.reference_rx2
-    y = _symbol_stack(y2, ref.shape[1], cfg.n, "y2")
+    y = _symbol_stack(y2, ref.shape[1], ("B", cfg.n), "y2")
     allowed = _allowed_counts(ref, cfg.n, cfg.typicality_eps)
     mask = _typical_mask(cb.u * ref.shape[1] + y[:, None, :], allowed)
     hits, first = mask.sum(axis=1), mask.argmax(axis=1)
@@ -367,7 +366,7 @@ def posterior_w1w2(cb: Codebook, y2: np.ndarray) -> np.ndarray:
     float64 gather of tuples x n each; the gather is made per trial, never
     for B x tuples x n at once."""
     cfg, n = cb.config, cb.config.n
-    y = _symbol_stack(y2, cb.channel.y2_size, n, "y2")
+    y = _symbol_stack(y2, cb.channel.y2_size, ("B", n), "y2")
     symbols = cb._log_y2.shape[1]  # |U||V1||V2|
     tables = cb._log_y2[y].reshape(len(y), -1)  # log p(y2[b, t] | symbol) at t*symbols + symbol
     index = cb.tuples.reshape(-1, n) + symbols * np.arange(n)

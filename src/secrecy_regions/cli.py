@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime cap exceeded.
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -17,8 +18,8 @@ import numpy as np
 
 from .binning import CodeConfig, check_simulation, run_simulation
 from .dm import AuxiliaryChain, GridSpec, fm_matches_direct, random_inner_chain, sweep_region
-from .errors import CapExceededError, ValidationError, check_integer
-from .gaussian import R0_RHO_COEFF_DERIVATION, GaussianScenario, sweep_gaussian
+from .errors import CapExceededError, ValidationError, check_choice, check_integer
+from .gaussian import GAUSSIAN_KINDS, GaussianScenario, sweep_gaussian
 from .geometry import RateRegion, project
 from .info import DiscreteChannel, FiniteDistribution
 from .scenario import ScenarioFile
@@ -68,7 +69,7 @@ def _region_rows(region: RateRegion) -> tuple:
     """The CSV block of a swept frontier; beta/rho cells are empty when the
     sweep has no such parameter (discrete-memoryless regions carry a chain
     index instead, which the CSV omits)."""
-    gaussian = region.kind in ("g_inner", "g_outer", "cmac")
+    gaussian = region.kind in GAUSSIAN_KINDS
     params = region.records if gaussian else np.full((len(region.points), 3), np.nan)
     return region.kind, np.vstack([region.points.T, params.T])
 
@@ -193,8 +194,7 @@ def run_figure(which: str, out_dir, resolution: int = 101, outer_resolution: int
     fig4: achievable region versus compound-MAC at the noisier eavesdropper
           setting (.1, .6), where secrecy enlarges the sum rate.
     """
-    if which not in _FIGURE_SCENARIOS:
-        raise ValidationError(f"unknown figure {which!r}; expected fig2, fig3, or fig4")
+    check_choice(which, _FIGURE_SCENARIOS, "figure")
     s = _FIGURE_SCENARIOS[which]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -236,6 +236,12 @@ def cli():
     """Secrecy rate region sweeps, simulations, and figure data."""
 
 
+def _sweep_default(name: str) -> str:
+    """--help's note of a sweep_gaussian default: it alone owns them, as an
+    option not given stays out of the scenario."""
+    return f"[default: {inspect.signature(sweep_gaussian).parameters[name].default}]"
+
+
 def _gaussian_options(fn):
     for opt in reversed(
         [
@@ -243,7 +249,7 @@ def _gaussian_options(fn):
             click.option("--p2", type=float, required=True, help="transmit power P2"),
             click.option("--sigma1-sq", type=float, required=True, help="receiver 1 noise variance"),
             click.option("--sigma2-sq", type=float, required=True, help="receiver 2 noise variance"),
-            click.option("--resolution", type=int, default=101, show_default=True),
+            click.option("--resolution", type=int, help=_sweep_default("resolution")),
             click.option("--output", type=click.Path(), required=True, help="CSV output path"),
             click.option("--summary", type=click.Path(), default=None, help="JSON summary path"),
         ]
@@ -252,16 +258,13 @@ def _gaussian_options(fn):
     return fn
 
 
-def _gaussian_command(bound, p1, p2, sigma1_sq, sigma2_sq, resolution, output, summary, **extra):
+def _gaussian_command(bound, p1, p2, sigma1_sq, sigma2_sq, output, **optional):
     data = {
         "scenario": {"p1": p1, "p2": p2, "sigma1_sq": sigma1_sq, "sigma2_sq": sigma2_sq},
         "bound": bound,
-        "resolution": resolution,
         "output": output,
-        **extra,
+        **{key: value for key, value in optional.items() if value is not None},
     }
-    if summary:
-        data["summary"] = summary
     for path in run_scenario(ScenarioFile("gaussian", data)):
         click.echo(path)
 
@@ -278,9 +281,8 @@ def gaussian_inner(**kw):
 @click.option(
     "--r0-rho-coeff",
     type=float,
-    default=R0_RHO_COEFF_DERIVATION,
-    show_default=True,
-    help="coefficient on the correlation term in the common-rate bound",
+    help="coefficient on the correlation term in the common-rate bound  "
+    + _sweep_default("r0_rho_coeff"),
 )
 def gaussian_outer(r0_rho_coeff, **kw):
     """Sweep the Gaussian converse region over splits and correlation."""

@@ -41,7 +41,7 @@ from itertools import product
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import CapExceededError, ValidationError, check_integer
+from .errors import CapExceededError, ValidationError, check_choice, check_integer, checked_array
 from .geometry import (
     A_FIVE_BOUNDS,
     CONSTRAINT_PATTERNS,
@@ -51,13 +51,7 @@ from .geometry import (
     _prune_pairwise,
     batch_vertices,
 )
-from .info import (
-    _LN2,
-    DiscreteChannel,
-    FiniteDistribution,
-    check_distribution,
-    float_table,
-)
+from .info import _LN2, DiscreteChannel, FiniteDistribution, check_distribution
 
 MAX_AUX_ALPHABET = 3
 MAX_CHAINS = 300_000
@@ -68,8 +62,9 @@ PRODUCT_TOL = 1e-12
 class AuxiliaryChain:
     """Factored auxiliary distribution feeding a two-input channel.
 
-    p_v1v2_given_u has shape (|U|, |V1|, |V2|); for kind 'inner' every u
-    slice must factor as p(v1|u) p(v2|u) exactly.
+    p_v1v2_given_u has shape (|U|, |V1|, |V2|), p_x1_given_v1 (|V1|, |X1|)
+    and p_x2_given_v2 (|V2|, |X2|); kind is inner or outer, and for inner
+    every u slice must factor as p(v1|u) p(v2|u) exactly.
     """
 
     p_u: FiniteDistribution
@@ -79,18 +74,13 @@ class AuxiliaryChain:
     kind: str = "outer"
 
     def __post_init__(self):
-        pv = float_table(self.p_v1v2_given_u, "p(v1,v2|u)", 3)
-        px1 = float_table(self.p_x1_given_v1, "p(x1|v1)", 2)
-        px2 = float_table(self.p_x2_given_v2, "p(x2|v2)", 2)
+        check_choice(self.kind, ("inner", "outer"), "chain kind")
+        pv = checked_array(self.p_v1v2_given_u, "p(v1,v2|u)", (len(self.p_u), "|V1|", "|V2|"))
+        px1 = checked_array(self.p_x1_given_v1, "p(x1|v1)", (pv.shape[1], "|X1|"))
+        px2 = checked_array(self.p_x2_given_v2, "p(x2|v2)", (pv.shape[2], "|X2|"))
         object.__setattr__(self, "p_v1v2_given_u", pv)
         object.__setattr__(self, "p_x1_given_v1", px1)
         object.__setattr__(self, "p_x2_given_v2", px2)
-        if self.kind not in ("inner", "outer"):
-            raise ValidationError(f"chain kind must be inner or outer, got {self.kind!r}")
-        if pv.shape[0] != len(self.p_u):
-            raise ValidationError("p(v1,v2|u) must have one slice per u symbol")
-        if px1.shape[0] != pv.shape[1] or px2.shape[0] != pv.shape[2]:
-            raise ValidationError("p(x|v) rows must match the v alphabets")
         if max(pv.shape) > MAX_AUX_ALPHABET:
             raise ValidationError(
                 f"auxiliary alphabets (u, v1, v2) = {pv.shape} exceed {MAX_AUX_ALPHABET} symbols"
@@ -110,10 +100,8 @@ class AuxiliaryChain:
     @classmethod
     def inner(cls, p_u, p_v1_given_u, p_v2_given_u, p_x1_given_v1, p_x2_given_v2):
         """Inner-class chain from per-u product factors."""
-        pv1 = float_table(p_v1_given_u, "p(v1|u)", 2)
-        pv2 = float_table(p_v2_given_u, "p(v2|u)", 2)
-        if not len(pv1) == len(pv2) == len(p_u):
-            raise ValidationError("p(v1|u) and p(v2|u) must have one row per u symbol")
+        pv1 = checked_array(p_v1_given_u, "p(v1|u)", (len(p_u), "|V1|"))
+        pv2 = checked_array(p_v2_given_u, "p(v2|u)", (len(p_u), "|V2|"))
         joint = np.einsum("ua,ub->uab", pv1, pv2)
         return cls(p_u, joint, p_x1_given_v1, p_x2_given_v2, kind="inner")
 
@@ -275,8 +263,7 @@ def _require_inner(aux: AuxiliaryChain) -> None:
 def region_bounds(aux: AuxiliaryChain, ch: DiscreteChannel, kind: str) -> np.ndarray:
     """The five right-hand sides (b0, b1, b2, b12, b012), clamped at zero.
     dm_inner refuses a chain that is not of the inner class."""
-    if kind not in ("dm_inner", "dm_outer"):
-        raise ValidationError(f"unknown dm bound kind {kind!r}")
+    check_choice(kind, ("dm_inner", "dm_outer"), "dm bound kind")
     if kind == "dm_inner":
         _require_inner(aux)
     return _bounds(chain_information(aux, ch), kind)[0]
@@ -443,8 +430,7 @@ def _block_cells(grid: GridSpec, ch: DiscreteChannel, sweep_class: str) -> list:
     """The number of cells of each per-parameter distribution of a chain.
     The one check of `sweep_class`: chain_count, chain_at and sweep_region
     all come through here."""
-    if sweep_class not in ("inner", "outer"):
-        raise ValidationError(f"sweep class must be inner or outer, got {sweep_class!r}")
+    check_choice(sweep_class, ("inner", "outer"), "sweep class")
     if sweep_class == "inner":
         v_cells = [grid.v1_size] * grid.u_size + [grid.v2_size] * grid.u_size
     else:

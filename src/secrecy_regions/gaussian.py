@@ -17,9 +17,10 @@ import numpy as np
 from .errors import (
     CapExceededError,
     ValidationError,
+    check_choice,
     check_integer,
+    check_real,
     finite_array,
-    is_finite_real,
     real_array,
 )
 from .geometry import CONSTRAINT_PATTERNS, FrontierAccumulator, RateRegion, batch_vertices
@@ -30,6 +31,8 @@ from .geometry import CONSTRAINT_PATTERNS, FrontierAccumulator, RateRegion, batc
 # the variants can be compared side by side.
 R0_RHO_COEFF_AS_PRINTED = 1.0
 R0_RHO_COEFF_DERIVATION = 2.0
+
+GAUSSIAN_KINDS = ("g_inner", "g_outer", "cmac")
 
 # Largest sweep grid (resolution**3 for g_outer, resolution**2 otherwise).
 # A grid point costs about 100 bytes at peak, so this is about 200 MB; it
@@ -48,23 +51,24 @@ class GaussianScenario:
 
     def __post_init__(self):
         for name in ("p1", "p2", "sigma1_sq", "sigma2_sq"):
-            v = getattr(self, name)
-            if not is_finite_real(v) or v <= 0:
-                raise ValidationError(f"{name} must be a finite number > 0, got {v!r}")
-            object.__setattr__(self, name, float(v))  # a huge int product overflows numpy
+            # stored as a float: a product of huge ints overflows numpy
+            object.__setattr__(self, name, check_real(getattr(self, name), name, 0, strict=True))
 
 
 def capacity_fn(x):
     """Gaussian capacity function 0.5 * log2(1 + x), x = SNR >= 0: a number
-    or an array of them (ValidationError otherwise); inf and NaN pass
-    through, so a sweep can refuse its overflowing bounds as a whole."""
+    or an array of them, inf giving inf (ValidationError otherwise, NaN
+    included)."""
     x = real_array(x)
-    if x is None:
-        raise ValidationError("capacity_fn expects real numbers")
-    if np.any(x < 0):
-        raise ValidationError("capacity_fn requires a non-negative argument")
-    out = 0.5 * np.log2(1.0 + x)
+    if x is None or not (x >= 0).all():
+        raise ValidationError("capacity_fn expects real numbers >= 0")
+    out = _capacity(x)
     return float(out) if out.ndim == 0 else out
+
+
+def _capacity(x):
+    """capacity_fn unchecked, for the bound formulas: gaussian_bounds refuses what they give."""
+    return 0.5 * np.log2(1.0 + x)
 
 
 def _clip(x):
@@ -76,15 +80,15 @@ def _inner_bound_arrays(s: GaussianScenario, beta1, beta2):
     priv1 = (1.0 - b1sq) * s.p1
     priv2 = (1.0 - b2sq) * s.p2
     common = b1sq * s.p1 + b2sq * s.p2 + 2.0 * beta1 * beta2 * np.sqrt(s.p1 * s.p2)
-    b0 = capacity_fn(common / (priv1 + priv2 + s.sigma2_sq))
-    b1 = _clip(capacity_fn(priv1 / s.sigma1_sq) - capacity_fn(priv1 / (priv2 + s.sigma2_sq)))
-    b2 = _clip(capacity_fn(priv2 / s.sigma1_sq) - capacity_fn(priv2 / (priv1 + s.sigma2_sq)))
+    b0 = _capacity(common / (priv1 + priv2 + s.sigma2_sq))
+    b1 = _clip(_capacity(priv1 / s.sigma1_sq) - _capacity(priv1 / (priv2 + s.sigma2_sq)))
+    b2 = _clip(_capacity(priv2 / s.sigma1_sq) - _capacity(priv2 / (priv1 + s.sigma2_sq)))
     b12 = _clip(
-        capacity_fn((priv1 + priv2) / s.sigma1_sq) - capacity_fn((priv1 + priv2) / s.sigma2_sq)
+        _capacity((priv1 + priv2) / s.sigma1_sq) - _capacity((priv1 + priv2) / s.sigma2_sq)
     )
     total = s.p1 + s.p2 + 2.0 * beta1 * beta2 * np.sqrt(s.p1 * s.p2)
     b012 = _clip(
-        capacity_fn(total / s.sigma1_sq) - capacity_fn((priv1 + priv2) / s.sigma2_sq)
+        _capacity(total / s.sigma1_sq) - _capacity((priv1 + priv2) / s.sigma2_sq)
     )
     return b0, b1, b2, b12, b012
 
@@ -98,11 +102,11 @@ def _outer_bound_arrays(s: GaussianScenario, beta1, beta2, rho, r0_rho_coeff):
     )
     den = beta1 * s.p1 + beta2 * s.p2 + 2.0 * beta1 * beta2 * rho * cross
     b0 = np.minimum(
-        capacity_fn(num / (den + s.sigma1_sq)), capacity_fn(num / (den + s.sigma2_sq))
+        _capacity(num / (den + s.sigma1_sq)), _capacity(num / (den + s.sigma2_sq))
     )
-    b12 = _clip(capacity_fn(den / s.sigma1_sq) - capacity_fn(den / s.sigma2_sq))
+    b12 = _clip(_capacity(den / s.sigma1_sq) - _capacity(den / s.sigma2_sq))
     total = s.p1 + s.p2 + 2.0 * rho * cross
-    b012 = _clip(capacity_fn(total / s.sigma1_sq) - capacity_fn(den / s.sigma2_sq))
+    b012 = _clip(_capacity(total / s.sigma1_sq) - _capacity(den / s.sigma2_sq))
     return b0, b12, b012
 
 
@@ -112,17 +116,9 @@ def _cmac_bound_arrays(s: GaussianScenario, beta1, beta2):
     total = s.p1 + s.p2 + 2.0 * np.sqrt(s.p1 * s.p2) * beta1 * beta2
 
     def both(x):
-        return np.minimum(capacity_fn(x / s.sigma1_sq), capacity_fn(x / s.sigma2_sq))
+        return np.minimum(_capacity(x / s.sigma1_sq), _capacity(x / s.sigma2_sq))
 
     return both(priv1), both(priv2), both(priv1 + priv2), both(total)
-
-
-def _unit_interval(values, name: str) -> np.ndarray:
-    """values as floats; ValidationError unless each is a finite number in [0, 1]."""
-    x = finite_array(values)
-    if x is None or (x < 0).any() or (x > 1).any():
-        raise ValidationError(f"{name} must be finite numbers in [0, 1]")
-    return x
 
 
 def gaussian_bounds(
@@ -135,23 +131,35 @@ def gaussian_bounds(
 ) -> np.ndarray:
     """The right-hand sides of CONSTRAINT_PATTERNS[kind] (g_inner, g_outer or
     cmac), one row per parameter point: beta1, beta2 and, for g_outer only,
-    rho are numbers in [0, 1], scalars or equal-length 1-D arrays
-    (ValidationError otherwise, and for a rho missing or not wanted)."""
-    if kind not in ("g_inner", "g_outer", "cmac"):
-        raise ValidationError(f"unknown Gaussian bound kind {kind!r}")
+    rho are numbers in [0, 1], scalars or equal-length 1-D arrays, and
+    r0_rho_coeff is a finite number (ValidationError otherwise, for a rho
+    missing or not wanted, and for bounds that overflow to inf or NaN or, by
+    a negative r0_rho_coeff, fall below 0)."""
+    check_choice(kind, GAUSSIAN_KINDS, "Gaussian bound kind")
+    check_real(r0_rho_coeff, "r0_rho_coeff")
     if (rho is None) == (kind == "g_outer"):
         raise ValidationError(f"{kind} {'needs' if rho is None else 'takes no'} rho")
     names = ("beta1", "beta2", "rho") if kind == "g_outer" else ("beta1", "beta2")
-    params = [_unit_interval(v, name) for v, name in zip((beta1, beta2, rho), names)]
+    params = [finite_array(v) for v in (beta1, beta2, rho)[: len(names)]]
+    for x, name in zip(params, names):
+        if x is None or (x < 0).any() or (x > 1).any():
+            raise ValidationError(f"{name} must be finite numbers in [0, 1]")
     if any(x.ndim > 1 for x in params) or len({x.size for x in params if x.ndim}) > 1:
         raise ValidationError(f"{', '.join(names)} must be scalars or equal-length 1-D arrays")
-    if kind == "g_outer":
-        columns = _outer_bound_arrays(s, *params, r0_rho_coeff)
-    elif kind == "g_inner":
-        columns = _inner_bound_arrays(s, *params)
-    else:
-        columns = _cmac_bound_arrays(s, *params)
-    return np.column_stack(columns)
+    with np.errstate(all="ignore"):  # refused below instead
+        if kind == "g_outer":
+            columns = _outer_bound_arrays(s, *params, r0_rho_coeff)
+        elif kind == "g_inner":
+            columns = _inner_bound_arrays(s, *params)
+        else:
+            columns = _cmac_bound_arrays(s, *params)
+    bounds = np.column_stack(columns)
+    if not ((0.0 <= bounds) & (bounds < np.inf)).all():  # NaN fails both
+        raise ValidationError(
+            f"{kind} bounds overflow or fall below 0: the powers, noise variances or "
+            "r0_rho_coeff are out of range"
+        )
+    return bounds
 
 
 def sweep_gaussian(
@@ -164,13 +172,10 @@ def sweep_gaussian(
     per-point (beta1, beta2, rho) provenance, rho NaN when the sweep has none.
     Deterministic given the grid.  The sweep records each vertex's flat grid
     index, as sweep_region records a chain index, and maps only the frontier's
-    indices back to grid values.  A grid whose bounds overflow to inf or NaN
-    is refused before any vertex is enumerated.
+    indices back to grid values.  gaussian_bounds refuses a grid whose bounds
+    overflow before any vertex is enumerated.
     """
-    if kind not in ("g_inner", "g_outer", "cmac"):
-        raise ValidationError(f"unknown Gaussian sweep kind {kind!r}")
-    if not is_finite_real(r0_rho_coeff):
-        raise ValidationError(f"r0_rho_coeff must be a finite number, got {r0_rho_coeff!r}")
+    check_choice(kind, GAUSSIAN_KINDS, "Gaussian bound kind")  # it sizes the grid
     check_integer(resolution, "sweep resolution", 2)
     shape = (int(resolution),) * (3 if kind == "g_outer" else 2)
     points = shape[0] ** len(shape)
@@ -180,13 +185,7 @@ def sweep_gaussian(
         )
     g = np.linspace(0.0, 1.0, shape[0])
     grid = [x.ravel() for x in np.meshgrid(*[g] * len(shape), indexing="ij")]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        bounds = gaussian_bounds(s, kind, *grid, r0_rho_coeff=r0_rho_coeff)
-    if not np.isfinite(bounds).all():
-        raise ValidationError(
-            f"{kind} bounds overflow to inf or NaN: the powers, noise variances "
-            "or r0_rho_coeff are out of range"
-        )
+    bounds = gaussian_bounds(s, kind, *grid, r0_rho_coeff=r0_rho_coeff)
     del grid  # the frontier's grid values are looked up in g at the end
 
     A = CONSTRAINT_PATTERNS[kind]

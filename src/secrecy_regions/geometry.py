@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ValidationError, finite_array, is_integer
+from .errors import ValidationError, check_choice, check_integer, checked_array, real_array
 
 GEOM_TOL = 1e-9
 
@@ -76,13 +76,14 @@ class RateRegion:
     """A swept rate region: Pareto frontier plus enough per-sweep-point bound
     data to answer exact membership queries.
 
-    points:     (F, 3) Pareto-maximal frontier, sorted by (r0, r1, r2)
+    kind:       a key of CONSTRAINT_PATTERNS
+    points:     (F, 3) finite Pareto-maximal frontier, sorted by (r0, r1, r2)
     records:    (F, k) provenance row per frontier point (chain index, or
-                sweep parameters beta1/beta2[/rho])
+                sweep parameters beta1/beta2[/rho]), finite or NaN
     bound_rows: (M, nb) finite right-hand sides of the defining
                 inequalities, one row per sweep point, nb the rows of
                 CONSTRAINT_PATTERNS[kind] before its three r >= 0 rows
-                (ValidationError otherwise)
+    Each field is checked when the region is built (ValidationError).
     """
 
     kind: str
@@ -91,13 +92,13 @@ class RateRegion:
     bound_rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.kind not in CONSTRAINT_PATTERNS:
-            raise ValidationError(f"unknown bound kind {self.kind!r}")
-        rows = finite_array(self.bound_rows)
+        check_choice(self.kind, CONSTRAINT_PATTERNS, "bound kind")
+        pts = checked_array(self.points, "points", ("F", 3))
+        recs = checked_array(self.records, "records", (len(pts), "k"), nan=True)
         nb = len(CONSTRAINT_PATTERNS[self.kind]) - 3
-        if rows is None or rows.ndim != 2 or rows.shape[1] != nb:
-            raise ValidationError(f"{self.kind} bound_rows must be (M, {nb}) finite numbers")
-        object.__setattr__(self, "bound_rows", rows)
+        rows = checked_array(self.bound_rows, f"{self.kind} bound_rows", ("M", nb))
+        for name, value in (("points", pts), ("records", recs), ("bound_rows", rows)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def query_rows(self) -> np.ndarray:
@@ -153,13 +154,9 @@ def fm_eliminate(A: np.ndarray, b: np.ndarray, j: int):
     upper bound on x_j with every lower bound.  Returns (A, b) with column j
     deleted and parallel rows merged by _prune_pairwise.
     """
-    A, b = finite_array(A), finite_array(b)
-    if A is None or b is None or A.ndim != 2 or b.shape != (len(A),):
-        raise ValidationError(
-            "fm_eliminate expects a 2-D A and one b entry per row of A, all finite numbers"
-        )
-    if not (is_integer(j) and 0 <= j < A.shape[1]):
-        raise ValidationError(f"column {j!r} outside 0..{A.shape[1] - 1}")
+    A = checked_array(A, "A", ("m", "n"))
+    b = checked_array(b, "b", (len(A),))
+    check_integer(j, "column j", 0, A.shape[1] - 1)
     col = A[:, j]
     up, low = col > GEOM_TOL, col < -GEOM_TOL
     Au, bu = A[up] / col[up, None], b[up] / col[up]
@@ -192,13 +189,11 @@ def batch_vertices(A: np.ndarray, B: np.ndarray):
     No bounding box is added: every pattern the package builds has the r >= 0
     rows and a row with all rate coefficients positive, so it is bounded.
     """
-    A = finite_array(A)
-    if A is None or A.ndim != 2 or A.shape[1] != 3 or len(A) < 3:
-        raise ValidationError("A must be an (m, 3) array of finite numbers, m >= 3")
-    B = finite_array(B)
-    if B is None or B.ndim not in (1, 2) or B.shape[-1] != len(A):
-        raise ValidationError(f"B must be an (N, {len(A)}) array of finite numbers")
-    B = np.atleast_2d(B)
+    A = checked_array(A, "A", ("m", 3))
+    if len(A) < 3:
+        raise ValidationError(f"A must be a (m, 3) array of finite numbers, m >= 3, not {len(A)}")
+    B = real_array(B)  # a single (m,) row is one polytope
+    B = checked_array(B[None] if B is not None and B.ndim == 1 else B, "B", ("N", len(A)))
     if ((A > 0).any(axis=1) & (A < 0).any(axis=1)).any():
         raise ValidationError("a constraint row has both positive and negative coefficients")
     combos = np.array(list(combinations(range(A.shape[0]), 3)))
@@ -278,11 +273,8 @@ def pareto_frontier(points) -> np.ndarray:
     columns and no rows; ValidationError unless every entry is a finite
     number.  One sort: a stable descending lexsort is _staircase's presort,
     and the rows it keeps, reversed, are ascending."""
-    pts = finite_array(points)
-    if pts is None:
-        raise ValidationError("pareto_frontier expects finite rates")
-    pts = np.atleast_2d(pts)
-    if pts.ndim != 2 or pts.shape[1] not in (2, 3):
+    pts = checked_array(points, "points", ("N", "k"))
+    if pts.shape[1] not in (2, 3):
         raise ValidationError("pareto_frontier expects 2 or 3 rate columns")
     full = pts if pts.shape[1] == 3 else np.column_stack([pts, np.zeros(len(pts))])
     order = np.lexsort(-full.T[::-1])
@@ -360,9 +352,7 @@ def contains(outer: RateRegion, p) -> bool:
     frontier point, or inside some sweep point's halfspace system.  The
     scan runs over outer.query_rows, the non-dominated bound rows.  p must
     be 3 finite numbers (ValidationError)."""
-    p = finite_array(p)
-    if p is None or p.shape != (3,):
-        raise ValidationError("a membership query must be 3 finite rates")
+    p = checked_array(p, "a membership query", (3,))
     if (p < -GEOM_TOL).any():
         return False
     if len(outer.points) and (outer.points >= p[None, :] - GEOM_TOL).all(axis=1).any():
@@ -375,10 +365,7 @@ def contains(outer: RateRegion, p) -> bool:
 def project(points, axis: str) -> np.ndarray:
     """Drop the named rate coordinate of an (N, 3) array of finite rates
     (ValidationError otherwise) and return the 2-D Pareto frontier."""
-    if axis not in RATE_VARS:
-        raise ValidationError(f"axis must be one of {RATE_VARS}")
-    pts = finite_array(points)
-    if pts is None or pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValidationError("project expects an (N, 3) array of finite rates")
+    check_choice(axis, RATE_VARS, "axis")
+    pts = checked_array(points, "points", ("N", 3))
     keep = [i for i, v in enumerate(RATE_VARS) if v != axis]
     return pareto_frontier(pts[:, keep])

@@ -12,24 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_array, finite_array
 
 NORMALIZATION_TOL = 1e-12
 MAX_CHANNEL_ALPHABET = 4
 _LN2 = np.log(2.0)
-
-
-def float_table(value, what: str, ndim: int) -> np.ndarray:
-    """value as a float array with exactly ndim axes, or a ValidationError
-    (text, ragged nesting, ints beyond the float range and a wrong rank all
-    arrive from scenario files)."""
-    try:
-        table = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} must be a table of numbers: {exc}") from exc
-    if table.ndim != ndim:
-        raise ValidationError(f"{what} must be a {ndim}-index table, got {table.ndim} indices")
-    return table
 
 
 def check_distribution(p: np.ndarray, what: str, rows: int = 1) -> None:
@@ -46,10 +33,14 @@ def check_distribution(p: np.ndarray, what: str, rows: int = 1) -> None:
 
 
 def entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy -sum p log2 p of a (possibly multi-axis) mass table.
+    """Shannon entropy -sum p log2 p of a (possibly multi-axis) table of
+    finite non-negative masses (ValidationError otherwise).
 
     Zero entries contribute zero; the table is not re-normalized.
     """
+    p = finite_array(p)
+    if p is None or (p < 0).any():
+        raise ValidationError("entropy_bits expects a table of finite masses >= 0")
     return float(-xlogy(p, p).sum() / _LN2)
 
 
@@ -60,7 +51,7 @@ class FiniteDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = float_table(self.probs, "probabilities", 1)
+        p = checked_array(self.probs, "probabilities", ("k",))
         object.__setattr__(self, "probs", p)
         if p.size == 0:
             raise ValidationError("probabilities must form a non-empty vector")
@@ -82,7 +73,7 @@ class DiscreteChannel:
     transition: np.ndarray
 
     def __post_init__(self):
-        t = float_table(self.transition, "channel transition", 4)
+        t = checked_array(self.transition, "channel transition", ("x1", "x2", "y1", "y2"))
         object.__setattr__(self, "transition", t)
         if max(t.shape) > MAX_CHANNEL_ALPHABET:
             raise ValidationError(

@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .errors import ValidationError
+from .errors import ValidationError, check_choice
 
-KINDS = ("gaussian", "dm", "simulate", "fm-check")
-
-# Allowed keys per scenario kind; "kind" itself is implicit.  The values are
-# checked by the types and runners that use them, not here.
+# The scenario kinds and their allowed keys; "kind" itself is implicit.  The
+# values are checked by the types and runners that use them, not here.
 _SCHEMAS = {
     "gaussian": {
         "required": ("scenario", "bound", "output"),
@@ -66,9 +64,9 @@ class ScenarioFile:
     data: dict = field(repr=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"scenario kind must be one of {KINDS}, got {self.kind!r}")
+        check_choice(self.kind, _SCHEMAS, "scenario kind")
         schema = _SCHEMAS[self.kind]
+        _require_mapping(self.data, f"kind {self.kind}")
         _check_keys(self.data, schema["required"], schema["optional"], f"kind {self.kind}")
         for key in ("output", "summary"):
             if key in self.data and not isinstance(self.data[key], str):
@@ -76,8 +74,7 @@ class ScenarioFile:
         if self.kind == "gaussian":
             sc = _require_mapping(self.data["scenario"], "scenario")
             _check_keys(sc, _SCENARIO_KEYS, (), "scenario")
-            if self.data["bound"] not in ("inner", "outer", "cmac"):
-                raise ValidationError("gaussian bound must be inner, outer, or cmac")
+            check_choice(self.data["bound"], ("inner", "outer", "cmac"), "gaussian bound")
         elif self.kind == "dm":
             if "grid" in self.data:
                 _check_keys(_require_mapping(self.data["grid"], "grid"), (), _GRID_KEYS, "grid")

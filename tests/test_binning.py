@@ -11,6 +11,7 @@ from secrecy_regions import (
     AuxiliaryChain,
     CapExceededError,
     CodeConfig,
+    Codebook,
     FiniteDistribution,
     ValidationError,
     decode_rx1,
@@ -122,6 +123,20 @@ def test_codebook_memory_cap(monkeypatch):
         generate_codebook(make_config(n=16, r1=1.0, r1p=1.0))
 
 
+@pytest.mark.parametrize(
+    "name, spoil",
+    [("u", lambda a: a.astype(float)), ("u", lambda a: a[:, :-1]), ("v1", lambda a: a - 1),
+     ("v1", lambda a: a + 2), ("v2", lambda a: a[None]), ("v2", lambda a: None)],
+)
+def test_codebook_refuses_tables_that_are_not_its_symbols(name, spoil):
+    # a hand-made codebook used to keep any table, and the scans indexed with it
+    cb = generate_codebook(make_config())
+    fields = {"config": cb.config, "u": cb.u, "v1": cb.v1, "v2": cb.v2}
+    assert Codebook(**fields).u.dtype == np.int64
+    with pytest.raises(ValidationError, match=f"{name} must be a"):
+        Codebook(**{**fields, name: spoil(fields[name])})
+
+
 def test_degenerate_u_alphabet_gives_constant_codewords():
     cb = generate_codebook(make_config())
     assert np.all(cb.u == cb.u[0, 0])
@@ -145,7 +160,7 @@ def test_encode_rejects_out_of_range():
     # a float, text or None index used to end in numpy's IndexError or a TypeError,
     # and True to pass as message 1
     for w in [(0, 99, 0), (-1, 0, 0), (0.5, 0, 0), (0, "1", 0), (0, None, 0), (0, 0, True)]:
-        with pytest.raises(ValidationError, match="message indices"):
+        with pytest.raises(ValidationError, match=r"message index w[012] must be an integer"):
             encode(cb, *w, rng)
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import inspect
 import json
 import multiprocessing.process
 import re
@@ -10,7 +11,7 @@ import pytest
 import yaml
 
 import secrecy_regions
-from secrecy_regions import ScenarioFile, ValidationError, dm, scenario
+from secrecy_regions import ScenarioFile, ValidationError, cli, dm, scenario, sweep_gaussian
 from secrecy_regions.cli import _fmt, _fmt_column, main, run_figure, run_scenario
 from conftest import degraded_binary_channel, reveal_both_channel
 
@@ -77,6 +78,20 @@ def test_parse_rejects_unknown_kind():
         ScenarioFile.parse("kind: bogus\noutput: x.csv\n")
     with pytest.raises(ValidationError):
         ScenarioFile.parse("output: x.csv\n")
+
+
+@pytest.mark.parametrize(
+    "kind, data, match",
+    [("dm", None, "expected a mapping"), ("dm", ["channel"], "expected a mapping"),
+     (np.array(["dm"]), {}, "scenario kind must be one of"),
+     (["dm"], {}, "scenario kind must be one of"),
+     ("gaussian", {**MINIMAL_GAUSSIAN, "bound": ["inner"], "output": "r.csv"},
+      "gaussian bound must be one of")],
+)
+def test_scenario_file_refuses_a_kind_or_data_of_the_wrong_type(kind, data, match):
+    # None data used to raise TypeError, an array kind numpy's "ambiguous" ValueError
+    with pytest.raises(ValidationError, match=match):
+        ScenarioFile(kind, data)
 
 
 def test_parse_rejects_missing_required():
@@ -447,6 +462,24 @@ def test_cli_usage_error_is_validation_exit():
     assert main(["gaussian-inner", "--p1", "1"]) == 1
 
 
+def test_cli_leaves_the_sweep_defaults_to_sweep_gaussian(tmp_path, monkeypatch, capsys):
+    """An option not given stays out of the scenario, so sweep_gaussian's own
+    defaults apply; --help shows them as its signature holds them."""
+    seen = []
+    monkeypatch.setattr(cli, "run_scenario", lambda sf: seen.append(sf.data) or [])
+    args = ["--p1", "1", "--p2", "1", "--sigma1-sq", "0.1", "--sigma2-sq", "0.3",
+            "--output", str(tmp_path / "r.csv")]
+    assert main(["gaussian-outer", *args]) == 0
+    assert main(["gaussian-inner", *args, "--resolution", "7"]) == 0
+    assert not {"resolution", "r0_rho_coeff", "summary"} & set(seen[0])
+    assert seen[1]["resolution"] == 7
+    defaults = inspect.signature(sweep_gaussian).parameters
+    assert main(["gaussian-outer", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name in ("resolution", "r0_rho_coeff"):
+        assert f"[default: {defaults[name].default}]" in text
+
+
 # -- mutated scenarios ------------------------------------------------------
 
 
@@ -564,7 +597,7 @@ def test_scenario_module_holds_no_number_rule():
     """Integer, range and finiteness rules belong to the types and runners
     that use the values; scenario.py checks only the file's structure."""
     source = Path(scenario.__file__).read_text(encoding="utf-8")
-    for rule in ("is_integer", "is_finite_real", "check_integer"):
+    for rule in ("is_integer", "check_real", "check_integer", "checked_array"):
         assert rule not in source
 
 

@@ -396,6 +396,32 @@ def test_unknown_sweep_class_is_refused(degraded_channel, call):
         call(GridSpec(1, 2, 2, 3), degraded_channel)
 
 
+@pytest.mark.parametrize("choice", [np.array(["inner"]), ["inner"], None])
+def test_a_choice_that_is_not_a_str_is_refused(degraded_channel, choice):
+    # an array used to end in numpy's "truth value is ambiguous"
+    grid, aux = GridSpec(1, 2, 2, 3), identity_uniform_chain()
+    calls = {
+        "sweep class": lambda: sweep_region(degraded_channel, choice, grid),
+        "dm bound kind": lambda: region_bounds(aux, degraded_channel, choice),
+        "chain kind": lambda: AuxiliaryChain(
+            aux.p_u, aux.p_v1v2_given_u, np.eye(2), np.eye(2), choice
+        ),
+    }
+    for what, call in calls.items():
+        with pytest.raises(ValidationError, match=f"{what} must be one of"):
+            call()
+
+
+def test_chain_tables_must_match_the_alphabets_before_them():
+    aux = identity_uniform_chain(u_size=2)
+    with pytest.raises(ValidationError, match=r"p\(v1,v2\|u\) must be a \(2, \|V1\|, \|V2\|\)"):
+        AuxiliaryChain(aux.p_u, aux.p_v1v2_given_u[:1], np.eye(2), np.eye(2), "inner")
+    with pytest.raises(ValidationError, match=r"p\(x2\|v2\) must be a \(2, \|X2\|\)"):
+        AuxiliaryChain(aux.p_u, aux.p_v1v2_given_u, np.eye(2), np.eye(3)[:, :2], "inner")
+    with pytest.raises(ValidationError, match=r"p\(v2\|u\) must be a \(2, \|V2\|\)"):
+        AuxiliaryChain.inner(aux.p_u, [[0.5, 0.5]] * 2, [[0.5, 0.5]], np.eye(2), np.eye(2))
+
+
 def _awkward_floats(rng, shape):
     """Values whose sums are order-sensitive: both signs over 1e-300..1e300,
     values near 1 next to ones near its last bit, exact zeros, -0.0 and

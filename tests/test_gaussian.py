@@ -46,6 +46,39 @@ def test_capacity_fn_array():
     assert np.allclose(out, [0.0, 1.0])
 
 
+def test_capacity_fn_refuses_nan_and_takes_inf():
+    with pytest.raises(ValidationError, match=">= 0"):
+        capacity_fn([1.0, np.nan])
+    assert capacity_fn(np.inf) == np.inf
+
+
+@pytest.mark.parametrize("coeff", [None, "2", pytest.param(10**400, id="10**400"), np.nan])
+def test_gaussian_bounds_checks_r0_rho_coeff(coeff):
+    # None used to raise TypeError and 10**400 OverflowError
+    with pytest.raises(ValidationError, match="r0_rho_coeff"):
+        gaussian_bounds(FIG_SCENARIO_3, "g_outer", 0.5, 0.5, 0.5, coeff)
+
+
+@pytest.mark.parametrize(
+    "s, coeff",
+    [(GaussianScenario(1e200, 1e200, 0.1, 0.3), 2.0), (FIG_SCENARIO_3, 1e308),
+     (FIG_SCENARIO_3, -20.0), (FIG_SCENARIO_3, -2.05)],  # the last: b0 finite but < 0
+)
+def test_gaussian_bounds_refuses_bounds_that_overflow_or_fall_below_zero(s, coeff):
+    # used to return inf or NaN rows, which only sweep_gaussian refused
+    with pytest.raises(ValidationError, match="overflow"):
+        gaussian_bounds(s, "g_outer", [0.0, 1.0], [0.0, 1.0], [1.0, 1.0], coeff)
+
+
+@pytest.mark.parametrize("kind", [np.array(["g_inner"]), ["g_inner"], None])
+def test_a_kind_that_is_not_a_str_is_refused(kind):
+    # an array kind used to end in numpy's "truth value is ambiguous"
+    for call in (lambda: sweep_gaussian(FIG_SCENARIO_3, kind, 3),
+                 lambda: gaussian_bounds(FIG_SCENARIO_3, kind, 0.5, 0.5)):
+        with pytest.raises(ValidationError, match="kind must be one of"):
+            call()
+
+
 def test_scenario_validation():
     with pytest.raises(ValidationError):
         GaussianScenario(0.0, 1.0, 0.1, 0.3)

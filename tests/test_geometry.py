@@ -265,7 +265,7 @@ def test_fm_preserves_feasible_projections():
 def test_fm_eliminate_refuses_a_column_outside_the_system(j):
     # a negative index would otherwise eliminate a column counted from the end
     A = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(ValidationError, match="outside 0..1"):
+    with pytest.raises(ValidationError, match=r"column j must be an integer in 0\.\.1"):
         fm_eliminate(A, np.ones(3), j)
 
 
@@ -278,7 +278,7 @@ def test_fm_eliminate_refuses_a_column_outside_the_system(j):
      ([[10**400, 0, 0]] * 3, np.ones(3)), (np.eye(3), [np.inf, 1.0, 1.0])],
 )
 def test_fm_eliminate_refuses_a_b_that_does_not_match_a(A, b):
-    with pytest.raises(ValidationError, match="one b entry per row of A"):
+    with pytest.raises(ValidationError, match=r"[Ab] must be a \(.+\) array of finite numbers"):
         fm_eliminate(A, b, 0)
 
 
@@ -482,7 +482,7 @@ def test_pareto_frontier_of_no_rows_keeps_the_column_count():
 def test_contains_refuses_a_query_that_is_not_three_finite_numbers(query):
     bounds = np.array([[0.5, 0.4, 0.3, 0.6, 1.0]])
     region = RateRegion("dm_inner", np.zeros((0, 3)), np.zeros((0, 1)), bounds)
-    with pytest.raises(ValidationError, match="3 finite rates"):
+    with pytest.raises(ValidationError, match=r"query must be a \(3,\) array of finite numbers"):
         contains(region, query)
 
 
@@ -501,7 +501,7 @@ def test_contains_refuses_a_query_that_is_not_three_finite_numbers(query):
     ],
 )
 def test_project_and_pareto_frontier_take_only_finite_rates(call, points):
-    with pytest.raises(ValidationError, match="finite rates|rate columns"):
+    with pytest.raises(ValidationError, match="array of finite numbers|rate columns"):
         if call == "project":
             project(points, "r0")
         else:
@@ -628,6 +628,30 @@ def test_rate_region_refuses_bound_rows_off_its_pattern(kind, rows):
     # refused when built, not at the first contains (which named pareto_frontier)
     with pytest.raises(ValidationError, match="bound_rows must be"):
         RateRegion(kind, np.zeros((0, 3)), np.zeros((0, 1)), rows)
+
+
+_REGION = dict(kind="g_outer", points=[[0.1, 0.2, 0.2]], records=[[0.5, 0.5, np.nan]],
+               bound_rows=np.ones((1, 3)))
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("points", None, "points"), ("points", [[np.nan, 0.1, 0.1]], "points"),
+        ("points", [[0.1, 0.1]], "points"), ("points", [0.1, 0.2, 0.2], "points"),
+        ("records", None, "records"), ("records", np.zeros((2, 3)), "records"),
+        ("records", [0.5, 0.5, 0.5], "records"), ("records", [[np.inf, 0.5, 0.5]], "records"),
+        ("records", [["a", "b", "c"]], "records"),
+        ("kind", ["g_outer"], "bound kind"), ("kind", np.array(["g_outer"]), "bound kind"),
+        ("kind", None, "bound kind"),
+    ],
+)
+def test_rate_region_checks_every_field(field, value, match):
+    # a list or NaN points used to be kept as given, a list kind to raise TypeError
+    region = RateRegion(**_REGION)
+    assert isinstance(region.points, np.ndarray) and np.isnan(region.records[0, 2])
+    with pytest.raises(ValidationError, match=match):
+        RateRegion(**{**_REGION, field: value})
 
 
 def test_sweeps_leave_query_rows_uncomputed():

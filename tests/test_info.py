@@ -33,12 +33,36 @@ def test_entropy_bits_multi_axis_table():
     assert entropy_bits(table) == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "p",
+    ["x", None, [[0.5, 0.5], [1.0]], pytest.param([10**400, 0], id="10**400"),
+     [np.nan, 1.0], [0.5, np.inf], [-0.5, 1.5]],
+)
+def test_entropy_bits_refuses_what_is_not_finite_masses(p):
+    # text, ragged nesting and 10**400 used to raise from numpy; NaN and a
+    # negative mass gave NaN
+    with pytest.raises(ValidationError, match="finite masses"):
+        entropy_bits(p)
+
+
+def test_tables_refuse_bool_and_nan_entries():
+    # numpy read a bool as 0 or 1; a NaN reached the normalization check
+    point = np.zeros((2, 2, 2, 2), dtype=bool)
+    point[..., 0, 0] = True
+    spoiled = np.full((2, 2, 2, 2), 0.25)
+    spoiled[0, 0, 0, 0] = np.nan
+    for make, table in [(FiniteDistribution, [True, False]), (FiniteDistribution, [np.nan, 1.0]),
+                        (DiscreteChannel, point), (DiscreteChannel, spoiled)]:
+        with pytest.raises(ValidationError, match="array of finite numbers"):
+            make(table)
+
+
 def test_distribution_validation():
     with pytest.raises(ValidationError):
         FiniteDistribution(np.array([0.5, 0.6]))
     with pytest.raises(ValidationError):
         FiniteDistribution(np.array([1.1, -0.1]))
-    with pytest.raises(ValidationError, match="table of numbers"):
+    with pytest.raises(ValidationError, match="array of finite numbers"):
         FiniteDistribution([10**400, 0])  # numpy raises OverflowError converting it
 
 
@@ -51,7 +75,7 @@ def test_channel_validation():
         DiscreteChannel(t_bad)
     t_huge = t.tolist()
     t_huge[0][0][0][0] = 10**400
-    with pytest.raises(ValidationError, match="table of numbers"):
+    with pytest.raises(ValidationError, match="array of finite numbers"):
         DiscreteChannel(t_huge)
 
 
