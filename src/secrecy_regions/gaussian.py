@@ -23,7 +23,14 @@ from .errors import (
     finite_array,
     real_array,
 )
-from .geometry import CONSTRAINT_PATTERNS, FrontierAccumulator, RateRegion, batch_vertices
+from .geometry import (
+    CONSTRAINT_PATTERNS,
+    GEOM_TOL,
+    FrontierAccumulator,
+    RateRegion,
+    _staircase_2d,
+    batch_vertices,
+)
 
 # Coefficient on the rho*sqrt(P1*P2) term in the numerator of the outer R0
 # bound.  The bound as printed carries coefficient 1, but its derivation
@@ -38,6 +45,11 @@ GAUSSIAN_KINDS = ("g_inner", "g_outer", "cmac")
 # A grid point costs about 100 bytes at peak, so this is about 200 MB; it
 # admits g_outer up to resolution 125 and g_inner/cmac up to 1414.
 MAX_GRID_POINTS = 2_000_000
+
+# A g_outer row is left out of vertex enumeration when another row's corner
+# beats both of its corners by this much in r0 and in r1 + r2: ten cells of
+# the frontier's GEOM_TOL grid, so none of its vertices can lead a cell.
+_OUTER_MARGIN = 10 * GEOM_TOL
 
 
 @dataclass(frozen=True)
@@ -162,6 +174,45 @@ def gaussian_bounds(
     return bounds
 
 
+def _outer_corners(rows: np.ndarray):
+    """(r0, s) of the two corners of each g_outer row (b0, b12, b012), the
+    polygon r0 <= b0, s <= b12, r0 + s <= b012 in the plane s = r1 + r2:
+    first every row's highest-r0 corner, then every row's highest-s one.
+    The row's maximal vertices are their lifts (r0, s, 0) and (r0, 0, s)."""
+    b0, b12, b012 = rows.T
+    top0, tops = np.minimum(b0, b012), np.minimum(b12, b012)
+    r0 = np.concatenate([top0, np.minimum(b0, b012 - tops)])
+    s = np.concatenate([np.minimum(b12, b012 - top0), tops])
+    return r0, s
+
+
+def _outer_live_rows(bounds: np.ndarray, chunk: int) -> np.ndarray:
+    """Mask of the g_outer rows that some vertex of the frontier may come
+    from: all but those whose two corners another corner beats by
+    _OUTER_MARGIN in r0 and in s.  Two passes of chunk rows each, so no
+    array spans the grid's 2N corners: the first builds the 2-D skyline of
+    all corners, the second tests each corner against it, since a corner
+    that beats another is weakly beaten by a skyline corner."""
+    sky_r0 = sky_s = np.zeros(0)
+    for start in range(0, len(bounds), chunk):
+        r0, s = _outer_corners(bounds[start : start + chunk])
+        r0, s = np.concatenate([sky_r0, r0]), np.concatenate([sky_s, s])
+        order = np.argsort(-r0)  # ties in r0 only keep a few corners more
+        r0, s = r0[order], s[order]
+        keep = _staircase_2d(s)
+        sky_r0, sky_s = r0[keep], s[keep]
+    # r0 ascending and s strictly descending, then a -inf sentinel: the least
+    # r0' >= r0 + margin has the largest s' of those
+    sky_r0, sky_s = sky_r0[::-1], np.append(sky_s[::-1], -np.inf)
+    live = np.empty(len(bounds), dtype=bool)
+    for start in range(0, len(bounds), chunk):
+        r0, s = _outer_corners(bounds[start : start + chunk])
+        beaten = sky_s[np.searchsorted(sky_r0, r0 + _OUTER_MARGIN)] >= s + _OUTER_MARGIN
+        n = len(beaten) // 2
+        live[start : start + n] = ~(beaten[:n] & beaten[n:])
+    return live
+
+
 def sweep_gaussian(
     s: GaussianScenario,
     kind: str,
@@ -174,6 +225,14 @@ def sweep_gaussian(
     index, as sweep_region records a chain index, and maps only the frontier's
     indices back to grid values.  gaussian_bounds refuses a grid whose bounds
     overflow before any vertex is enumerated.
+
+    A g_outer sweep enumerates vertices only for the rows _outer_live_rows
+    keeps (2 % of fig2's 51**3 grid; all of them when sigma1_sq >= sigma2_sq
+    clips b12 to 0), in chunks cut by grid index as before, and the region
+    keeps every bound row.  That is exact, to the byte: a dropped row's
+    vertices lie within GEOM_TOL of its corners' lifts, so a kept row's
+    vertex beats each of them by nine cells in two coordinates and ties it
+    at 0 in the third; none of them leads a cell the frontier keeps.
     """
     check_choice(kind, GAUSSIAN_KINDS, "Gaussian bound kind")  # it sizes the grid
     check_integer(resolution, "sweep resolution", 2)
@@ -191,11 +250,12 @@ def sweep_gaussian(
     A = CONSTRAINT_PATTERNS[kind]
     acc = FrontierAccumulator()
     chunk = 20000
+    live = _outer_live_rows(bounds, chunk) if kind == "g_outer" else np.ones(len(bounds), bool)
     for start in range(0, len(bounds), chunk):
-        rows = bounds[start : start + chunk]
-        B = np.hstack([rows, np.zeros((len(rows), 3))])
+        idx = start + np.flatnonzero(live[start : start + chunk])
+        B = np.hstack([bounds[idx], np.zeros((len(idx), 3))])
         pts, owner = batch_vertices(A, B)
-        acc.add(pts, (start + owner)[:, None].astype(float))
+        acc.add(pts, idx[owner][:, None].astype(float))
     region = acc.finish(kind, bounds)
     index = np.unravel_index(region.records[:, 0].astype(np.intp), shape)
     params = np.full((len(region.records), 3), np.nan)

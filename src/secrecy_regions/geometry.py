@@ -2,9 +2,10 @@
 maximal-vertex enumeration for 3-D rate polytopes, Pareto frontiers,
 projection, and region membership.
 
-Every Pareto frontier (of a sweep, of a projection, and of the bound rows
-that membership queries scan) comes from one exact skyline, _staircase: a
-block maxima sweep over rows presorted by (-r0, -r1, -r2).
+Every 3-D Pareto frontier (of a sweep, and of the bound rows that
+membership queries scan) comes from one exact skyline, _staircase: a block
+maxima sweep over rows presorted by (-r0, -r1, -r2).  Every 2-D one (of a
+projection) is a running maximum over a presorted column, _staircase_2d.
 
 All geometric comparisons use the absolute tolerance GEOM_TOL = 1e-9;
 inputs are closed-form values with ~1e-15 native error, so this leaves
@@ -221,6 +222,18 @@ _STAIR_BLOCK = 256
 _EARLIER = np.tri(_STAIR_BLOCK, _STAIR_BLOCK, -1, dtype=bool)  # [b, a]: a < b
 
 
+def _staircase_2d(y: np.ndarray) -> np.ndarray:
+    """Mask over y of the entries above every earlier entry.  Over 2-D rows
+    presorted so that the first column never rises, with y the second
+    column, those are the rows no earlier row weakly dominates: the running
+    maximum of y is the 2-D maxima staircase (Kung, Luccio & Preparata 1975).
+    After a stable descending lexsort that is the Pareto-maximal rows, the
+    first of equal ones."""
+    keep = np.ones(len(y), dtype=bool)
+    keep[1:] = y[1:] > np.maximum.accumulate(y)[:-1]
+    return keep
+
+
 def _staircase(p: np.ndarray) -> np.ndarray:
     """Mask over rows p of those that no earlier row weakly dominates: the
     Pareto-maximal rows, the first of equal ones.
@@ -260,8 +273,7 @@ def _staircase(p: np.ndarray) -> np.ndarray:
         c2 = np.concatenate([stair_r2[:-1], r2[kept]])
         order = np.lexsort((-c2, -c1))
         c1, c2 = c1[order], c2[order]
-        above = np.ones(len(c2), dtype=bool)
-        above[1:] = c2[1:] > np.maximum.accumulate(c2)[:-1]
+        above = _staircase_2d(c2)
         stair_r1 = c1[above][::-1]
         stair_r2 = np.append(c2[above][::-1], -np.inf)
     return keep
@@ -271,14 +283,16 @@ def pareto_frontier(points) -> np.ndarray:
     """The distinct non-dominated rows of an (N, 2) or (N, 3) array, of equal
     rows the first in input order, ascending in (r0, r1, r2); (0, k) for k
     columns and no rows; ValidationError unless every entry is a finite
-    number.  One sort: a stable descending lexsort is _staircase's presort,
-    and the rows it keeps, reversed, are ascending."""
+    number.  One sort: a stable descending lexsort is the presort of
+    _staircase (3 columns) or _staircase_2d (2 columns), and the rows it
+    keeps, reversed, are ascending."""
     pts = checked_array(points, "points", ("N", "k"))
     if pts.shape[1] not in (2, 3):
         raise ValidationError("pareto_frontier expects 2 or 3 rate columns")
-    full = pts if pts.shape[1] == 3 else np.column_stack([pts, np.zeros(len(pts))])
-    order = np.lexsort(-full.T[::-1])
-    return pts[order[_staircase(full[order])]][::-1]
+    order = np.lexsort(-pts.T[::-1])
+    p = pts[order]
+    keep = _staircase(p) if pts.shape[1] == 3 else _staircase_2d(p[:, 1])
+    return p[keep][::-1]
 
 
 def _cell_frontier(pts: np.ndarray) -> np.ndarray:
@@ -315,10 +329,15 @@ class FrontierAccumulator:
 
     finish prunes the chunks' survivors together.  A chunk's survivors lie
     in distinct cells, so a cell shared across chunks keeps the earliest
-    chunk's row, whatever order each chunk's survivors are in.  Merge order
-    and chunking move the frontier only within GEOM_TOL (they pick which of
-    near-equal rows survives).  A single chunk is already pruned, so finish
-    only sorts it.
+    chunk's row, whatever order each chunk's survivors are in.  A single
+    chunk is already pruned, so finish only sorts it.
+
+    The frontier depends on the chunking, and not only within GEOM_TOL: the
+    chunks pick which of near-equal rows leads a cell, and another leader
+    can dominate, or fail to dominate, rows elsewhere, so whole points come
+    and go.  The dm_outer golden scenario gives 34 points with chunks of
+    8,192 rows and 32 with 20,000.  Each sweep keeps one fixed chunk size,
+    so its bytes repeat.
     """
 
     def __init__(self):

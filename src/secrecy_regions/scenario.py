@@ -9,6 +9,7 @@ which check the values.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import yaml
@@ -88,6 +89,10 @@ class ScenarioFile:
 
     @classmethod
     def parse(cls, text: str) -> "ScenarioFile":
+        """The scenario in YAML text (ValidationError unless text is a str
+        holding one)."""
+        if not isinstance(text, str):
+            raise ValidationError(f"scenario text: expected a str, got {type(text).__name__}")
         try:
             raw = yaml.safe_load(text)
         except yaml.YAMLError as exc:
@@ -100,5 +105,13 @@ class ScenarioFile:
 
     @classmethod
     def load(cls, path) -> "ScenarioFile":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read())
+        """The scenario in the UTF-8 YAML file at path, a str or os.PathLike
+        (ValidationError otherwise, and for a file that cannot be read)."""
+        if not isinstance(path, (str, os.PathLike)):
+            raise ValidationError(f"scenario path: expected a str or path, got {type(path).__name__}")
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"scenario file {os.fspath(path)!r}: {exc}") from exc
+        return cls.parse(text)

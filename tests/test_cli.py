@@ -104,6 +104,19 @@ def test_parse_rejects_bad_yaml():
         ScenarioFile.parse("kind: [unclosed\n")
 
 
+@pytest.mark.parametrize("content", [b"kind: gaussian\nbound: \xff\n", None])
+def test_run_refuses_a_file_it_cannot_read_as_text(tmp_path, capsys, content):
+    # non-UTF-8 bytes used to end in a UnicodeDecodeError traceback; None
+    # makes the path a directory
+    path = tmp_path / "s.yaml"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["run", str(path)]) == 1
+    assert f"scenario file {str(path)!r}" in capsys.readouterr().err
+
+
 def test_dm_scenario_alphabet_cap(tmp_path, capsys):
     data = {
         "kind": "dm",

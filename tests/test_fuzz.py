@@ -13,6 +13,7 @@ work.
 """
 
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ GRID = sr.GridSpec(1, 2, 2, 2)
 BOUNDS = np.array([[0.5, 0.4, 0.3, 0.6, 1.0]])
 REGION = sr.RateRegion("dm_inner", np.array([[0.1, 0.2, 0.2]]), np.zeros((1, 1)), BOUNDS)
 SYMBOLS = np.zeros((1, CFG.n), dtype=int)
+SCENARIO_PATH = Path(__file__).with_name("gaussian_scenario.yaml")
 
 
 def _rng():
@@ -63,6 +65,9 @@ VALID = {
     "ScenarioFile": (sr.ScenarioFile, dict(kind="gaussian", data={
         "scenario": {"p1": 1, "p2": 1, "sigma1_sq": 0.1, "sigma2_sq": 0.3},
         "bound": "inner", "output": "r.csv"})),
+    "ScenarioFile.load": (sr.ScenarioFile.load, dict(path=str(SCENARIO_PATH))),
+    "ScenarioFile.parse": (sr.ScenarioFile.parse, dict(
+        text=SCENARIO_PATH.read_text(encoding="utf-8"))),
     "achievability_constraint_system": (sr.achievability_constraint_system, dict(aux=AUX, ch=CH)),
     "batch_vertices": (sr.batch_vertices, dict(
         A=A_FIVE_BOUNDS, B=np.hstack([BOUNDS, np.zeros((1, 3))]))),

@@ -3,15 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrecy_regions import (
     GaussianScenario,
     R0_RHO_COEFF_AS_PRINTED,
     ValidationError,
+    batch_vertices,
     capacity_fn,
+    gaussian,
     gaussian_bounds,
     sweep_gaussian,
 )
+from secrecy_regions.geometry import A_OUTER_GAUSSIAN, FrontierAccumulator
 
 
 def cap(x):
@@ -214,14 +219,114 @@ def test_outer_sweep_monotone_in_resolution():
     assert fine.max_common_rate() >= coarse.max_common_rate() - 1e-12
 
 
-def test_outer_sweep_memory_stays_bounded():
-    """The fig2 outer sweep keeps no per-grid-point provenance: its
-    tracemalloc peak is about 18 MiB, and one more full-grid copy per chunk
-    or a (beta1, beta2, rho) table per grid point would cross the bound."""
+def test_outer_sweep_memory_stays_flat():
+    """The fig2 outer sweep keeps no per-grid-point provenance, and its row
+    prefilter works chunk by chunk: the tracemalloc peak is about 12 MiB, the
+    grid and its bound rows.  A prefilter over all 2N corners at once (about
+    17 MiB), one more full-grid copy per chunk or a (beta1, beta2, rho)
+    table per grid point would cross the bound."""
     tracemalloc.start()
     try:
         sweep_gaussian(FIG_SCENARIO_3, "g_outer", 51)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 22 * 2**20
+    assert peak <= 14 * 2**20
+
+
+def _unfiltered_outer_sweep(s, resolution, coeff, chunk_rows=lambda start, rows: rows):
+    """sweep_gaussian's g_outer loop without the row prefilter: every grid
+    row's vertices, in chunks of 20,000 rows cut by grid index.  chunk_rows
+    picks the rows of a chunk that are enumerated (all of them by default).
+    Returns the frontier's points and (beta1, beta2, rho) records."""
+    g = np.linspace(0.0, 1.0, resolution)
+    grid = [x.ravel() for x in np.meshgrid(g, g, g, indexing="ij")]
+    bounds = gaussian_bounds(s, "g_outer", *grid, r0_rho_coeff=coeff)
+    acc = FrontierAccumulator()
+    for start in range(0, len(bounds), 20000):
+        idx = chunk_rows(start, np.arange(start, min(start + 20000, len(bounds))))
+        pts, owner = batch_vertices(A_OUTER_GAUSSIAN, np.hstack([bounds[idx], np.zeros((len(idx), 3))]))
+        acc.add(pts, idx[owner][:, None].astype(float))
+    region = acc.finish("g_outer", bounds)
+    index = np.unravel_index(region.records[:, 0].astype(np.intp), (resolution,) * 3)
+    return region.points, g[np.column_stack(index)]
+
+
+def _assert_same_bytes(region, points, records):
+    assert region.points.tobytes() == points.tobytes()
+    assert region.records.tobytes() == records.tobytes()
+
+
+@pytest.mark.parametrize("s", [FIG_SCENARIO_3, FIG_SCENARIO_4])
+@pytest.mark.parametrize("coeff", [2.0, R0_RHO_COEFF_AS_PRINTED])
+def test_outer_prefilter_keeps_the_figure_sweeps_byte_identical(s, coeff):
+    # 51**3 rows in seven chunks, about 2 % of them live
+    region = sweep_gaussian(s, "g_outer", 51, coeff)
+    _assert_same_bytes(region, *_unfiltered_outer_sweep(s, 51, coeff))
+    assert len(region.bound_rows) == 51**3  # membership still sees every row
+
+
+@given(
+    log_p=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+    equal_powers=st.booleans(),
+    log_sigma=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+    noise_order=st.sampled_from(["legitimate better", "eavesdropper better", "equal"]),
+    coeff=st.sampled_from([-0.3, 0.0, 0.5, 0.7, 1.0, 2.0, 3.0]),
+    resolution=st.integers(2, 20) | st.sampled_from([28, 36]),
+)
+@settings(max_examples=40, deadline=None)
+def test_outer_prefilter_matches_the_unfiltered_sweep(
+    log_p, equal_powers, log_sigma, noise_order, coeff, resolution
+):
+    # eavesdropper better or equal noise clips b12 to 0; 28 and 36 split the
+    # grid into two and three chunks
+    p1, p2 = 10.0 ** np.array(log_p)
+    if equal_powers:
+        p2 = p1
+    lo, hi = sorted(10.0 ** np.array(log_sigma))
+    sigma = {"legitimate better": (lo, hi), "eavesdropper better": (hi, lo), "equal": (lo, lo)}
+    s = GaussianScenario(p1, p2, *sigma[noise_order])
+    try:
+        expected = _unfiltered_outer_sweep(s, resolution, coeff)
+    except ValidationError:  # a negative coeff can take b0 below 0
+        with pytest.raises(ValidationError, match="overflow or fall below 0"):
+            sweep_gaussian(s, "g_outer", resolution, coeff)
+        return
+    _assert_same_bytes(sweep_gaussian(s, "g_outer", resolution, coeff), *expected)
+
+
+def test_outer_sweep_passes_over_a_chunk_with_no_live_row(monkeypatch):
+    # No scenario tried leaves a whole chunk dead (the beta1 = 1 band holds
+    # the largest r1 + r2), so one is made: the second chunk's rows are
+    # dropped, as a mask would drop them, and the loop must still cut the
+    # chunks by grid index and record each vertex's own row.
+    def live_rows(bounds, chunk):
+        live = np.ones(len(bounds), dtype=bool)
+        live[chunk : 2 * chunk] = False
+        return live
+
+    monkeypatch.setattr(gaussian, "_outer_live_rows", live_rows)
+    region = sweep_gaussian(FIG_SCENARIO_3, "g_outer", 36)
+    without_second = _unfiltered_outer_sweep(
+        FIG_SCENARIO_3, 36, 2.0, lambda start, rows: rows[:0] if start == 20000 else rows
+    )
+    _assert_same_bytes(region, *without_second)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_outer_corners_lift_to_each_rows_vertices(seed):
+    # single rows, half of their bounds on a coarse level grid so that
+    # b0 + b12 = b012, b0 = b012 and b12 = b012 ties occur, b012 < b0 too
+    rng = np.random.default_rng(seed)
+    rows = rng.random((50, 3)) * [1.0, 1.0, 2.0]
+    tied = rng.random(rows.shape) < 0.5
+    rows[tied] = rng.integers(0, 9, size=tied.sum()) / 4
+    r0, s = gaussian._outer_corners(rows)
+    n = len(rows)
+    for i, row in enumerate(rows):
+        lifts = np.array([[x, y, 0.0] for x, y in ((r0[i], s[i]), (r0[n + i], s[n + i]))])
+        lifts = np.vstack([lifts, lifts[:, [0, 2, 1]]])
+        pts, _ = batch_vertices(A_OUTER_GAUSSIAN, np.concatenate([row, np.zeros(3)]))
+        gap = np.abs(pts[:, None, :] - lifts[None, :, :]).max(axis=2)
+        assert (gap.min(axis=1) <= 1e-12).all(), (row, pts, lifts)
+        assert (gap.min(axis=0) <= 1e-12).all(), (row, pts, lifts)

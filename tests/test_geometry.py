@@ -302,6 +302,35 @@ def test_pareto_frontier_matches_bruteforce(seed, count):
     assert np.array_equal(fast, brute)  # both in (r0, r1, r2) row order
 
 
+def _brute_first_maxima(pts):
+    """O(n^2) oracle: the rows of pts that no row dominates (>= everywhere,
+    > somewhere), the first in input order of equal ones, ascending."""
+    ge = (pts[None, :, :] >= pts[:, None, :]).all(axis=2)  # [i, j]: j >= i
+    gt = (pts[None, :, :] > pts[:, None, :]).any(axis=2)
+    equal_earlier = (ge & ge.T) & np.tri(len(pts), k=-1, dtype=bool)
+    keep = ~(ge & gt).any(axis=1) & ~equal_earlier.any(axis=1)
+    kept = pts[keep]
+    return kept[np.lexsort(kept.T[::-1])]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 300]) | st.integers(1, 200),
+    levels=st.integers(1, 12),
+    trade_off=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_two_column_pareto_frontier_matches_bruteforce(seed, n, levels, trade_off):
+    # integer levels, so rows tie in one column or repeat whole; -0.0 beside
+    # 0.0 shows in the bytes which of equal rows was kept
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, levels + 1, size=(n, 2)).astype(float)
+    if trade_off:
+        pts[:, 1] = np.maximum(levels - pts[:, 0] - rng.integers(0, 2, n), 0)
+    pts[(pts == 0) & (rng.random(pts.shape) < 0.5)] = -0.0
+    assert pareto_frontier(pts).tobytes() == _brute_first_maxima(pts).tobytes()
+
+
 def _staircase_only_mask(points):
     """Mask of the rows _staircase keeps, over points in input order."""
     order = np.lexsort((-points[:, 2], -points[:, 1], -points[:, 0]))
