@@ -335,14 +335,18 @@ def _fm_table():
 
 
 def _fm_rows(mi: dict):
-    """(A, b): the table evaluated at one chain's terms, parallel rows merged."""
+    """(A, b): the table evaluated at one chain's terms, parallel rows merged,
+    without the rows that every r >= 0 satisfies (no positive coefficient,
+    b >= 0); the infeasibility markers 0 <= negative stay."""
     A, T = _fm_table()
-    return _prune_pairwise(A, T @ [mi[name][0] for name in _RAW_TERMS])
+    A, b = _prune_pairwise(A, T @ [mi[name][0] for name in _RAW_TERMS])
+    keep = (A > 0).any(axis=1) | (b < 0)
+    return A[keep], b[keep]
 
 
 def fm_region_polytope(aux: AuxiliaryChain, ch: DiscreteChannel):
-    """(A, b), A r <= b over (r0, r1, r2): the raw constraint system
-    projected, both bin rates eliminated by Fourier-Motzkin."""
+    """(A, b), the polytope {r >= 0 : A r <= b} over (r0, r1, r2): the raw
+    constraint system projected, both bin rates eliminated by Fourier-Motzkin."""
     _require_inner(aux)
     return _fm_rows(chain_information(aux, ch))
 
@@ -364,25 +368,25 @@ def random_inner_chain(ch: DiscreteChannel, rng: np.random.Generator) -> Auxilia
 
 
 def _vertices_inside(A, b, A2, b2) -> bool:
-    """Every vertex batch_vertices gives of {A r <= b}, the maximal ones,
-    satisfies A2 r <= b2 within GEOM_TOL.  Both systems are down-closed in
-    the orthant, so that decides containment: each point of a polytope lies
-    below a convex combination of its maximal vertices."""
+    """Every vertex batch_vertices gives of {r >= 0 : A r <= b}, the maximal
+    ones, satisfies A2 r <= b2 within GEOM_TOL.  Both systems are down-closed
+    in the orthant, so that decides containment: each point of a polytope
+    lies below a convex combination of its maximal vertices."""
     verts, _ = batch_vertices(A, b)
     return bool((verts @ A2.T <= b2 + GEOM_TOL).all())
 
 
 def fm_matches_direct(aux: AuxiliaryChain, ch: DiscreteChannel) -> str:
     """Compare the Fourier-Motzkin projection with the direct five-inequality
-    polytope for one inner-class chain.  "equal" when each contains the
-    other's maximal vertices within GEOM_TOL.  Otherwise "raw_infeasible"
-    when the projection is empty, which is exactly when it excludes the
-    origin, since only its r >= 0 rows have a negative rate coefficient: the
-    raw system has no solution, and the direct bounds hide that by clamping
-    at zero.  Else "mismatch"."""
+    polytope for one inner-class chain, both in r >= 0.  "equal" when each
+    contains the other's maximal vertices within GEOM_TOL.  Otherwise
+    "raw_infeasible" when the projection is empty, which is exactly when it
+    excludes the origin, since none of its rows has a negative rate
+    coefficient: the raw system has no solution, and the direct bounds hide
+    that by clamping at zero.  Else "mismatch"."""
     _require_inner(aux)
     mi = chain_information(aux, ch)
-    direct = A_FIVE_BOUNDS, np.concatenate([_bounds(mi, "dm_inner")[0], np.zeros(3)])
+    direct = A_FIVE_BOUNDS, _bounds(mi, "dm_inner")[0]
     A, b = _fm_rows(mi)
     if _vertices_inside(*direct, A, b) and _vertices_inside(A, b, *direct):
         return "equal"
@@ -542,8 +546,6 @@ def sweep_region(ch: DiscreteChannel, sweep_class: str, grid: GridSpec) -> RateR
     acc = FrontierAccumulator()
     chunk = 8192
     for start in range(0, total, chunk):
-        rows = bounds[start : start + chunk]
-        B = np.hstack([rows, np.zeros((len(rows), 3))])
-        pts, owner = batch_vertices(A, B)
+        pts, owner = batch_vertices(A, bounds[start : start + chunk])
         acc.add(pts, (start + owner)[:, None].astype(float))
     return acc.finish(kind, bounds)

@@ -253,8 +253,7 @@ def sweep_gaussian(
     live = _outer_live_rows(bounds, chunk) if kind == "g_outer" else np.ones(len(bounds), bool)
     for start in range(0, len(bounds), chunk):
         idx = start + np.flatnonzero(live[start : start + chunk])
-        B = np.hstack([bounds[idx], np.zeros((len(idx), 3))])
-        pts, owner = batch_vertices(A, B)
+        pts, owner = batch_vertices(A, bounds[idx])
         acc.add(pts, idx[owner][:, None].astype(float))
     region = acc.finish(kind, bounds)
     index = np.unravel_index(region.records[:, 0].astype(np.intp), shape)

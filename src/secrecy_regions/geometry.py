@@ -1,6 +1,7 @@
 """Polyhedral machinery for rate regions: Fourier-Motzkin elimination,
 maximal-vertex enumeration for 3-D rate polytopes, Pareto frontiers,
-projection, and region membership.
+projection, and region membership.  A rate system is its bound rows
+A r <= b: r >= 0 is implied, and batch_vertices alone adds those rows.
 
 Every 3-D Pareto frontier (of a sweep, and of the bound rows that
 membership queries scan) comes from one exact skyline, _staircase: a block
@@ -26,9 +27,7 @@ GEOM_TOL = 1e-9
 
 RATE_VARS = ("r0", "r1", "r2")
 
-# Constraint-row patterns (left-hand sides only; right-hand sides vary per
-# sweep point).  Non-negativity rows come last so bound values can be stacked
-# directly in front of a zero block.
+# Constraint-row patterns: the left-hand sides of the bounds, one row each.
 A_FIVE_BOUNDS = np.array(
     [
         [1.0, 0.0, 0.0],  # r0 <= b0
@@ -36,9 +35,6 @@ A_FIVE_BOUNDS = np.array(
         [0.0, 0.0, 1.0],  # r2 <= b2
         [0.0, 1.0, 1.0],  # r1 + r2 <= b12
         [1.0, 1.0, 1.0],  # r0 + r1 + r2 <= b012
-        [-1.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0],
-        [0.0, 0.0, -1.0],
     ]
 )
 A_OUTER_GAUSSIAN = np.array(
@@ -46,9 +42,6 @@ A_OUTER_GAUSSIAN = np.array(
         [1.0, 0.0, 0.0],  # r0 <= b0
         [0.0, 1.0, 1.0],  # r1 + r2 <= b12
         [1.0, 1.0, 1.0],  # r0 + r1 + r2 <= b012
-        [-1.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0],
-        [0.0, 0.0, -1.0],
     ]
 )
 A_CMAC = np.array(
@@ -57,9 +50,6 @@ A_CMAC = np.array(
         [0.0, 0.0, 1.0],  # r2 <= b2
         [0.0, 1.0, 1.0],  # r1 + r2 <= b12
         [1.0, 1.0, 1.0],  # r0 + r1 + r2 <= b012
-        [-1.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0],
-        [0.0, 0.0, -1.0],
     ]
 )
 
@@ -83,7 +73,7 @@ class RateRegion:
                 sweep parameters beta1/beta2[/rho]), finite or NaN
     bound_rows: (M, nb) finite right-hand sides of the defining
                 inequalities, one row per sweep point, nb the rows of
-                CONSTRAINT_PATTERNS[kind] before its three r >= 0 rows
+                CONSTRAINT_PATTERNS[kind] (r >= 0 is implied)
     Each field is checked when the region is built (ValidationError).
     """
 
@@ -96,7 +86,7 @@ class RateRegion:
         check_choice(self.kind, CONSTRAINT_PATTERNS, "bound kind")
         pts = checked_array(self.points, "points", ("F", 3))
         recs = checked_array(self.records, "records", (len(pts), "k"), nan=True)
-        nb = len(CONSTRAINT_PATTERNS[self.kind]) - 3
+        nb = len(CONSTRAINT_PATTERNS[self.kind])
         rows = checked_array(self.bound_rows, f"{self.kind} bound_rows", ("M", nb))
         for name, value in (("points", pts), ("records", recs), ("bound_rows", rows)):
             object.__setattr__(self, name, value)
@@ -105,7 +95,7 @@ class RateRegion:
     def query_rows(self) -> np.ndarray:
         """The bound rows that membership queries scan, computed on first use.
 
-        Every row shares the left-hand side A[:nb] @ p, so a row r that
+        Every row shares the left-hand side A @ p, so a row r that
         another row s weakly dominates (r <= s component-wise) never decides
         a query: lhs <= r + tol implies lhs <= s + tol for any tol.  With
         three bound columns (g_outer, resolution**3 rows) the distinct
@@ -173,30 +163,32 @@ def fm_eliminate(A: np.ndarray, b: np.ndarray, j: int):
 
 
 def batch_vertices(A: np.ndarray, B: np.ndarray):
-    """The vertices of many polytopes sharing constraint pattern A that are
-    Pareto-maximal in their own polytope.
+    """The vertices of many polytopes {r >= 0 : A r <= b} sharing bound
+    rows A that are Pareto-maximal in their own polytope.
 
-    A is (m, 3) finite numbers, m >= 3, and no row may have both a positive
-    and a negative coefficient; B is (N, m) finite numbers, one right-hand-side
-    row per polytope, or one (m,) row (ValidationError otherwise).  Returns
-    (points, owner), owner[i] the row of B behind points[i]; nothing is
-    deduplicated.
+    A is (m, 3) finite numbers, no row with both a positive and a negative
+    coefficient, whose positive coefficients cover r0, r1 and r2 (with
+    r >= 0 that is exactly a bounded polytope); B is (N, m) finite numbers,
+    one right-hand-side row per polytope, or one (m,) row (ValidationError
+    otherwise).  The rows -r_i <= 0 are appended here and nowhere else.
+    Returns (points, owner), owner[i] the row of B behind points[i];
+    nothing is deduplicated.
     Row triples with |det| < 1e-12, or whose positive coefficients miss one
     of r0, r1, r2, are skipped, and that is exact: a covering triple's rows
     are non-negative and tight at its vertex, so no feasible point dominates
     it; at a maximal vertex v the tight upper rows cover every r_i (else
     v + t e_i stays feasible), so does a basis of them, and tight lower rows
     complete it to a regular triple.
-    No bounding box is added: every pattern the package builds has the r >= 0
-    rows and a row with all rate coefficients positive, so it is bounded.
     """
     A = checked_array(A, "A", ("m", 3))
-    if len(A) < 3:
-        raise ValidationError(f"A must be a (m, 3) array of finite numbers, m >= 3, not {len(A)}")
     B = real_array(B)  # a single (m,) row is one polytope
     B = checked_array(B[None] if B is not None and B.ndim == 1 else B, "B", ("N", len(A)))
     if ((A > 0).any(axis=1) & (A < 0).any(axis=1)).any():
         raise ValidationError("a constraint row has both positive and negative coefficients")
+    if not (A > 0).any(axis=0).all():
+        raise ValidationError("the positive coefficients of A miss a rate, so it is unbounded")
+    A = np.vstack([A, -np.eye(3)])
+    B = np.hstack([B, np.zeros((len(B), 3))])
     combos = np.array(list(combinations(range(A.shape[0]), 3)))
     subs = A[combos]
     regular = np.abs(np.linalg.det(subs)) >= 1e-12
@@ -376,8 +368,7 @@ def contains(outer: RateRegion, p) -> bool:
         return False
     if len(outer.points) and (outer.points >= p[None, :] - GEOM_TOL).all(axis=1).any():
         return True
-    A = CONSTRAINT_PATTERNS[outer.kind]
-    lhs = A[: A.shape[0] - 3] @ p  # (nb,); the non-negativity rows were checked above
+    lhs = CONSTRAINT_PATTERNS[outer.kind] @ p  # (nb,); r >= 0 was checked above
     return bool((lhs[None, :] <= outer.query_rows + GEOM_TOL).all(axis=1).any())
 
 

@@ -49,7 +49,7 @@ def _require_mapping(value, where: str) -> dict:
 
 
 def _check_keys(data: dict, required, optional, where: str) -> None:
-    unknown = sorted(set(data) - set(required) - set(optional))
+    unknown = sorted(set(data) - set(required) - set(optional), key=lambda k: (str(k), repr(k)))
     if unknown:
         raise ValidationError(f"{where}: unknown keys {unknown}")
     missing = sorted(set(required) - set(data))
@@ -90,10 +90,14 @@ class ScenarioFile:
     @classmethod
     def parse(cls, text: str) -> "ScenarioFile":
         """The scenario in YAML text (ValidationError unless text is a str
-        holding one)."""
+        holding one, and for any YAML alias)."""
         if not isinstance(text, str):
             raise ValidationError(f"scenario text: expected a str, got {type(text).__name__}")
         try:
+            # nested aliases blow a tiny file up; each one needs a "*" in the text
+            events = yaml.parse(text, yaml.SafeLoader) if "*" in text else ()
+            if any(isinstance(e, yaml.AliasEvent) for e in events):
+                raise ValidationError("scenario file: YAML aliases (*name) are not allowed")
             raw = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ValidationError(f"scenario parse error: {exc}") from exc

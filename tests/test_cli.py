@@ -117,6 +117,52 @@ def test_run_refuses_a_file_it_cannot_read_as_text(tmp_path, capsys, content):
     assert f"scenario file {str(path)!r}" in capsys.readouterr().err
 
 
+def _dm_data(output):
+    return {
+        "kind": "dm",
+        "bound": "inner",
+        "channel": np.full((2, 2, 2, 2), 0.25).tolist(),
+        "grid": {"resolution": 2},
+        "output": str(output),
+    }
+
+
+_NESTED_KIND = {"scenario": "gaussian", "grid": "dm", "aux": "simulate", "code": "simulate"}
+
+
+@pytest.mark.parametrize("where", [None, *_NESTED_KIND])
+def test_run_refuses_unknown_keys_of_mixed_types(tmp_path, capsys, where):
+    # sorting the keys 1 and "x" for the message used to raise TypeError
+    out = tmp_path / "r.csv"
+    data = {"gaussian": yaml.safe_load(gaussian_scenario_text(out)), "dm": _dm_data(out),
+            "simulate": simulate_data(out)}[_NESTED_KIND.get(where, "dm")]
+    (data if where is None else data[where]).update({1: 2, "x": 3})
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown keys [1, 'x']" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unknown_str_keys_are_listed_in_text_order():
+    data = {k: v for k, v in _dm_data("r.csv").items() if k != "kind"}
+    with pytest.raises(ValidationError, match=r"unknown keys \['a', 'a ', 'b'\]"):
+        ScenarioFile("dm", {**data, "b": 1, "a ": 2, "a": 3})
+
+
+def test_parse_refuses_yaml_aliases(tmp_path, capsys):
+    # nested aliases expand a small file k**depth-fold before any check
+    text = "kind: dm\nbound: inner\nrow: &r [0.25, 0.25]\nchannel: [[*r, *r], [*r, *r]]\n"
+    with pytest.raises(ValidationError, match="aliases"):
+        ScenarioFile.parse(text + "output: r.csv\n")
+    path = tmp_path / "s.yaml"
+    path.write_text(text + f"output: {tmp_path / 'r.csv'}\n")
+    assert main(["run", str(path)]) == 1
+    assert "YAML aliases" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_dm_scenario_alphabet_cap(tmp_path, capsys):
     data = {
         "kind": "dm",

@@ -125,10 +125,7 @@ def test_region_bounds_outer_formula(degraded_channel):
 def test_corner_triples_nonempty(degraded_channel):
     aux = identity_uniform_chain(u_size=2)
     inner, outer = (
-        batch_vertices(
-            CONSTRAINT_PATTERNS[kind],
-            np.concatenate([region_bounds(aux, degraded_channel, kind), np.zeros(3)]),
-        )[0]
+        batch_vertices(CONSTRAINT_PATTERNS[kind], region_bounds(aux, degraded_channel, kind))[0]
         for kind in ("dm_inner", "dm_outer")
     )
     assert len(inner) and len(outer)
@@ -264,6 +261,7 @@ def test_fm_snapped_vertex_is_not_a_mismatch():
 def test_fm_polytope_vertices_feasible(degraded_channel):
     aux = identity_uniform_chain(u_size=2)
     A, b = fm_region_polytope(aux, degraded_channel)
+    assert ((A > 0).any(axis=1) | (b < 0)).all()  # orthant-free: r >= 0 is implied
     verts, _ = batch_vertices(A, b)
     assert len(verts)
     assert (verts @ A.T <= b + GEOM_TOL).all()
@@ -514,8 +512,9 @@ def test_sweep_record_is_chain_index(degraded_channel):
     for point, record in zip(region.points, region.records):
         idx = int(record[0])
         aux = chain_at(grid, degraded_channel, "inner", idx)
-        b = np.concatenate([region_bounds(aux, degraded_channel, "dm_inner"), np.zeros(3)])
+        b = region_bounds(aux, degraded_channel, "dm_inner")
         assert (CONSTRAINT_PATTERNS["dm_inner"] @ point <= b + GEOM_TOL).all()
+        assert (point >= -GEOM_TOL).all()
 
 
 def test_degenerate_v2_outer_reduces_to_single_user_form(rng):

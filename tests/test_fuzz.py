@@ -69,8 +69,7 @@ VALID = {
     "ScenarioFile.parse": (sr.ScenarioFile.parse, dict(
         text=SCENARIO_PATH.read_text(encoding="utf-8"))),
     "achievability_constraint_system": (sr.achievability_constraint_system, dict(aux=AUX, ch=CH)),
-    "batch_vertices": (sr.batch_vertices, dict(
-        A=A_FIVE_BOUNDS, B=np.hstack([BOUNDS, np.zeros((1, 3))]))),
+    "batch_vertices": (sr.batch_vertices, dict(A=A_FIVE_BOUNDS, B=BOUNDS)),
     "capacity_fn": (sr.capacity_fn, dict(x=[0.0, 3.0])),
     "chain_at": (sr.chain_at, dict(grid=GRID, ch=CH, sweep_class="inner", index=1)),
     "chain_count": (sr.chain_count, dict(grid=GRID, ch=CH, sweep_class="outer")),

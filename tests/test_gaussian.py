@@ -245,7 +245,7 @@ def _unfiltered_outer_sweep(s, resolution, coeff, chunk_rows=lambda start, rows:
     acc = FrontierAccumulator()
     for start in range(0, len(bounds), 20000):
         idx = chunk_rows(start, np.arange(start, min(start + 20000, len(bounds))))
-        pts, owner = batch_vertices(A_OUTER_GAUSSIAN, np.hstack([bounds[idx], np.zeros((len(idx), 3))]))
+        pts, owner = batch_vertices(A_OUTER_GAUSSIAN, bounds[idx])
         acc.add(pts, idx[owner][:, None].astype(float))
     region = acc.finish("g_outer", bounds)
     index = np.unravel_index(region.records[:, 0].astype(np.intp), (resolution,) * 3)
@@ -326,7 +326,7 @@ def test_outer_corners_lift_to_each_rows_vertices(seed):
     for i, row in enumerate(rows):
         lifts = np.array([[x, y, 0.0] for x, y in ((r0[i], s[i]), (r0[n + i], s[n + i]))])
         lifts = np.vstack([lifts, lifts[:, [0, 2, 1]]])
-        pts, _ = batch_vertices(A_OUTER_GAUSSIAN, np.concatenate([row, np.zeros(3)]))
+        pts, _ = batch_vertices(A_OUTER_GAUSSIAN, row)
         gap = np.abs(pts[:, None, :] - lifts[None, :, :]).max(axis=2)
         assert (gap.min(axis=1) <= 1e-12).all(), (row, pts, lifts)
         assert (gap.min(axis=0) <= 1e-12).all(), (row, pts, lifts)

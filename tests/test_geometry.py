@@ -28,28 +28,40 @@ from conftest import degraded_binary_channel
 
 def test_unit_box_vertices():
     # of the eight corners only (1, 1, 1) is maximal in the box
-    A = np.vstack([np.eye(3), -np.eye(3)])
-    b = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    v, owner = batch_vertices(A, b)
+    v, owner = batch_vertices(np.eye(3), np.ones(3))
     assert np.array_equal(v, [[1.0, 1.0, 1.0]]) and not owner.any()
 
 
 def test_simplex_vertices():
-    # the origin is dominated; the three unit points are maximal
-    A = np.vstack([[1.0, 1.0, 1.0], -np.eye(3)])
-    b = np.array([1.0, 0.0, 0.0, 0.0])
-    v, _ = batch_vertices(A, b)
+    # r >= 0 is implied: the origin is dominated; the three unit points are maximal
+    v, _ = batch_vertices([[1.0, 1.0, 1.0]], [1.0])
     assert sorted(map(tuple, v)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
+@pytest.mark.parametrize(
+    "A", [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0.0, 1.0, 1.0]], np.zeros((2, 3)), np.zeros((0, 3))]
+)
+def test_batch_vertices_refuses_a_rate_left_unbounded(A):
+    # r2 (or r0, or every rate) has no upper row, so no vertex is maximal
+    with pytest.raises(ValidationError, match="miss a rate, so it is unbounded"):
+        batch_vertices(A, np.ones(len(A)))
+
+
+def _fm_bound_rows() -> np.ndarray:
+    """The Fourier-Motzkin table's rows with a positive coefficient: the
+    rows _fm_rows keeps for every chain, bar the infeasibility markers."""
+    A = dm._fm_table()[0]
+    return A[(A > 0).any(axis=1)]
+
+
 def test_every_polytope_the_package_builds_is_bounded():
-    """r >= 0 and a row c r <= b with c > 0 bound every r_i by b / c_i, so
-    batch_vertices needs no bounding box: each constraint pattern and the
-    Fourier-Motzkin table carry both."""
-    for A in [*CONSTRAINT_PATTERNS.values(), dm._fm_table()[0]]:
-        rows = set(map(tuple, A))
-        assert {(-1, 0, 0), (0, -1, 0), (0, 0, -1)} <= rows
-        assert (A > 0).all(axis=1).any()
+    """With r >= 0 and no mixed-sign row, a rate system is bounded exactly
+    when its positive coefficients cover every rate, each r_i then at most
+    some b / c_i.  Each constraint pattern and the Fourier-Motzkin table do,
+    and the patterns hold only upper rows: batch_vertices adds r >= 0."""
+    for A in [*CONSTRAINT_PATTERNS.values(), _fm_bound_rows()]:
+        assert (A > 0).any(axis=0).all()
+        assert (A > 0).any(axis=1).all()
 
 
 def test_every_pattern_the_package_builds_has_the_sign_property():
@@ -100,7 +112,6 @@ def test_batch_vertices_refuses_b_that_is_not_n_by_m_finite_numbers(B):
         np.ones((6, 2)),
         np.ones((6, 4)),
         np.ones(6),
-        np.eye(3)[:2],
     ],
 )
 def test_batch_vertices_refuses_a_that_is_not_m_by_3_finite_numbers(A):
@@ -109,8 +120,8 @@ def test_batch_vertices_refuses_a_that_is_not_m_by_3_finite_numbers(A):
 
 
 def test_batch_vertices_matches_single():
-    A = np.vstack([np.eye(3), [1.0, 1.0, 1.0], -np.eye(3)])
-    rhs = np.array([[0.5, 0.7, 0.3, 1.0, 0, 0, 0], [1.0, 1.0, 1.0, 1.5, 0, 0, 0]])
+    A = np.vstack([np.eye(3), [1.0, 1.0, 1.0]])
+    rhs = np.array([[0.5, 0.7, 0.3, 1.0], [1.0, 1.0, 1.0, 1.5]])
     # the box corners under the sum plane are dominated; the maximal
     # vertices lie on the plane, at the box faces
     expected = [
@@ -145,6 +156,13 @@ def _every_vertex(A, B):
     return np.vstack(pts), np.concatenate(owners)
 
 
+def _with_orthant(A, B):
+    """The system {A r <= B[i]} written out with its r >= 0 rows, as the
+    oracles take it: -I under A and three zero columns beside B."""
+    B = np.atleast_2d(B)
+    return np.vstack([A, -np.eye(3)]), np.hstack([B, np.zeros((len(B), 3))])
+
+
 def _own_maximal(A, B, pts, owner) -> np.ndarray:
     """Whether each vertex v is Pareto-maximal in its own polytope: over
     the polytope cut to r >= v, r0 + r1 + r2 peaks at v.  A linear peak of
@@ -156,20 +174,35 @@ def _own_maximal(A, B, pts, owner) -> np.ndarray:
     return best <= pts.sum(axis=1) + GEOM_TOL
 
 
+def _random_upper_rows(rng) -> np.ndarray:
+    """1 to 6 non-negative rows, often sparse, some with integer coefficients
+    (parallel and singular triples), whose positive coefficients cover
+    every rate: a row of ones is added when they do not."""
+    A = rng.random((int(rng.integers(1, 7)), 3))
+    A = np.where(rng.random(A.shape) < 0.4, 0.0, np.ceil(A * 3) if rng.random() < 0.5 else A)
+    return A if (A > 0).any(axis=0).all() else np.vstack([A, np.ones(3)])
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from([*sorted(CONSTRAINT_PATTERNS), "fm"]),
+    kind=st.sampled_from([*sorted(CONSTRAINT_PATTERNS), "fm", "random"]),
     n=st.integers(1, 40),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_batch_vertices_keeps_exactly_the_own_maximal_vertices(seed, kind, n):
-    # "fm" is the Fourier-Motzkin table's pattern; the lower rows bound at 0
-    A = dm._fm_table()[0] if kind == "fm" else CONSTRAINT_PATTERNS[kind]
-    B = np.where((A < 0).any(axis=1), 0.0, np.random.default_rng(seed).random((n, len(A))))
-    pts, owner = _every_vertex(A, B)
-    maximal = _own_maximal(A, B, pts, owner)
+    """batch_vertices(A, B) is, byte for byte and owner for owner, the own
+    maximal vertices of the system with r >= 0 written out.  "fm" is the
+    Fourier-Motzkin table's rows as _fm_rows passes them; "random" is random
+    non-negative rows."""
+    rng = np.random.default_rng(seed)
+    patterns = {**CONSTRAINT_PATTERNS, "fm": _fm_bound_rows()}
+    A = _random_upper_rows(rng) if kind == "random" else patterns[kind]
+    B = rng.random((n, len(A)))
+    full = _with_orthant(A, B)
+    pts, owner = _every_vertex(*full)
+    maximal = _own_maximal(*full, pts, owner)
     got, got_owner = batch_vertices(A, B)
-    assert np.array_equal(got, pts[maximal])
+    assert got.tobytes() == pts[maximal].tobytes()
     assert np.array_equal(got_owner, owner[maximal])
 
 
@@ -179,7 +212,7 @@ def _swept(kind, bounds, chunk, enumerate_):
     acc = FrontierAccumulator()
     for start in range(0, len(bounds), chunk):
         rows = bounds[start : start + chunk]
-        pts, owner = enumerate_(A, np.hstack([rows, np.zeros((len(rows), 3))]))
+        pts, owner = enumerate_(A, rows)
         acc.add(pts, (start + owner)[:, None].astype(float))
     return acc.finish(kind, bounds)
 
@@ -202,14 +235,14 @@ def test_frontier_from_maximal_vertices_matches_every_vertex(seed, kind, n, chun
     rows (a few levels, zeros, 1e-12 jitter) can move a 1e-9 cell's first
     row, so there the two frontiers GEOM_TOL-dominate each other."""
     rng = np.random.default_rng(seed)
-    cols = CONSTRAINT_PATTERNS[kind].shape[0] - 3
+    cols = CONSTRAINT_PATTERNS[kind].shape[0]
     if tied:
         levels = np.append(0.0, rng.random(int(rng.integers(1, 4))))
         bounds = rng.choice(levels, size=(n, cols)) + rng.choice([0.0, 1e-12], size=(n, cols))
     else:
         bounds = rng.random((n, cols))
     fast = _swept(kind, bounds, chunk, batch_vertices)
-    full = _swept(kind, bounds, chunk, _every_vertex)
+    full = _swept(kind, bounds, chunk, lambda A, B: _every_vertex(*_with_orthant(A, B)))
     if tied:
         assert _tol_dominated(fast.points, full.points)
         assert _tol_dominated(full.points, fast.points)
@@ -548,10 +581,10 @@ def test_project_drops_axis():
 
 def test_polytope_from_bounds_and_membership():
     A = CONSTRAINT_PATTERNS["dm_inner"]
-    b = np.array([0.5, 0.4, 0.3, 0.6, 1.0, 0.0, 0.0, 0.0])
+    b = np.array([0.5, 0.4, 0.3, 0.6, 1.0])
     assert (A @ [0.5, 0.3, 0.2] <= b + GEOM_TOL).all()
     assert not (A @ [0.5, 0.4, 0.3] <= b + GEOM_TOL).all()  # violates the pair bound
-    region = RateRegion("dm_inner", np.zeros((0, 3)), np.zeros((0, 1)), b[None, :5])
+    region = RateRegion("dm_inner", np.zeros((0, 3)), np.zeros((0, 1)), b[None])
     assert contains(region, [0.5, 0.3, 0.2])
     assert not contains(region, [0.5, 0.4, 0.3])
 
@@ -571,8 +604,7 @@ def _full_scan_contains(region, p):
         return False
     if len(region.points) and (region.points >= p[None, :] - GEOM_TOL).all(axis=1).any():
         return True
-    A = CONSTRAINT_PATTERNS[region.kind]
-    lhs = A[: A.shape[0] - 3] @ p
+    lhs = CONSTRAINT_PATTERNS[region.kind] @ p
     return bool((lhs[None, :] <= np.atleast_2d(region.bound_rows) + GEOM_TOL).all(axis=1).any())
 
 
@@ -695,7 +727,7 @@ def test_sweeps_leave_query_rows_uncomputed():
 
 @pytest.mark.parametrize("kind", ["cmac", "g_inner", "dm_inner", "dm_outer"])
 def test_four_and_five_column_rows_are_not_pruned(kind):
-    nb = CONSTRAINT_PATTERNS[kind].shape[0] - 3
+    nb = CONSTRAINT_PATTERNS[kind].shape[0]
     rows = np.vstack([np.full(nb, 0.5), np.full(nb, 0.25), np.full(nb, 0.5)])
     region = RateRegion(kind, np.zeros((0, 3)), np.zeros((0, 1)), rows)
     assert np.array_equal(region.query_rows, rows)

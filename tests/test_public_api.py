@@ -62,6 +62,18 @@ def test_vertex_enumeration_lives_only_in_batch_vertices():
     }
 
 
+def test_the_orthant_is_added_only_in_batch_vertices():
+    """np.eye, which writes the r >= 0 rows, is named in src/ only inside
+    geometry.batch_vertices, and np.hstack, which pads bounds with their
+    zero right-hand sides, only there and in dm._fm_table: zero padding
+    cannot grow back at a call site unnoticed."""
+    assert _named_in_src({"eye", "hstack"}) == {
+        ("geometry.py", "batch_vertices", "eye"),
+        ("geometry.py", "batch_vertices", "hstack"),
+        ("dm.py", "_fm_table", "hstack"),
+    }
+
+
 def test_csv_cells_are_formatted_only_in_write_csv():
     """cli._fmt_column is named in src/ only inside cli._write_csv, and
     cli._fmt only inside _fmt_column: a second path that formats CSV cells
