@@ -90,7 +90,7 @@ class ScenarioFile:
     @classmethod
     def parse(cls, text: str) -> "ScenarioFile":
         """The scenario in YAML text (ValidationError unless text is a str
-        holding one, and for any YAML alias)."""
+        holding one, for any YAML alias, and for nesting too deep to parse)."""
         if not isinstance(text, str):
             raise ValidationError(f"scenario text: expected a str, got {type(text).__name__}")
         try:
@@ -101,6 +101,8 @@ class ScenarioFile:
             raw = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ValidationError(f"scenario parse error: {exc}") from exc
+        except RecursionError as exc:  # PyYAML recurses once per nesting level
+            raise ValidationError("scenario file: nested too deeply to parse") from exc
         raw = _require_mapping(raw, "scenario file")
         if "kind" not in raw:
             raise ValidationError("scenario file: missing key 'kind'")

@@ -163,6 +163,24 @@ def test_parse_refuses_yaml_aliases(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "opening, closing, star",
+    [("[", "]", False), ("[", "]", True), ("{a: ", "}", False)],
+    ids=["sequences", "sequences-alias-scan", "mappings"],
+)
+def test_run_refuses_a_scenario_nested_too_deeply(tmp_path, capsys, opening, closing, star):
+    # PyYAML recurses once per level: 900 brackets (1.8 KB) used to end in a
+    # RecursionError traceback.  A "*" in the text also runs the alias scan.
+    deep = opening * 900 + "0.25" + closing * 900
+    text = f"kind: dm\nbound: inner\nchannel: {deep}\noutput: {tmp_path / 'r.csv'}\n"
+    path = tmp_path / "s.yaml"
+    path.write_text(text + ("# *\n" if star else ""))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_dm_scenario_alphabet_cap(tmp_path, capsys):
     data = {
         "kind": "dm",

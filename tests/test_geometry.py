@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secrecy_regions import (
@@ -19,6 +19,7 @@ from secrecy_regions.geometry import (
     CONSTRAINT_PATTERNS,
     GEOM_TOL,
     FrontierAccumulator,
+    _pivot_covered,
     _prune_pairwise,
     _staircase,
     contains,
@@ -436,14 +437,17 @@ def _brute_staircase(p):
     ),
     duplicates=st.booleans(),
     jitter=st.booleans(),
+    r0_only=st.booleans(),
 )
 @settings(max_examples=100, deadline=None)
-def test_staircase_matches_bruteforce(seed, n, levels, shape, duplicates, jitter):
+def test_staircase_matches_bruteforce(seed, n, levels, shape, duplicates, jitter, r0_only):
     # n at the block edges and several blocks past them; whole duplicate
     # rows, equal-r0 groups, ties in one of r1 or r2 only, integer rows on a
     # plane (mostly mutually non-dominated), and "covered", where a few
     # leading rows dominate nearly all others, so later blocks are covered
-    # by the staircase completely and leave no row open
+    # by the staircase completely and leave no row open.  r0_only sorts on
+    # -r0 alone, as _cell_frontier does: the mask is still "no earlier row
+    # has r1 >= and r2 >=", and _pivot_covered marks only such rows.
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 3))
     if shape == "grid":
@@ -466,8 +470,66 @@ def test_staircase_matches_bruteforce(seed, n, levels, shape, duplicates, jitter
         pts[rng.random(n) < 0.3] = pts[rng.integers(0, n)]
     if jitter:
         pts = pts + rng.choice([0.0, 1e-12], size=pts.shape)
-    p = pts[np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))]
-    assert np.array_equal(_staircase(p), _brute_staircase(p))
+    if r0_only:
+        p = pts[np.argsort(-pts[:, 0], kind="stable")]
+    else:
+        p = pts[np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))]
+    brute = _brute_staircase(p)
+    assert np.array_equal(_staircase(p), brute)
+    assert not (_pivot_covered(p) & brute).any()
+
+
+_LEVELS = np.array(
+    [-0.0, 0.0, 0.125, 0.25, np.nextafter(0.25, 1.0), np.nextafter(0.5, 0.0), 0.5,
+     0.75, np.nextafter(0.75, 1.0), 1.0]
+)
+
+
+def _one_lexsort_frontier(pts):
+    """pareto_frontier of 3 columns as it was before _pivot_covered: one
+    stable descending lexsort of every row, then the skyline (here the
+    O(n^2) one), the kept rows reversed."""
+    p = pts[np.lexsort(-pts.T[::-1])]
+    return p[_brute_staircase(p)][::-1]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 257, 1500]) | st.integers(1, 1500),
+    r0_levels=st.integers(1, len(_LEVELS)),
+    trade_off=st.floats(0.0, 1.0),
+)
+# each of these fails when the -r0 presort is not stable
+@example(seed=3, n=600, r0_levels=4, trade_off=1.0)
+@example(seed=8, n=1000, r0_levels=6, trade_off=0.5)
+@example(seed=14, n=1500, r0_levels=10, trade_off=0.7)
+@settings(max_examples=60, deadline=None)
+def test_pareto_frontier_matches_the_one_lexsort_path(seed, n, r0_levels, trade_off):
+    # _LEVELS rows: one-ulp neighbours, whole duplicates, and r0 drawn from
+    # the first r0_levels levels only, so long runs tie in r0.  A trade_off
+    # share of the rows lie on a falling surface, so many maximal rows hold
+    # a zero.  Every zero takes a random sign, so equal rows differ in
+    # bytes, which show which of them was kept.
+    rng = np.random.default_rng(seed)
+    top = len(_LEVELS) - 1
+    idx = rng.integers(0, top + 1, size=(n, 3))
+    idx[:, 0] = rng.integers(0, r0_levels, size=n)
+    surface = np.clip(2 * top - idx[:, 0] - idx[:, 1] - rng.integers(0, 2, n), 0, top)
+    idx[:, 2] = np.where(rng.random(n) < trade_off, surface, idx[:, 2])
+    pts = _LEVELS[idx]
+    pts[pts == 0] = rng.choice([-0.0, 0.0], size=int((pts == 0).sum()))
+    assert pareto_frontier(pts).tobytes() == _one_lexsort_frontier(pts).tobytes()
+
+
+def test_pivot_pass_marks_nothing_on_a_trading_off_surface():
+    # the integer points of r0 + r1 + r2 = 12, each one once: no row weakly
+    # dominates another, so the pass marks none and every row is kept
+    grid = np.array([(i, j, 12 - i - j) for i in range(13) for j in range(13 - i)], float)
+    pts = np.random.default_rng(0).permutation(grid)
+    assert not _pivot_covered(pts[np.argsort(-pts[:, 0], kind="stable")]).any()
+    frontier = pareto_frontier(pts)
+    assert len(frontier) == len(grid)
+    assert frontier.tobytes() == _one_lexsort_frontier(pts).tobytes()
 
 
 def _two_sort_prune(pts, recs):
@@ -608,15 +670,29 @@ def _full_scan_contains(region, p):
     return bool((lhs[None, :] <= np.atleast_2d(region.bound_rows) + GEOM_TOL).all(axis=1).any())
 
 
+def _greedy_points(kind, rows, fill, order=(0, 1, 2)):
+    """Per bound row, each rate in the given order set to fill times the
+    most the row leaves for it (every pattern coefficient is 0 or 1).  With
+    a fill of 1 that is a greedy vertex, a point of the region's boundary."""
+    A = CONSTRAINT_PATTERNS[kind]
+    r = np.zeros((len(rows), 3))
+    for i in order:
+        room = (rows - r @ A.T)[:, A[:, i] > 0].min(axis=1)
+        r[:, i] = fill[:, i] * np.maximum(room, 0.0)
+    return r
+
+
 def _queries(region, rng, count):
-    """Frontier points and points on each row's faces, scaled by 1 - 1e-9,
-    1 and 1 + 1e-9, plus uniform random points over the bounding box."""
-    rows = np.atleast_2d(region.bound_rows)
-    r0 = np.maximum(rows[:, 0], 0.0)
-    pair = np.maximum(np.minimum(rows[:, 1], rows[:, 2] - r0), 0.0)
-    split = rng.uniform(0.0, 1.0, len(rows))
-    faces = np.column_stack([r0, split * pair, (1 - split) * pair])
-    base = np.vstack([region.points.reshape(-1, 3), faces])
+    """Frontier points and points on each row's boundary, scaled by 1 - 1e-9,
+    1 and 1 + 1e-9, plus uniform random points over the bounding box.  A
+    boundary point fills the rates in a random order: the first and last
+    take all the row leaves them, the middle one a random share."""
+    rows = region.bound_rows
+    order = rng.permutation(3)
+    fill = np.ones((len(rows), 3))
+    fill[:, order[1]] = rng.uniform(0.0, 1.0, len(rows))
+    faces = _greedy_points(region.kind, rows, fill, order)
+    base = np.vstack([region.points, faces])
     base = base[rng.choice(len(base), size=min(count, len(base)), replace=False)]
     top = max(float(np.abs(rows).max()), 1e-3) * 1.1
     random = rng.uniform(0.0, top, size=(count, 3))
@@ -637,31 +713,39 @@ def test_contains_matches_full_scan_on_outer_sweeps(seed, scale, resolution):
         assert contains(region, p) == _full_scan_contains(region, p)
 
 
-_LEVELS = np.array(
-    [-0.0, 0.0, 0.125, 0.25, np.nextafter(0.25, 1.0), np.nextafter(0.5, 0.0), 0.5,
-     0.75, np.nextafter(0.75, 1.0), 1.0]
-)
-
-
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 1500),
+    kind=st.sampled_from(sorted(CONSTRAINT_PATTERNS)),
     trade_off=st.booleans(),
+    frontier=st.booleans(),
 )
-@settings(max_examples=40, deadline=None)
-def test_contains_matches_full_scan_on_hand_built_rows(seed, n, trade_off):
-    # few levels: duplicate rows and rows equal in two columns are common;
-    # -0.0 beside +0.0, and values one ulp apart.  With trade_off the third
-    # column falls as the first two rise, so dozens of rows survive pruning.
+@settings(max_examples=60, deadline=None)
+def test_contains_matches_full_scan_on_hand_built_rows(seed, n, kind, trade_off, frontier):
+    # few levels: duplicate rows and rows equal in all but one column are
+    # common; -0.0 beside +0.0, and values one ulp apart.  With trade_off the
+    # last column falls as the others rise, so dozens of 3-column rows
+    # survive pruning.  With frontier the frontier is some rows' greedy
+    # vertices, a few nudged outward by up to 2 GEOM_TOL, so the frontier
+    # fallback decides queries the rows leave.
     rng = np.random.default_rng(seed)
+    nb = CONSTRAINT_PATTERNS[kind].shape[0]
     top = len(_LEVELS) - 1
-    idx = rng.integers(0, top + 1, size=(n, 3))
+    idx = rng.integers(0, top + 1, size=(n, nb))
     if trade_off:
-        idx[:, 2] = np.clip(2 * top - idx[:, 0] - idx[:, 1] - rng.integers(0, 2, n), 0, top)
+        idx[:, -1] = np.clip((nb + 1) // 2 * top - idx[:, :-1].sum(axis=1) - rng.integers(0, 2, n),
+                             0, top)
     rows = _LEVELS[idx]
-    region = RateRegion("g_outer", np.zeros((0, 3)), np.zeros((0, 3)), rows)
+    points = np.zeros((0, 3))
+    if frontier:
+        some = rows[rng.random(n) < 0.3]
+        points = _greedy_points(kind, some, np.ones((len(some), 3)), rng.permutation(3))
+        points += rng.choice([0.0, 0.0, GEOM_TOL, 2 * GEOM_TOL], size=points.shape)
+    region = RateRegion(kind, points, np.zeros((len(points), 1)), rows)
     for p in _queries(region, rng, 60):
         assert contains(region, p) == _full_scan_contains(region, p)
+    if nb != 3:
+        return
     kept = region.query_rows
     # every dropped row is weakly dominated by a kept one; no kept row by another
     for r in rows:
@@ -719,9 +803,9 @@ def test_sweeps_leave_query_rows_uncomputed():
     outer = sweep_gaussian(GaussianScenario(1.0, 1.0, 0.1, 0.3), "g_outer", 7)
     dm = sweep_region(degraded_binary_channel(), "inner", GridSpec(1, 2, 2, 2))
     for region in (outer, dm):
-        assert "query_rows" not in region.__dict__
+        assert not {"query_rows", "_query_columns"} & set(region.__dict__)
     contains(outer, [0.0, 0.1, 0.1])
-    assert "query_rows" in outer.__dict__
+    assert {"query_rows", "_query_columns"} <= set(outer.__dict__)
     assert len(outer.query_rows) < len(outer.bound_rows)
 
 
