@@ -456,6 +456,15 @@ def chain_count(grid: GridSpec, ch: DiscreteChannel, sweep_class: str) -> int:
     return math.prod(math.comb(steps + c - 1, c - 1) for c in _block_cells(grid, ch, sweep_class))
 
 
+def _capped_chain_count(grid: GridSpec, ch: DiscreteChannel, sweep_class: str) -> int:
+    """chain_count, refused above grid.max_chains (CapExceededError) before
+    any option table is built: each table has at most chain_count rows."""
+    total = chain_count(grid, ch, sweep_class)
+    if total > grid.max_chains:
+        raise CapExceededError(f"grid enumerates {total} chains, above the cap of {grid.max_chains}")
+    return total
+
+
 def _chain_tables(blocks, grid: GridSpec, sweep_class: str, index: np.ndarray):
     """(p_u, p_v1v2, p_x1, p_x2) of the grid chains at `index`, an array of
     chain indices, each table with a leading chain axis.  An index is a
@@ -480,8 +489,9 @@ def _chain_tables(blocks, grid: GridSpec, sweep_class: str, index: np.ndarray):
 
 def chain_at(grid: GridSpec, ch: DiscreteChannel, sweep_class: str, index: int) -> AuxiliaryChain:
     """Materialize grid chain `index`, an integer in 0..chain_count - 1, as
-    an AuxiliaryChain."""
-    check_integer(index, "chain index", 0, chain_count(grid, ch, sweep_class) - 1)
+    an AuxiliaryChain.  A grid above max_chains is refused
+    (CapExceededError) before any table is built, as sweep_region does."""
+    check_integer(index, "chain index", 0, _capped_chain_count(grid, ch, sweep_class) - 1)
     blocks = _chain_blocks(grid, ch, sweep_class)
     tables = _chain_tables(blocks, grid, sweep_class, np.array([index]))
     p_u, p_v1v2, px1, px2 = (t[0] for t in tables)
@@ -534,12 +544,8 @@ def sweep_region(ch: DiscreteChannel, sweep_class: str, grid: GridSpec) -> RateR
     Pareto frontier with chain-index provenance.  Deterministic given the
     grid; the chains are evaluated in this process, a block at a time.
     """
-    total = chain_count(grid, ch, sweep_class)
+    total = _capped_chain_count(grid, ch, sweep_class)
     kind = "dm_inner" if sweep_class == "inner" else "dm_outer"
-    if total > grid.max_chains:
-        raise CapExceededError(
-            f"grid enumerates {total} chains, above the cap of {grid.max_chains}"
-        )
     bounds = _grid_bounds(ch, grid, sweep_class, kind, total)
 
     A = CONSTRAINT_PATTERNS[kind]

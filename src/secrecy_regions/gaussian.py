@@ -28,7 +28,8 @@ from .geometry import (
     GEOM_TOL,
     FrontierAccumulator,
     RateRegion,
-    _staircase_2d,
+    _covered_2d,
+    _maxima_2d,
     batch_vertices,
 )
 
@@ -190,24 +191,19 @@ def _outer_live_rows(bounds: np.ndarray, chunk: int) -> np.ndarray:
     """Mask of the g_outer rows that some vertex of the frontier may come
     from: all but those whose two corners another corner beats by
     _OUTER_MARGIN in r0 and in s.  Two passes of chunk rows each, so no
-    array spans the grid's 2N corners: the first builds the 2-D skyline of
-    all corners, the second tests each corner against it, since a corner
-    that beats another is weakly beaten by a skyline corner."""
-    sky_r0 = sky_s = np.zeros(0)
+    array spans the grid's 2N corners: the first merges each chunk's
+    uncovered corners into the 2-D maxima of all corners, the second tests
+    each corner against those, as a maximal corner weakly dominates any
+    corner that beats it."""
+    sky = np.zeros(0), np.zeros(0)
     for start in range(0, len(bounds), chunk):
         r0, s = _outer_corners(bounds[start : start + chunk])
-        r0, s = np.concatenate([sky_r0, r0]), np.concatenate([sky_s, s])
-        order = np.argsort(-r0)  # ties in r0 only keep a few corners more
-        r0, s = r0[order], s[order]
-        keep = _staircase_2d(s)
-        sky_r0, sky_s = r0[keep], s[keep]
-    # r0 ascending and s strictly descending, then a -inf sentinel: the least
-    # r0' >= r0 + margin has the largest s' of those
-    sky_r0, sky_s = sky_r0[::-1], np.append(sky_s[::-1], -np.inf)
+        open_ = ~_covered_2d(sky, r0, s)
+        sky = _maxima_2d(np.concatenate([sky[0], r0[open_]]), np.concatenate([sky[1], s[open_]]))
     live = np.empty(len(bounds), dtype=bool)
     for start in range(0, len(bounds), chunk):
         r0, s = _outer_corners(bounds[start : start + chunk])
-        beaten = sky_s[np.searchsorted(sky_r0, r0 + _OUTER_MARGIN)] >= s + _OUTER_MARGIN
+        beaten = _covered_2d(sky, r0 + _OUTER_MARGIN, s + _OUTER_MARGIN)
         n = len(beaten) // 2
         live[start : start + n] = ~(beaten[:n] & beaten[n:])
     return live

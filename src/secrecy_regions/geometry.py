@@ -5,8 +5,9 @@ A r <= b: r >= 0 is implied, and batch_vertices alone adds those rows.
 
 Every 3-D Pareto frontier (of a sweep, and of the bound rows that
 membership queries scan) comes from one exact skyline, _staircase: a block
-maxima sweep over rows presorted by (-r0, -r1, -r2).  Every 2-D one (of a
-projection) is a running maximum over a presorted column, _staircase_2d.
+maxima sweep over rows presorted by (-r0, -r1, -r2).  Every 2-D staircase
+(a projection, _staircase's own, gaussian's outer-corner filter) is built
+by _maxima_2d and queried by _covered_2d.
 
 All geometric comparisons use the absolute tolerance GEOM_TOL = 1e-9;
 inputs are closed-form values with ~1e-15 native error, so this leaves
@@ -217,22 +218,30 @@ def batch_vertices(A: np.ndarray, B: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-# Rows per staircase block: each block costs one searchsorted against the
+# Rows per staircase block: each block costs one _covered_2d against the
 # staircase, one block x block comparison and one merge.
 _STAIR_BLOCK = 256
 _EARLIER = np.tri(_STAIR_BLOCK, _STAIR_BLOCK, -1, dtype=bool)  # [b, a]: a < b
 
 
-def _staircase_2d(y: np.ndarray) -> np.ndarray:
-    """Mask over y of the entries above every earlier entry.  Over 2-D rows
-    presorted so that the first column never rises, with y the second
-    column, those are the rows no earlier row weakly dominates: the running
-    maximum of y is the 2-D maxima staircase (Kung, Luccio & Preparata 1975).
-    After a stable descending lexsort that is the Pareto-maximal rows, the
-    first of equal ones."""
+def _maxima_2d(x: np.ndarray, y: np.ndarray):
+    """The 2-D maxima staircase of the points (x, y), the first of equal
+    ones, as (x ascending, y strictly descending): after a stable descending
+    lexsort, the points above the running maximum of y, read backwards
+    (Kung, Luccio & Preparata 1975)."""
+    order = np.lexsort((-y, -x))
+    x, y = x[order], y[order]
     keep = np.ones(len(y), dtype=bool)
     keep[1:] = y[1:] > np.maximum.accumulate(y)[:-1]
-    return keep
+    return x[keep][::-1], y[keep][::-1]
+
+
+def _covered_2d(stair, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mask of the points (x, y) that some point of stair, a _maxima_2d
+    staircase, weakly dominates: the stair point with the least x' >= x has
+    the largest y' of those (none: a -inf sentinel)."""
+    sx, sy = stair
+    return np.append(sy, -np.inf)[np.searchsorted(sx, x)] >= y
 
 
 def _pivot_covered(p: np.ndarray) -> np.ndarray:
@@ -264,39 +273,28 @@ def _staircase(p: np.ndarray) -> np.ndarray:
     down to an unmarked one.
 
     Block sweep, with no per-row Python: each block of _STAIR_BLOCK rows is
-    tested against the 2-D maxima staircase (r1 ascending, r2 strictly
-    descending) of all earlier blocks with one searchsorted, and the rows it
-    leaves open against one another with one strictly lower triangular
-    comparison; the survivors are then merged into the staircase.  A row
-    that a covered row covers is covered too (weak dominance is transitive),
-    so skipping the covered rows in the block comparison is exact.  Only
-    comparisons decide, so ties and equal rows are exact.
+    tested against the (r1, r2) staircase of all earlier blocks with one
+    _covered_2d, and the rows it leaves open against one another with one
+    strictly lower triangular comparison; the survivors are then merged into
+    the staircase with one _maxima_2d.  A row that a covered row covers is
+    covered too (weak dominance is transitive), so skipping the covered rows
+    in the block comparison is exact.  Only comparisons decide, so ties and
+    equal rows are exact.
     """
-    n = len(p)
-    keep = np.zeros(n, dtype=bool)
+    keep = np.zeros(len(p), dtype=bool)
     live = np.flatnonzero(~_pivot_covered(p))
     q = p[live]
-    stair_r1 = np.zeros(0)  # ascending
-    stair_r2 = np.full(1, -np.inf)  # strictly descending, then a -inf sentinel
+    stair = np.zeros(0), np.zeros(0)
     for lo in range(0, len(q), _STAIR_BLOCK):
         r1, r2 = q[lo : lo + _STAIR_BLOCK, 1], q[lo : lo + _STAIR_BLOCK, 2]
-        # the staircase point with the least r1 >= r1 has the largest r2 of them
-        open_ = np.flatnonzero(stair_r2[np.searchsorted(stair_r1, r1)] < r2)
+        open_ = np.flatnonzero(~_covered_2d(stair, r1, r2))
         r1, r2 = r1[open_], r2[open_]
         m = len(open_)
         kept = ~(
             _EARLIER[:m, :m] & (r1[None, :] >= r1[:, None]) & (r2[None, :] >= r2[:, None])
         ).any(axis=1)
         keep[live[lo + open_[kept]]] = True
-        # the 2-D maxima of staircase and survivors: by (-r1, -r2), each row
-        # above the running maximum of r2
-        c1 = np.concatenate([stair_r1, r1[kept]])
-        c2 = np.concatenate([stair_r2[:-1], r2[kept]])
-        order = np.lexsort((-c2, -c1))
-        c1, c2 = c1[order], c2[order]
-        above = _staircase_2d(c2)
-        stair_r1 = c1[above][::-1]
-        stair_r2 = np.append(c2[above][::-1], -np.inf)
+        stair = _maxima_2d(np.concatenate([stair[0], r1[kept]]), np.concatenate([stair[1], r2[kept]]))
     return keep
 
 
@@ -304,21 +302,21 @@ def pareto_frontier(points) -> np.ndarray:
     """The distinct non-dominated rows of an (N, 2) or (N, 3) array, of equal
     rows the first in input order, ascending in (r0, r1, r2); (0, k) for k
     columns and no rows; ValidationError unless every entry is a finite
-    number.  A stable descending lexsort is the presort of _staircase (3
-    columns) or _staircase_2d (2 columns), and the rows it keeps, reversed,
-    are ascending.  With 3 columns a stable sort on -r0 comes first, and
-    only the rows _pivot_covered leaves are lexsorted: it drops only rows
-    the skyline drops, and both sorts are stable, so the bytes are those of
-    one lexsort of every row."""
+    number.  With 2 columns that is _maxima_2d.  With 3 a stable descending
+    lexsort is the presort of _staircase, and the rows it keeps, reversed,
+    are ascending.  A stable sort on -r0 comes first, and only the rows
+    _pivot_covered leaves are lexsorted: it drops only rows the skyline
+    drops, and both sorts are stable, so the bytes are those of one lexsort
+    of every row."""
     pts = checked_array(points, "points", ("N", "k"))
     if pts.shape[1] not in (2, 3):
         raise ValidationError("pareto_frontier expects 2 or 3 rate columns")
-    if pts.shape[1] == 3:
-        pts = pts[np.argsort(-pts[:, 0], kind="stable")]
-        pts = pts[~_pivot_covered(pts)]
+    if pts.shape[1] == 2:
+        return np.column_stack(_maxima_2d(pts[:, 0], pts[:, 1]))
+    pts = pts[np.argsort(-pts[:, 0], kind="stable")]
+    pts = pts[~_pivot_covered(pts)]
     p = pts[np.lexsort(-pts.T[::-1])]
-    keep = _staircase(p) if pts.shape[1] == 3 else _staircase_2d(p[:, 1])
-    return p[keep][::-1]
+    return p[_staircase(p)][::-1]
 
 
 def _cell_frontier(pts: np.ndarray) -> np.ndarray:

@@ -21,7 +21,9 @@ _LN2 = np.log(2.0)
 
 def check_distribution(p: np.ndarray, what: str, rows: int = 1) -> None:
     """Raise unless p, split into `rows` equal rows, holds one probability
-    vector per row: no negative entries, each row summing to 1."""
+    vector per row: not empty, no negative entries, each row summing to 1."""
+    if p.size == 0:
+        raise ValidationError(f"{what} is empty")
     if np.any(p < 0):
         raise ValidationError(f"{what} has negative entries")
     sums = p.reshape(rows, -1).sum(axis=1)
@@ -53,8 +55,6 @@ class FiniteDistribution:
     def __post_init__(self):
         p = checked_array(self.probs, "probabilities", ("k",))
         object.__setattr__(self, "probs", p)
-        if p.size == 0:
-            raise ValidationError("probabilities must form a non-empty vector")
         check_distribution(p, "distribution")
 
     def __len__(self) -> int:

@@ -40,6 +40,26 @@ _SCENARIO_KEYS = ("p1", "p2", "sigma1_sq", "sigma2_sq")
 _GRID_KEYS = ("u_size", "v1_size", "v2_size", "resolution", "max_chains")
 _AUX_KEYS = ("p_u", "p_v1_given_u", "p_v2_given_u", "p_x1_given_v1", "p_x2_given_v2")
 _CODE_KEYS = ("n", "r0", "r1", "r2", "r1p", "r2p", "typicality_eps", "seed")
+# Flow levels ([ and {) a scenario may nest: a channel table inside a flow
+# mapping needs 5.
+_MAX_FLOW_DEPTH = 8
+
+
+def _check_flow_depth(text: str) -> None:
+    """Refuse text whose [ and { nest past _MAX_FLOW_DEPTH levels, before
+    any parse.  PyYAML's own scanner, fed one token at a time without the
+    parser's lookahead, counts only the brackets outside quoted scalars and
+    comments, and stops at the first level too many; a parse rescans every
+    open level per token and recurses once per level, so it is slow to
+    reach any later refusal of a deep nest."""
+    scanner = yaml.SafeLoader(text)
+    try:
+        while not scanner.done:
+            scanner.fetch_more_tokens()
+            if scanner.flow_level > _MAX_FLOW_DEPTH:
+                raise ValidationError(f"scenario file: nested too deeply (over {_MAX_FLOW_DEPTH} levels)")
+    finally:
+        scanner.dispose()
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -94,6 +114,7 @@ class ScenarioFile:
         if not isinstance(text, str):
             raise ValidationError(f"scenario text: expected a str, got {type(text).__name__}")
         try:
+            _check_flow_depth(text)
             # nested aliases blow a tiny file up; each one needs a "*" in the text
             events = yaml.parse(text, yaml.SafeLoader) if "*" in text else ()
             if any(isinstance(e, yaml.AliasEvent) for e in events):

@@ -4,6 +4,7 @@ import inspect
 import json
 import multiprocessing.process
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -164,21 +165,52 @@ def test_parse_refuses_yaml_aliases(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "opening, closing, star",
-    [("[", "]", False), ("[", "]", True), ("{a: ", "}", False)],
-    ids=["sequences", "sequences-alias-scan", "mappings"],
+    "deep, star",
+    [
+        (" " + "[" * 20_000 + "0.25" + "]" * 20_000, False),
+        (" " + "[" * 20_000 + "0.25" + "]" * 20_000, True),
+        (" " + "{a: " * 20_000 + "0.25" + "}" * 20_000, False),
+        ("\n" + "- " * 3_000 + "0.25", False),
+    ],
+    ids=["sequences", "sequences-alias-scan", "mappings", "block-sequences"],
 )
-def test_run_refuses_a_scenario_nested_too_deeply(tmp_path, capsys, opening, closing, star):
+def test_run_refuses_a_scenario_nested_too_deeply(tmp_path, capsys, deep, star):
     # PyYAML recurses once per level: 900 brackets (1.8 KB) used to end in a
-    # RecursionError traceback.  A "*" in the text also runs the alias scan.
-    deep = opening * 900 + "0.25" + closing * 900
-    text = f"kind: dm\nbound: inner\nchannel: {deep}\noutput: {tmp_path / 'r.csv'}\n"
+    # RecursionError traceback, and 20,000 (40 KB) took about 1 s to refuse.
+    # A "*" in the text also runs the alias scan, which took 41 s on them.
+    # Flow brackets are refused before any parse (about 1 ms); block nesting
+    # still reaches the parse and is refused from its RecursionError.
+    text = f"kind: dm\nbound: inner\nchannel:{deep}\noutput: {tmp_path / 'r.csv'}\n"
     path = tmp_path / "s.yaml"
     path.write_text(text + ("# *\n" if star else ""))
+    start = time.perf_counter()
     assert main(["run", str(path)]) == 1
+    assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert "nested too deeply" in err and "Traceback" not in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_flow_depth_cap_counts_only_yaml_brackets():
+    # 8 levels parse, 9 do not; brackets in quoted scalars, plain scalars
+    # and comments are not flow levels, so they count for nothing
+    cap = scenario._MAX_FLOW_DEPTH
+    assert cap == 8
+    channel = "[" * (cap - 1) + "0.25" + "]" * (cap - 1)
+    text = f"{{kind: dm, bound: inner, channel: {channel}, output: r.csv}}"
+    for star in ("", " # *"):  # a "*" runs the alias scan too
+        sf = ScenarioFile.parse(text + star)
+        assert sf.data["channel"] == np.full((1,) * (cap - 1), 0.25).tolist()
+        with pytest.raises(ValidationError, match="nested too deeply"):
+            ScenarioFile.parse(f"[{text}]{star}")
+    brackets = "[" * 40 + "{" * 40
+    text = (
+        f"# {brackets}\nkind: dm\nbound: '{brackets}'\nchannel: \"{brackets}\"\n"
+        f"output: a{brackets}.csv  # {brackets}\ngrid: {{resolution: [[['{brackets}']]]}}\n"
+    )
+    data = ScenarioFile.parse(text).data
+    assert data["bound"] == data["channel"] == brackets
+    assert data["output"] == f"a{brackets}.csv" and data["grid"] == {"resolution": [[[brackets]]]}
 
 
 def test_dm_scenario_alphabet_cap(tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -335,6 +336,19 @@ def test_chain_cap_checked_before_any_table(monkeypatch, resolution):
     grid = GridSpec(u_size=2, v1_size=2, v2_size=2, resolution=resolution)
     with pytest.raises(CapExceededError):
         sweep_region(ch, "inner", grid)
+    with pytest.raises(CapExceededError):
+        chain_at(grid, ch, "inner", 0)
+
+
+def test_chain_at_refuses_a_grid_above_the_cap_at_once():
+    # 1.15e14 chains: chain_at used to build a 10.7 M-row option table (15.7 s)
+    ch = DiscreteChannel(np.full((4, 4, 2, 2), 0.25))
+    grid = GridSpec(1, 1, 1, resolution=400)
+    assert chain_count(grid, ch, "inner") > 10**14
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="above the cap of 300000"):
+        chain_at(grid, ch, "inner", 0)
+    assert time.perf_counter() - start < 2.0  # about 0.1 ms
 
 
 @pytest.mark.parametrize("max_chains", [0, dm.MAX_CHAINS + 1, 10**15])

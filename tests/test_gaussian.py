@@ -16,7 +16,7 @@ from secrecy_regions import (
     gaussian_bounds,
     sweep_gaussian,
 )
-from secrecy_regions.geometry import A_OUTER_GAUSSIAN, FrontierAccumulator
+from secrecy_regions.geometry import A_OUTER_GAUSSIAN, GEOM_TOL, FrontierAccumulator
 
 
 def cap(x):
@@ -330,3 +330,49 @@ def test_outer_corners_lift_to_each_rows_vertices(seed):
         gap = np.abs(pts[:, None, :] - lifts[None, :, :]).max(axis=2)
         assert (gap.min(axis=1) <= 1e-12).all(), (row, pts, lifts)
         assert (gap.min(axis=0) <= 1e-12).all(), (row, pts, lifts)
+
+
+# ties at the margin: levels equal, and GEOM_TOL, five and ten apart
+_CORNER_LEVELS = np.array(
+    [0.0, GEOM_TOL, 10 * GEOM_TOL, 0.25, 0.25 + 5 * GEOM_TOL, 0.25 + 10 * GEOM_TOL, 0.5,
+     0.5 + 10 * GEOM_TOL, 0.75, 1.0, 1.5]
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 300]) | st.integers(1, 150),
+    levels=st.integers(1, len(_CORNER_LEVELS)),
+    chunk=st.sampled_from([1, 2, 7, 64, 997, 20000]),
+    duplicates=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_outer_live_rows_match_their_definition(seed, n, levels, chunk, duplicates):
+    # a row is dropped exactly when each of its two corners is beaten by
+    # _OUTER_MARGIN in r0 and in s by some corner of any row: brute force
+    # over all 2n corners, against the chunked skyline
+    rng = np.random.default_rng(seed)
+    rows = _CORNER_LEVELS[rng.integers(0, levels, size=(n, 3))]
+    if duplicates:
+        rows[rng.random(n) < 0.3] = rows[rng.integers(0, n)]
+    r0, s = gaussian._outer_corners(rows)
+    margin = gaussian._OUTER_MARGIN
+    covers = (r0[None, :] >= (r0 + margin)[:, None]) & (s[None, :] >= (s + margin)[:, None])
+    beaten = covers.any(axis=1)
+    expected = ~(beaten[:n] & beaten[n:])
+    assert np.array_equal(gaussian._outer_live_rows(rows, chunk), expected)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [GaussianScenario(1, 1, 0.3, 0.1), GaussianScenario(2, 0.5, 0.3, 0.2),
+     GaussianScenario(1, 1, 0.2, 0.2)],
+)
+def test_outer_live_rows_keep_every_row_when_b12_is_zero(s):
+    # sigma1_sq >= sigma2_sq clips b12 to 0, so no corner beats another in s
+    g = np.linspace(0.0, 1.0, 21)
+    grid = [x.ravel() for x in np.meshgrid(g, g, g, indexing="ij")]
+    bounds = gaussian_bounds(s, "g_outer", *grid)
+    assert not bounds[:, 1].any()
+    for chunk in (997, 20000):
+        assert gaussian._outer_live_rows(bounds, chunk).all()

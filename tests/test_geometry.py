@@ -19,6 +19,8 @@ from secrecy_regions.geometry import (
     CONSTRAINT_PATTERNS,
     GEOM_TOL,
     FrontierAccumulator,
+    _covered_2d,
+    _maxima_2d,
     _pivot_covered,
     _prune_pairwise,
     _staircase,
@@ -530,6 +532,83 @@ def test_pivot_pass_marks_nothing_on_a_trading_off_surface():
     frontier = pareto_frontier(pts)
     assert len(frontier) == len(grid)
     assert frontier.tobytes() == _one_lexsort_frontier(pts).tobytes()
+
+
+def _old_maxima_2d(x, y):
+    """The 2-D staircase as three callers wrote it by hand before
+    _maxima_2d: one stable descending lexsort, the rows above the running
+    maximum of y, read backwards."""
+    p = np.column_stack([x, y])[np.lexsort((-y, -x))]
+    keep = np.ones(len(p), dtype=bool)
+    keep[1:] = p[1:, 1] > np.maximum.accumulate(p[:, 1])[:-1]
+    return p[keep][::-1]
+
+
+def _brute_maxima_2d(x, y):
+    """O(n^2): the points no other point dominates (>= in both, > in one),
+    the first in input order of equal ones, by ascending x."""
+    ge = (x[None, :] >= x[:, None]) & (y[None, :] >= y[:, None])  # [i, j]: j >= i
+    equal = ge & ge.T
+    keep = ~(ge & ~equal).any(axis=1) & ~(equal & np.tri(len(x), k=-1, dtype=bool)).any(axis=1)
+    kept = np.flatnonzero(keep)
+    kept = kept[np.argsort(x[kept], kind="stable")]
+    return np.column_stack([x[kept], y[kept]])
+
+
+# -0.0 beside 0.0, one-ulp neighbours, and points one and ten GEOM_TOL apart
+_STAIR_LEVELS = np.array(
+    [-0.0, 0.0, 5e-324, GEOM_TOL, 10 * GEOM_TOL, 0.5 - 10 * GEOM_TOL, np.nextafter(0.5, 0.0),
+     0.5, 0.5 + GEOM_TOL, 0.5 + 10 * GEOM_TOL, 1.0]
+)
+
+
+def _stair_points(seed, n, levels, trade_off):
+    """n points on the first `levels` of _STAIR_LEVELS, each zero of a
+    random sign; with trade_off most of them on a falling line, so many are
+    maximal."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, levels, size=(n, 2))
+    if trade_off:
+        idx[:, 1] = np.clip(levels - 1 - idx[:, 0] - rng.integers(0, 2, n), 0, levels - 1)
+    pts = _STAIR_LEVELS[idx]
+    pts[pts == 0] = rng.choice([-0.0, 0.0], size=int((pts == 0).sum()))
+    return pts[:, 0], pts[:, 1]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([0, 1, 2, 600]) | st.integers(1, 300),
+    levels=st.integers(1, len(_STAIR_LEVELS)),
+    trade_off=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_maxima_2d_matches_bruteforce_and_the_old_path(seed, n, levels, trade_off):
+    x, y = _stair_points(seed, n, levels, trade_off)
+    sx, sy = _maxima_2d(x, y)
+    assert (np.diff(sx) > 0).all() and (np.diff(sy) < 0).all()
+    stair = np.column_stack([sx, sy])
+    assert stair.tobytes() == _brute_maxima_2d(x, y).tobytes()
+    assert stair.tobytes() == _old_maxima_2d(x, y).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([0, 1, 600]) | st.integers(1, 300),
+    queries=st.integers(1, 300),
+    levels=st.integers(1, len(_STAIR_LEVELS)),
+    trade_off=st.booleans(),
+    margin=st.sampled_from([0.0, 10 * GEOM_TOL]),
+)
+@settings(max_examples=80, deadline=None)
+def test_covered_2d_matches_bruteforce(seed, n, queries, levels, trade_off, margin):
+    # a query is covered exactly when some point, maximal or not, is >= it
+    # in both coordinates; the margin is added to the query as the g_outer
+    # prefilter adds it, so equal and one-GEOM_TOL gaps fall on both sides
+    x, y = _stair_points(seed, n, levels, trade_off)
+    qx, qy = _stair_points(seed + 1, queries, len(_STAIR_LEVELS), False)
+    qx, qy = qx + margin, qy + margin
+    brute = ((x[None, :] >= qx[:, None]) & (y[None, :] >= qy[:, None])).any(axis=1)
+    assert np.array_equal(_covered_2d(_maxima_2d(x, y), qx, qy), brute)
 
 
 def _two_sort_prune(pts, recs):

@@ -66,6 +66,17 @@ def test_distribution_validation():
         FiniteDistribution([10**400, 0])  # numpy raises OverflowError converting it
 
 
+@pytest.mark.parametrize(
+    "make, shape",
+    [(FiniteDistribution, (0,))]
+    + [(DiscreteChannel, shape) for shape in [(0, 2, 2, 2), (2, 0, 2, 2), (2, 2, 0, 2), (0,) * 4]],
+)
+def test_empty_tables_are_refused(make, shape):
+    # an empty (x1, x2) axis used to escape as numpy's reshape ValueError
+    with pytest.raises(ValidationError, match="is empty"):
+        make(np.zeros(shape))
+
+
 def test_channel_validation():
     t = np.full((2, 2, 2, 2), 0.25)
     DiscreteChannel(t)  # valid

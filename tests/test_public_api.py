@@ -74,6 +74,19 @@ def test_the_orthant_is_added_only_in_batch_vertices():
     }
 
 
+def test_the_2d_staircase_lives_only_in_maxima_2d_and_covered_2d():
+    """searchsorted and np.maximum.accumulate, the tools of a 2-D maxima
+    staircase, appear in src/ only inside geometry._maxima_2d (which builds
+    one), _covered_2d (which queries one) and _pivot_covered (the linear
+    pass before the 3-D skyline): a second staircase cannot grow back
+    unnoticed."""
+    assert _named_in_src({"searchsorted", "accumulate"}) == {
+        ("geometry.py", "_maxima_2d", "accumulate"),
+        ("geometry.py", "_covered_2d", "searchsorted"),
+        ("geometry.py", "_pivot_covered", "accumulate"),
+    }
+
+
 def test_csv_cells_are_formatted_only_in_write_csv():
     """cli._fmt_column is named in src/ only inside cli._write_csv, and
     cli._fmt only inside _fmt_column: a second path that formats CSV cells
