@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dm import AuxiliaryChain, _require_inner
 from .errors import CapExceededError, ValidationError, check_integer, check_real, fits
@@ -365,6 +364,8 @@ def posterior_w1w2(cb: Codebook, y2: np.ndarray) -> np.ndarray:
     Peak memory: beside the cached `tuples` table, one int64 index and one
     float64 gather of tuples x n each; the gather is made per trial, never
     for B x tuples x n at once."""
+    from scipy.special import logsumexp
+
     cfg, n = cb.config, cb.config.n
     y = _symbol_stack(y2, cb.channel.y2_size, ("B", n), "y2")
     symbols = cb._log_y2.shape[1]  # |U||V1||V2|

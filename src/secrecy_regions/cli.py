@@ -322,13 +322,10 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
-    except ValidationError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (click.Abort, OSError) as exc:
+    except (ValidationError, click.Abort, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return 0

@@ -39,7 +39,6 @@ from functools import cache
 from itertools import product
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import CapExceededError, ValidationError, check_choice, check_integer, checked_array
 from .geometry import (
@@ -200,6 +199,8 @@ def _entropies(joint: np.ndarray) -> dict:
     `joint` has axes (chain, u, v1, v2, y1, y2).  Each marginal is summed out
     of its _MARGINAL_PLAN source one axis at a time, each by _fold.  The sum
     over a marginal's cells (up to 108 of them) stays numpy's pairwise sum."""
+    from scipy.special import xlogy
+
     tables = {(0, 1, 2, 3, 4): joint}
     h = {}
     for name, keep, source, axes in _MARGINAL_PLAN:
@@ -469,11 +470,8 @@ def _chain_tables(blocks, grid: GridSpec, sweep_class: str, index: np.ndarray):
     """(p_u, p_v1v2, p_x1, p_x2) of the grid chains at `index`, an array of
     chain indices, each table with a leading chain axis.  An index is a
     mixed-radix number whose last digit picks from the last block."""
-    digits = []
-    for b in reversed(blocks):
-        index, d = np.divmod(index, len(b))
-        digits.append(d)
-    rows = iter([b[d] for b, d in zip(blocks, reversed(digits))])
+    digits = np.unravel_index(index, [len(b) for b in blocks])
+    rows = iter([b[d] for b, d in zip(blocks, digits)])
 
     def take(count):
         return np.stack([next(rows) for _ in range(count)], axis=1)

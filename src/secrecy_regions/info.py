@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import ValidationError, checked_array, finite_array
 
@@ -40,6 +39,8 @@ def entropy_bits(p: np.ndarray) -> float:
 
     Zero entries contribute zero; the table is not re-normalized.
     """
+    from scipy.special import xlogy
+
     p = finite_array(p)
     if p is None or (p < 0).any():
         raise ValidationError("entropy_bits expects a table of finite masses >= 0")

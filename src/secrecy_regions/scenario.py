@@ -16,50 +16,98 @@ import yaml
 
 from .errors import ValidationError, check_choice
 
-# The scenario kinds and their allowed keys; "kind" itself is implicit.  The
+# The scenario kinds, their allowed keys ("kind" itself is implicit), and for
+# each key that holds a mapping, that mapping's (required, optional) keys.  The
 # values are checked by the types and runners that use them, not here.
 _SCHEMAS = {
     "gaussian": {
         "required": ("scenario", "bound", "output"),
         "optional": ("resolution", "r0_rho_coeff", "summary"),
+        "nested": {"scenario": (("p1", "p2", "sigma1_sq", "sigma2_sq"), ())},
     },
     "dm": {
         "required": ("channel", "bound", "output"),
         "optional": ("grid", "summary"),
+        "nested": {"grid": ((), ("u_size", "v1_size", "v2_size", "resolution", "max_chains"))},
     },
     "simulate": {
         "required": ("channel", "aux", "code", "trials", "output"),
         "optional": ("blocklengths",),
+        "nested": {
+            "aux": (("p_u", "p_v1_given_u", "p_v2_given_u", "p_x1_given_v1", "p_x2_given_v2"), ()),
+            "code": (("n",), ("r0", "r1", "r2", "r1p", "r2p", "typicality_eps", "seed")),
+        },
     },
     "fm-check": {
         "required": ("channel", "chains", "output"),
         "optional": ("seed",),
+        "nested": {},
     },
 }
-_SCENARIO_KEYS = ("p1", "p2", "sigma1_sq", "sigma2_sq")
-_GRID_KEYS = ("u_size", "v1_size", "v2_size", "resolution", "max_chains")
-_AUX_KEYS = ("p_u", "p_v1_given_u", "p_v2_given_u", "p_x1_given_v1", "p_x2_given_v2")
-_CODE_KEYS = ("n", "r0", "r1", "r2", "r1p", "r2p", "typicality_eps", "seed")
 # Flow levels ([ and {) a scenario may nest: a channel table inside a flow
 # mapping needs 5.
 _MAX_FLOW_DEPTH = 8
 
 
-def _check_flow_depth(text: str) -> None:
-    """Refuse text whose [ and { nest past _MAX_FLOW_DEPTH levels, before
-    any parse.  PyYAML's own scanner, fed one token at a time without the
-    parser's lookahead, counts only the brackets outside quoted scalars and
-    comments, and stops at the first level too many; a parse rescans every
-    open level per token and recurses once per level, so it is slow to
-    reach any later refusal of a deep nest."""
+def _check_tokens(text: str) -> None:
+    """Refuse text, before any parse, whose [ and { nest past _MAX_FLOW_DEPTH
+    levels, or that holds a YAML alias (nested ones expand a tiny file
+    k**depth-fold).  PyYAML's own scanner, fed one token at a time without
+    the parser's lookahead, finds only the brackets and aliases outside
+    quoted scalars and comments, and stops at the first fault; a parse
+    rescans every open level per token and recurses once per level, so it
+    is slow to reach any later refusal of a deep nest."""
     scanner = yaml.SafeLoader(text)
     try:
         while not scanner.done:
-            scanner.fetch_more_tokens()
+            scanner.fetch_more_tokens()  # an alias is the last token its fetch adds
             if scanner.flow_level > _MAX_FLOW_DEPTH:
                 raise ValidationError(f"scenario file: nested too deeply (over {_MAX_FLOW_DEPTH} levels)")
+            if isinstance(scanner.tokens[-1], yaml.AliasToken):
+                raise ValidationError("scenario file: YAML aliases (*name) are not allowed")
     finally:
         scanner.dispose()
+
+
+def _check_unique_keys(loader: yaml.SafeLoader, node) -> None:
+    """Refuse a mapping, at node or below it, in which two keys construct to
+    equal values.  The node graph is a tree, as aliases are refused first;
+    a key merged in by << may still be overridden."""
+    if isinstance(node, yaml.SequenceNode):
+        for child in node.value:
+            _check_unique_keys(loader, child)
+    if not isinstance(node, yaml.MappingNode):
+        return
+    for pair in node.value:
+        for child in pair:
+            _check_unique_keys(loader, child)
+    keys = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+    loader.flatten_mapping(node)  # as construct_mapping does: resolves << and = keys
+    seen = set()
+    for key in keys:
+        value = loader.construct_object(key, deep=True)
+        try:
+            repeated = value in seen
+        except TypeError:  # unhashable: construct_document refuses it
+            continue
+        if repeated:
+            line = key.start_mark.line + 1
+            raise ValidationError(f"scenario file: duplicate key {value!r} (line {line})")
+        seen.add(value)
+
+
+def _load(text: str):
+    """yaml.safe_load(text), in its own steps, with _check_unique_keys run
+    between the compose and the construct."""
+    loader = yaml.SafeLoader(text)
+    try:
+        node = loader.get_single_node()
+        if node is None:  # no document
+            return None
+        _check_unique_keys(loader, node)
+        return loader.construct_document(node)
+    finally:
+        loader.dispose()
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -90,36 +138,31 @@ class ScenarioFile:
         _require_mapping(self.data, f"kind {self.kind}")
         _check_keys(self.data, schema["required"], schema["optional"], f"kind {self.kind}")
         for key in ("output", "summary"):
-            if key in self.data and not isinstance(self.data[key], str):
+            if key in self.data and (not isinstance(self.data[key], str) or "\0" in self.data[key]):
                 raise ValidationError(f"{key}: expected a file path, got {self.data[key]!r}")
+        summary = self.data.get("summary")
+        if summary is not None and os.path.realpath(summary) == os.path.realpath(self.data["output"]):
+            raise ValidationError(f"summary: {summary!r} is also the output file")
+        for key, (required, optional) in schema["nested"].items():
+            if key in self.data:
+                _check_keys(_require_mapping(self.data[key], key), required, optional, key)
         if self.kind == "gaussian":
-            sc = _require_mapping(self.data["scenario"], "scenario")
-            _check_keys(sc, _SCENARIO_KEYS, (), "scenario")
             check_choice(self.data["bound"], ("inner", "outer", "cmac"), "gaussian bound")
-        elif self.kind == "dm":
-            if "grid" in self.data:
-                _check_keys(_require_mapping(self.data["grid"], "grid"), (), _GRID_KEYS, "grid")
-        elif self.kind == "simulate":
-            _check_keys(_require_mapping(self.data["aux"], "aux"), _AUX_KEYS, (), "aux")
-            _check_keys(_require_mapping(self.data["code"], "code"), ("n",), _CODE_KEYS, "code")
-            if "blocklengths" in self.data:
-                lengths = self.data["blocklengths"]
-                if not isinstance(lengths, list) or not lengths:
-                    raise ValidationError("blocklengths: expected a non-empty list")
+        if "blocklengths" in self.data:
+            lengths = self.data["blocklengths"]
+            if not isinstance(lengths, list) or not lengths:
+                raise ValidationError("blocklengths: expected a non-empty list")
 
     @classmethod
     def parse(cls, text: str) -> "ScenarioFile":
         """The scenario in YAML text (ValidationError unless text is a str
-        holding one, for any YAML alias, and for nesting too deep to parse)."""
+        holding one, for any YAML alias or duplicate key, and for nesting
+        too deep to parse)."""
         if not isinstance(text, str):
             raise ValidationError(f"scenario text: expected a str, got {type(text).__name__}")
         try:
-            _check_flow_depth(text)
-            # nested aliases blow a tiny file up; each one needs a "*" in the text
-            events = yaml.parse(text, yaml.SafeLoader) if "*" in text else ()
-            if any(isinstance(e, yaml.AliasEvent) for e in events):
-                raise ValidationError("scenario file: YAML aliases (*name) are not allowed")
-            raw = yaml.safe_load(text)
+            _check_tokens(text)
+            raw = _load(text)
         except yaml.YAMLError as exc:
             raise ValidationError(f"scenario parse error: {exc}") from exc
         except RecursionError as exc:  # PyYAML recurses once per nesting level

@@ -1,9 +1,13 @@
 import concurrent.futures
 import hashlib
+import importlib
 import inspect
 import json
 import multiprocessing.process
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -15,6 +19,8 @@ import secrecy_regions
 from secrecy_regions import ScenarioFile, ValidationError, cli, dm, scenario, sweep_gaussian
 from secrecy_regions.cli import _fmt, _fmt_column, main, run_figure, run_scenario
 from conftest import degraded_binary_channel, reveal_both_channel
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL_GAUSSIAN = {
     "scenario": {"p1": 1.0, "p2": 1.0, "sigma1_sq": 0.1, "sigma2_sq": 0.3},
@@ -152,8 +158,14 @@ def test_unknown_str_keys_are_listed_in_text_order():
         ScenarioFile("dm", {**data, "b": 1, "a ": 2, "a": 3})
 
 
-def test_parse_refuses_yaml_aliases(tmp_path, capsys):
-    # nested aliases expand a small file k**depth-fold before any check
+def test_parse_refuses_yaml_aliases(tmp_path, capsys, monkeypatch):
+    # nested aliases expand a small file k**depth-fold before any check; the
+    # token scan refuses them before the text is parsed
+    def refuse(*args, **kwargs):
+        raise AssertionError("the text was parsed")
+
+    monkeypatch.setattr(yaml, "parse", refuse)
+    monkeypatch.setattr(scenario, "_load", refuse)
     text = "kind: dm\nbound: inner\nrow: &r [0.25, 0.25]\nchannel: [[*r, *r], [*r, *r]]\n"
     with pytest.raises(ValidationError, match="aliases"):
         ScenarioFile.parse(text + "output: r.csv\n")
@@ -162,6 +174,86 @@ def test_parse_refuses_yaml_aliases(tmp_path, capsys):
     assert main(["run", str(path)]) == 1
     assert "YAML aliases" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [lambda out: gaussian_scenario_text(out) + "resolution: 7\n",
+     lambda out: (f"kind: dm\nbound: inner\nchannel: {np.full((2, 2, 2, 2), 0.25).tolist()}\n"
+                  f"grid:\n  resolution: 2\n  u_size: 2\n  resolution: 3\noutput: {out}\n"),
+     lambda out: yaml.safe_dump(_dm_data(out)) + "1: 2\n1.0: 3\n"],
+    ids=["top-level", "nested", "1-and-1.0"],
+)
+def test_run_refuses_a_duplicate_key(tmp_path, capsys, text):
+    # YAML keys are unique; the last value used to win without a word
+    path = tmp_path / "s.yaml"
+    path.write_text(text(tmp_path / "r.csv"))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "duplicate key" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["<<: {a: 1, b: 1}\nb: 2\n", "<<: [{a: 1}, {a: 2}]\na: 3\n", "=: 1\nb: 2\n", "a: {b: [1, {c: 2}]}\n", ""],
+)
+def test_the_duplicate_key_check_keeps_merge_and_value_keys(text):
+    # a key merged in by << may be overridden, and "=" is a str key, as in yaml.safe_load
+    assert scenario._load(text) == yaml.safe_load(text)
+
+
+def test_run_refuses_an_unhashable_key_as_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump(_dm_data(tmp_path / "r.csv")) + "? [1, 2]\n: 3\n")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "parse error" in err and "unhashable" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("output, summary", [("r.csv", "r.csv"), ("r.csv", "./r.csv")])
+def test_run_refuses_a_summary_that_is_the_output(tmp_path, monkeypatch, capsys, output, summary):
+    # the summary used to overwrite the region CSV
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "s.yaml"
+    path.write_text(gaussian_scenario_text(output, summary))
+    assert main(["run", str(path)]) == 1
+    assert f"summary: {summary!r} is also the output file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("key", ["output", "summary"])
+def test_run_refuses_a_path_holding_a_nul(tmp_path, capsys, key):
+    # open() used to raise ValueError, a traceback, after the whole sweep
+    paths = {"output": tmp_path / "r.csv", "summary": tmp_path / "r.json", key: "r\0.csv"}
+    path = tmp_path / "s.yaml"
+    path.write_text(gaussian_scenario_text(paths["output"], paths["summary"]))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{key}: expected a file path" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_parse_gives_what_safe_load_gives(tmp_path, monkeypatch):
+    # every scenario text the tests and README hold, and the seven that the
+    # benchmark workloads write
+    out = tmp_path / "r.csv"
+    texts = [p.read_text() for p in Path(__file__).parent.glob("*.yaml")]
+    texts += re.findall(r"```yaml\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    texts += [gaussian_scenario_text(out, tmp_path / "r.json")]
+    texts += [yaml.safe_dump(d) for d in (simulate_data(out), fm_check_data(out), _dm_data(out))]
+    monkeypatch.syspath_prepend(ROOT / "perfbench")
+    workloads = importlib.import_module("workloads")
+    for name in ("figures", "dm", "simulate"):
+        workloads.build(secrecy_regions, name, 7, "full", tmp_path / name)
+    bench = sorted(tmp_path.glob("*/*.yaml"))
+    assert len(bench) == 7
+    for text in texts + [p.read_text() for p in bench]:
+        raw = yaml.safe_load(text)
+        assert scenario._load(text) == raw
+        sf = ScenarioFile.parse(text)
+        assert {"kind": sf.kind, **sf.data} == raw
 
 
 @pytest.mark.parametrize(
@@ -177,7 +269,8 @@ def test_parse_refuses_yaml_aliases(tmp_path, capsys):
 def test_run_refuses_a_scenario_nested_too_deeply(tmp_path, capsys, deep, star):
     # PyYAML recurses once per level: 900 brackets (1.8 KB) used to end in a
     # RecursionError traceback, and 20,000 (40 KB) took about 1 s to refuse.
-    # A "*" in the text also runs the alias scan, which took 41 s on them.
+    # A "*" in the text once ran a second, event-level parse for aliases,
+    # which took 41 s on them; the token scan now finds aliases too.
     # Flow brackets are refused before any parse (about 1 ms); block nesting
     # still reaches the parse and is refused from its RecursionError.
     text = f"kind: dm\nbound: inner\nchannel:{deep}\noutput: {tmp_path / 'r.csv'}\n"
@@ -198,7 +291,7 @@ def test_flow_depth_cap_counts_only_yaml_brackets():
     assert cap == 8
     channel = "[" * (cap - 1) + "0.25" + "]" * (cap - 1)
     text = f"{{kind: dm, bound: inner, channel: {channel}, output: r.csv}}"
-    for star in ("", " # *"):  # a "*" runs the alias scan too
+    for star in ("", " # *"):  # a "*" in a comment is no alias
         sf = ScenarioFile.parse(text + star)
         assert sf.data["channel"] == np.full((1,) * (cap - 1), 0.25).tolist()
         with pytest.raises(ValidationError, match="nested too deeply"):
@@ -291,6 +384,18 @@ def test_figure_rerun_byte_identical(tmp_path):
     run_figure("fig2", b_dir, resolution=21, outer_resolution=9)
     assert (a_dir / "fig2.csv").read_bytes() == (b_dir / "fig2.csv").read_bytes()
     assert (a_dir / "fig2_summary.json").read_bytes() == (b_dir / "fig2_summary.json").read_bytes()
+
+
+def test_a_figure_run_never_loads_scipy_special(tmp_path):
+    # importing scipy.special was over half of every process start, and only
+    # the discrete, fm-check and simulator stages use it
+    code = "import sys, secrecy_regions.cli as c; c.run_figure('fig3', sys.argv[1]); print(sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "'scipy.special'" not in proc.stdout and "'secrecy_regions.cli'" in proc.stdout
+    assert (tmp_path / "fig3.csv").exists()
 
 
 def test_run_figure_rejects_unknown():
