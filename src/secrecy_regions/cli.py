@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -169,8 +170,22 @@ _RUNNERS = {
 }
 
 
+def _check_targets(sf: ScenarioFile) -> None:
+    """Refuse an output or summary path that names a directory, or whose
+    directory does not exist, before anything runs or is written."""
+    for key in ("output", "summary"):
+        if key in sf.data:
+            path = os.path.realpath(sf.data[key])  # "" is the working directory
+            if os.path.isdir(path):
+                raise ValidationError(f"{key}: {sf.data[key]!r} is a directory")
+            if not os.path.isdir(os.path.dirname(path)):
+                raise ValidationError(f"{key}: the directory of {sf.data[key]!r} does not exist")
+
+
 def run_scenario(sf: ScenarioFile) -> list:
-    """Dispatch a parsed scenario to its module; returns the written paths."""
+    """Dispatch a parsed scenario to its module, once its target paths are
+    checked; returns the written paths."""
+    _check_targets(sf)
     return _RUNNERS[sf.kind](sf)
 
 

@@ -12,6 +12,11 @@ Python work is done per chain.  No sum runs over the chain axis, and a
 chain's bounds come out the same bits however the chains are split into
 blocks; the tests compare the default block size with a small one.
 
+A sweep evaluates only the V-canonical grid chains (_canonical_index), as
+relabelling V1 or V2 leaves a chain's polytope unchanged, and enumerates
+only the polytopes that no other evaluated one contains (the skyline of
+their tightened bound rows); the region keeps those rows as bound_rows.
+
 Every sum over a short axis (a channel input or a marginalized variable) is
 _fold: the axis's slices added left to right with whole-array adds, which is
 the order numpy's own sum takes below 8 entries, at a fraction of its cost.
@@ -36,7 +41,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -48,6 +53,8 @@ from .geometry import (
     FrontierAccumulator,
     RateRegion,
     _prune_pairwise,
+    _skyline_mask,
+    _tight_five_bounds,
     batch_vertices,
 )
 from .info import _LN2, DiscreteChannel, FiniteDistribution, check_distribution
@@ -511,13 +518,31 @@ def _block_chains(grid: GridSpec, transition: np.ndarray) -> int:
     return max(1, _BLOCK_CELLS // (largest * grid.v1_size * y1 * y2))
 
 
+def _canonical_index(blocks, grid: GridSpec, total: int) -> np.ndarray:
+    """The grid indices below `total` whose p(x1|v1) option digits never
+    fall, nor do their p(x2|v2) ones, ascending.  Relabelling V1 permutes
+    the v1 cells of p(v1|u) (or of p(v1,v2|u)) with the rows of p(x1|v1) and
+    leaves every entropy as it was, and simplex_grid is closed under
+    permuting cells: so each grid chain has a twin here, its x1 rows sorted,
+    with the same polytope.  The same holds for V2."""
+    counts = [len(blocks[-1 - grid.v2_size]), len(blocks[-1])]
+    suffix = np.zeros(1, dtype=np.int64)
+    for n, size in zip(counts, (grid.v1_size, grid.v2_size)):
+        rising = np.array(list(combinations_with_replacement(range(n), size)))
+        suffix = (suffix[:, None] * n**size + np.ravel_multi_index(rising.T, (n,) * size)).ravel()
+    radix = counts[0] ** grid.v1_size * counts[1] ** grid.v2_size
+    return (np.arange(total // radix)[:, None] * radix + suffix).ravel()
+
+
 def _grid_bounds(ch: DiscreteChannel, grid: GridSpec, sweep_class: str, kind: str, total: int):
-    """Bounds of all `total` grid chains, evaluated a fixed-size block at a time."""
+    """Bounds of the _canonical_index chains below `total`, one row each,
+    evaluated a fixed-size block at a time."""
     blocks = _chain_blocks(grid, ch, sweep_class)
+    index = _canonical_index(blocks, grid, total)
     step = _block_chains(grid, ch.transition)
     parts = []
-    for first in range(0, total, step):
-        tables = _chain_tables(blocks, grid, sweep_class, np.arange(first, min(first + step, total)))
+    for first in range(0, len(index), step):
+        tables = _chain_tables(blocks, grid, sweep_class, index[first : first + step])
         parts.append(_bounds(_information(_entropies(_joint5(*tables, ch.transition))), kind))
     return np.concatenate(parts)
 
@@ -538,18 +563,25 @@ def default_workers() -> int:
 
 
 def sweep_region(ch: DiscreteChannel, sweep_class: str, grid: GridSpec) -> RateRegion:
-    """Sweep every grid chain, collect all corner triples, and return the
-    Pareto frontier with chain-index provenance.  Deterministic given the
-    grid; the chains are evaluated in this process, a block at a time.
+    """The region of every grid chain: the Pareto frontier of the maximal
+    vertices of the polytope skyline, with chain-index provenance.  Only
+    the _canonical_index chains are evaluated, and only the polytopes that
+    no other one contains (_skyline_mask of the _tight_five_bounds rows)
+    are enumerated; their rows, in grid order, are the region's bound_rows.
+    Deterministic given the grid; the chains are evaluated in this process,
+    a block at a time.
     """
     total = _capped_chain_count(grid, ch, sweep_class)
     kind = "dm_inner" if sweep_class == "inner" else "dm_outer"
+    index = _canonical_index(_chain_blocks(grid, ch, sweep_class), grid, total)
     bounds = _grid_bounds(ch, grid, sweep_class, kind, total)
+    live = np.flatnonzero(_skyline_mask(_tight_five_bounds(bounds)))
 
     A = CONSTRAINT_PATTERNS[kind]
     acc = FrontierAccumulator()
     chunk = 8192
-    for start in range(0, total, chunk):
-        pts, owner = batch_vertices(A, bounds[start : start + chunk])
-        acc.add(pts, (start + owner)[:, None].astype(float))
-    return acc.finish(kind, bounds)
+    for start in range(0, len(live), chunk):
+        rows = live[start : start + chunk]
+        pts, owner = batch_vertices(A, bounds[rows])
+        acc.add(pts, index[rows[owner]][:, None].astype(float))
+    return acc.finish(kind, bounds[live])

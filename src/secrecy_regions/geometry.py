@@ -7,7 +7,9 @@ Every 3-D Pareto frontier (of a sweep, and of the bound rows that
 membership queries scan) comes from one exact skyline, _staircase: a block
 maxima sweep over rows presorted by (-r0, -r1, -r2).  Every 2-D staircase
 (a projection, _staircase's own, gaussian's outer-corner filter) is built
-by _maxima_2d and queried by _covered_2d.
+by _maxima_2d and queried by _covered_2d.  The polytopes a dm sweep
+enumerates are the 5-column skyline (_skyline_mask) of their bound rows
+tightened by _tight_five_bounds: the ones no other polytope contains.
 
 All geometric comparisons use the absolute tolerance GEOM_TOL = 1e-9;
 inputs are closed-form values with ~1e-15 native error, so this leaves
@@ -73,8 +75,9 @@ class RateRegion:
     records:    (F, k) provenance row per frontier point (chain index, or
                 sweep parameters beta1/beta2[/rho]), finite or NaN
     bound_rows: (M, nb) finite right-hand sides of the defining
-                inequalities, one row per sweep point, nb the rows of
-                CONSTRAINT_PATTERNS[kind] (r >= 0 is implied)
+                inequalities, nb the rows of CONSTRAINT_PATTERNS[kind]
+                (r >= 0 is implied): one row per sweep point, or for a dm
+                sweep one per skyline polytope, those no other contains
     Each field is checked when the region is built (ValidationError).
     """
 
@@ -211,6 +214,39 @@ def batch_vertices(A: np.ndarray, B: np.ndarray):
         pts.append(cand[feas])
         owners.append(np.nonzero(feas)[0])
     return np.vstack(pts), np.concatenate(owners)
+
+
+def _tight_five_bounds(B: np.ndarray) -> np.ndarray:
+    """Each A_FIVE_BOUNDS row b >= 0 of B tightened to its own polytope's
+    maxima of the five left-hand sides (r0, r1, r2, r1 + r2, r0 + r1 + r2).
+    The polytope is unchanged, and P(b) lies in P(b') exactly when the
+    tightened rows satisfy t(b) <= t(b') in every column: the maxima are the
+    polytope's support function at the rows of A (Schneider, Convex Bodies,
+    section 1.7)."""
+    b0, b1, b2, b12, b012 = B.T
+    t0 = np.minimum(b0, b012)
+    t1 = np.minimum(np.minimum(b1, b12), b012)
+    t2 = np.minimum(np.minimum(b2, b12), b012)
+    t12 = np.minimum(np.minimum(b12, t1 + t2), b012)
+    return np.column_stack([t0, t1, t2, t12, np.minimum(b012, t0 + t12)])
+
+
+def _skyline_mask(t: np.ndarray) -> np.ndarray:
+    """Mask over the rows of t of those that no other row weakly dominates,
+    the first of equal ones.  A stable lexsort on (-sum, -t0, -t1, ...)
+    puts every weak dominator of a row before it: float addition is
+    monotone in each addend, so a dominator's sum is >=, and of equal sums
+    the first column where they differ decides.  So the first row left is
+    never dominated; it is kept, and it and every row it weakly dominates
+    are dropped, until no row is left."""
+    order = np.lexsort(np.vstack([-t.T[::-1], -t.sum(axis=1)]))
+    rest, ids = t[order], order
+    keep = np.zeros(len(t), dtype=bool)
+    while len(ids):
+        keep[ids[0]] = True
+        open_ = (rest > rest[0]).any(axis=1)
+        rest, ids = rest[open_], ids[open_]
+    return keep
 
 
 # ---------------------------------------------------------------------------

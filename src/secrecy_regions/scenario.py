@@ -176,7 +176,8 @@ class ScenarioFile:
     @classmethod
     def load(cls, path) -> "ScenarioFile":
         """The scenario in the UTF-8 YAML file at path, a str or os.PathLike
-        (ValidationError otherwise, and for a file that cannot be read)."""
+        (ValidationError otherwise, for a file that cannot be read, and for
+        an output or summary that is the file itself)."""
         if not isinstance(path, (str, os.PathLike)):
             raise ValidationError(f"scenario path: expected a str or path, got {type(path).__name__}")
         try:
@@ -184,4 +185,8 @@ class ScenarioFile:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"scenario file {os.fspath(path)!r}: {exc}") from exc
-        return cls.parse(text)
+        sf = cls.parse(text)
+        for key in ("output", "summary"):
+            if key in sf.data and os.path.realpath(sf.data[key]) == os.path.realpath(path):
+                raise ValidationError(f"{key}: {sf.data[key]!r} is the scenario file itself")
+        return sf

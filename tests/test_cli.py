@@ -235,6 +235,61 @@ def test_run_refuses_a_path_holding_a_nul(tmp_path, capsys, key):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def _tree(root):
+    """Every path under root, with the bytes of each file (None for a
+    directory)."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("key", ["output", "summary"])
+@pytest.mark.parametrize("target", ["s.yaml", "./s.yaml", "{root}/s.yaml"])
+def test_run_refuses_to_overwrite_its_own_scenario(tmp_path, monkeypatch, capsys, key, target):
+    # `output: s.yaml` used to exit 0 and leave s.yaml holding the region CSV
+    monkeypatch.chdir(tmp_path)
+    target = target.format(root=tmp_path)
+    paths = {"output": "r.csv", "summary": "r.json", key: target}
+    path = tmp_path / "s.yaml"
+    path.write_text(gaussian_scenario_text(paths["output"], paths["summary"]))
+    before = _tree(tmp_path)
+    assert main(["run", "s.yaml"]) == 1
+    err = capsys.readouterr().err
+    assert f"{key}: {target!r} is the scenario file itself" in err and "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
+def _refuse_to_sweep(*args, **kwargs):
+    raise AssertionError("a sweep ran before the target paths were checked")
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "dm"])
+@pytest.mark.parametrize("key", ["output", "summary"])
+@pytest.mark.parametrize(
+    "target, message",
+    [("nodir/t.x", "the directory of 'nodir/t.x' does not exist"),
+     ("sub", "'sub' is a directory"),
+     ("sub/", "'sub/' is a directory"),
+     ("", "'' is a directory")],
+    ids=["missing-directory", "directory", "directory-slash", "empty"],
+)
+def test_run_refuses_a_target_it_cannot_write_before_the_sweep(
+    tmp_path, monkeypatch, capsys, kind, key, target, message
+):
+    # `summary: nodir/t.json` used to exit 1 only after writing the CSV
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "r.csv").write_text("an earlier run's output\n")
+    monkeypatch.setattr(cli, "sweep_gaussian", _refuse_to_sweep)
+    monkeypatch.setattr(cli, "sweep_region", _refuse_to_sweep)
+    paths = {"output": "r.csv", "summary": "r.json", key: target}
+    data = yaml.safe_load(gaussian_scenario_text("r.csv")) if kind == "gaussian" else _dm_data("")
+    (tmp_path / "s.yaml").write_text(yaml.safe_dump({**data, **paths}))
+    before = _tree(tmp_path)
+    assert main(["run", "s.yaml"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key}: {message}" in err and "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
 def test_parse_gives_what_safe_load_gives(tmp_path, monkeypatch):
     # every scenario text the tests and README hold, and the seven that the
     # benchmark workloads write
@@ -940,15 +995,16 @@ def _dm_benchmark_shaped(bound):
 
 
 # sha256 of region outputs (CSV, then JSON summary) as the per-row staircase
-# and the row-by-row CSV writer produced them
+# and the row-by-row CSV writer produced them; the dm entries as the sweep
+# over canonical chains and their polytope skyline produces them
 _REGION_GOLDEN = {
     "fig2": "e1e0eb03b69d7b477c4cc3e80c7738de6963fcec412a47ae852636aea309f201",
     "fig3": "216bf35c13dd10d26a61693804adaeb6e57ca60ebd130d57310ae4ea9856203a",
     "fig4": "e88d2db6826e014bde425c30a61547bb7e4b24b99e13843d27071f85f58864f0",
     "gaussian_outer_30": "40463112d047fdb7f9aa7b2ad7b665ee9e2962117ab2038ca54f59c7160c654c",
     "cmac_101": "5f681f7ee238a5b14166c4210b7ee7b2c389b07c75f5eeea4637fd7ac4632fd2",
-    "dm_inner": "0cd125932319d02eb5562bdf7248f6f2ef475585150082003d3fcfbcdcb33a18",
-    "dm_outer": "eed25a7265511a9df90ad5bdb0d8367a125e9e69bb5a4773b1b16a08a826c3f4",
+    "dm_inner": "a03982c1f69413d3ca33982f535193dc87815705c64ae5a2681cd25aa0cacbff",
+    "dm_outer": "40d67cefbc320a205cbd73277a84b2c9b38858602a70f5126670cdab8251aa65",
 }
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -374,16 +375,121 @@ def test_sweep_deterministic_and_block_invariant(monkeypatch, degraded_channel):
 
 @pytest.mark.parametrize("sweep_class", ["inner", "outer"])
 def test_sweep_rows_match_single_chain_bounds(degraded_channel, sweep_class):
-    """Row i of a sweep is region_bounds of chain_at(i): the block evaluator
-    decodes every grid index the way chain_at does."""
-    grid = GridSpec(u_size=1, v1_size=2, v2_size=2, resolution=3)
+    """Evaluated row k is region_bounds of chain_at(index[k]): the block
+    evaluator decodes every canonical grid index the way chain_at does."""
+    grid = GridSpec(u_size=1, v1_size=2, v2_size=2, resolution=4)
     kind = f"dm_{sweep_class}"
-    rows = sweep_region(degraded_channel, sweep_class, grid).bound_rows
-    assert len(rows) == chain_count(grid, degraded_channel, sweep_class) > 700
-    for i, row in enumerate(rows):
+    total = chain_count(grid, degraded_channel, sweep_class)
+    index = dm._canonical_index(dm._chain_blocks(grid, degraded_channel, sweep_class), grid, total)
+    rows = dm._grid_bounds(degraded_channel, grid, sweep_class, kind, total)
+    assert len(rows) == len(index) > 700
+    for i, row in zip(index.tolist(), rows):
         aux = chain_at(grid, degraded_channel, sweep_class, i)
         expected = region_bounds(aux, degraded_channel, kind)
         assert row.tobytes() == expected.tobytes(), i
+
+
+def test_the_benchmark_grid_evaluates_its_canonical_chains():
+    ch = DiscreteChannel(np.full((2, 2, 2, 2), 0.25))
+    grid = GridSpec(2, 2, 2, 3)
+    for sweep_class, total, evaluated in (("inner", 19_683, 8_748), ("outer", 24_300, 10_800)):
+        assert chain_count(grid, ch, sweep_class) == total
+        blocks = dm._chain_blocks(grid, ch, sweep_class)
+        assert len(dm._canonical_index(blocks, grid, total)) == evaluated
+
+
+def _every_chain_bounds(ch, grid, sweep_class):
+    """Bounds of every grid chain, in grid order, with no chain skipped."""
+    blocks = dm._chain_blocks(grid, ch, sweep_class)
+    index = np.arange(chain_count(grid, ch, sweep_class))
+    tables = dm._chain_tables(blocks, grid, sweep_class, index)
+    mi = dm._information(dm._entropies(dm._joint5(*tables, ch.transition)))
+    return dm._bounds(mi, f"dm_{sweep_class}")
+
+
+def _sorted_relabel(ch, grid, sweep_class):
+    """Grid index of each chain's twin: its p(x1|v1) rows, and its p(x2|v2)
+    rows, stably sorted by option digit, with the v1 and v2 cells of its
+    p(v|u) rows permuted to match."""
+    blocks = dm._chain_blocks(grid, ch, sweep_class)
+    sizes = [len(b) for b in blocks]
+    where = {id(b): {row.tobytes(): k for k, row in enumerate(b)} for b in blocks}
+    v_blocks = 2 * grid.u_size if sweep_class == "inner" else grid.u_size
+    x1 = slice(1 + v_blocks, 1 + v_blocks + grid.v1_size)
+    x2 = slice(1 + v_blocks + grid.v1_size, None)
+    twins = []
+    for digits in np.array(np.unravel_index(np.arange(np.prod(sizes)), sizes)).T:
+        p1, p2 = np.argsort(digits[x1], kind="stable"), np.argsort(digits[x2], kind="stable")
+        twin = digits.copy()
+        twin[x1], twin[x2] = digits[x1][p1], digits[x2][p2]
+        for k in range(1, 1 + v_blocks):
+            row = blocks[k][digits[k]]
+            if sweep_class == "outer":
+                row = row.reshape(grid.v1_size, grid.v2_size)[p1][:, p2].ravel()
+            else:
+                row = row[p1 if k <= grid.u_size else p2]
+            twin[k] = where[id(blocks[k])][row.tobytes()]
+        twins.append(np.ravel_multi_index(twin, sizes))
+    return np.array(twins)
+
+
+def _small_grids(limit=3000):
+    """(x1, x2, u, v1, v2, resolution) with X alphabets of 2-3 symbols, V
+    sizes and resolutions 1-3, whose inner and outer grids are both at most
+    `limit` chains."""
+    shapes = []
+    for x1, x2, u, v1, v2, res in product((2, 3), (2, 3), (1, 2), (1, 2, 3), (1, 2, 3), (1, 2, 3)):
+        ch = DiscreteChannel(np.full((x1, x2, 2, 2), 0.25))
+        grid = GridSpec(u, v1, v2, res)
+        if max(chain_count(grid, ch, c) for c in ("inner", "outer")) <= limit:
+            shapes.append((x1, x2, u, v1, v2, res))
+    return shapes
+
+
+def _random_channel(seed, x1, x2):
+    rng = np.random.default_rng(seed)
+    y1, y2 = (int(n) for n in rng.integers(2, 4, size=2))
+    return DiscreteChannel(rng.dirichlet(np.ones(y1 * y2), size=x1 * x2).reshape(x1, x2, y1, y2))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_small_grids()), st.sampled_from(["inner", "outer"]))
+@settings(max_examples=50, deadline=None)
+def test_every_chains_sorted_relabel_is_evaluated_with_its_bounds(seed, shape, sweep_class):
+    ch, grid = _random_channel(seed, *shape[:2]), GridSpec(*shape[2:])
+    total = chain_count(grid, ch, sweep_class)
+    index = dm._canonical_index(dm._chain_blocks(grid, ch, sweep_class), grid, total)
+    twins = _sorted_relabel(ch, grid, sweep_class)
+    pos = np.searchsorted(index, twins)
+    assert (pos < len(index)).all() and (index[pos.clip(0, len(index) - 1)] == twins).all()
+    assert np.array_equal(np.unique(twins), index)  # every evaluated chain is a twin
+    evaluated = dm._grid_bounds(ch, grid, sweep_class, f"dm_{sweep_class}", total)
+    np.testing.assert_allclose(evaluated[pos], _every_chain_bounds(ch, grid, sweep_class),
+                               rtol=0, atol=1e-12)
+
+
+def _unfiltered_region(ch, grid, sweep_class):
+    """The region as every grid chain's polytope gives it: no chain skipped,
+    every polytope enumerated, every row kept."""
+    kind = f"dm_{sweep_class}"
+    bounds = _every_chain_bounds(ch, grid, sweep_class)
+    acc = geometry.FrontierAccumulator()
+    pts, owner = batch_vertices(CONSTRAINT_PATTERNS[kind], bounds)
+    acc.add(pts, owner[:, None].astype(float))
+    return acc.finish(kind, bounds)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(_small_grids()), st.sampled_from(["inner", "outer"]))
+@settings(max_examples=50, deadline=None)
+def test_sweep_and_the_unfiltered_region_contain_each_other(seed, shape, sweep_class):
+    ch, grid = _random_channel(seed, *shape[:2]), GridSpec(*shape[2:])
+    region = sweep_region(ch, sweep_class, grid)
+    reference = _unfiltered_region(ch, grid, sweep_class)
+    assert all(contains(region, p) for p in reference.points)
+    assert all(contains(reference, p) for p in region.points)
+    bounds = _every_chain_bounds(ch, grid, sweep_class)
+    # every recorded chain's own polytope holds its point
+    for point, record in zip(region.points, region.records[:, 0].astype(int)):
+        assert (CONSTRAINT_PATTERNS[region.kind] @ point <= bounds[record] + GEOM_TOL).all()
 
 
 @pytest.mark.parametrize("index", [3**6 + 5, -1, 2.5, "3", 10**30])

@@ -10,6 +10,7 @@ from secrecy_regions import (
     ValidationError,
     batch_vertices,
     dm,
+    geometry,
     fm_eliminate,
     pareto_frontier,
     project,
@@ -252,6 +253,54 @@ def test_frontier_from_maximal_vertices_matches_every_vertex(seed, kind, n, chun
     else:
         assert fast.points.tobytes() == full.points.tobytes()
         assert fast.records.tobytes() == full.records.tobytes()
+
+
+def _brute_skyline(t):
+    """O(n^2): rows that no other row weakly dominates, of equal rows the
+    first."""
+    ge = (t[:, None, :] >= t[None, :, :]).all(axis=2)  # [j, i]: row j >= row i
+    equal = ge & ge.T
+    earlier = np.tri(len(t), k=-1, dtype=bool).T  # [j, i]: j < i
+    beats = (ge & ~equal) | (equal & earlier)
+    return ~beats.any(axis=0)
+
+
+# Levels close together: ties, equal rows, zeros and one-ulp neighbours.
+_SKYLINE_LEVELS = [0.0, 1e-17, 0.25, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1.0,
+                   np.nextafter(1.0, 2.0), 2.0]
+
+
+@given(
+    rows=st.lists(st.lists(st.sampled_from(_SKYLINE_LEVELS), min_size=5, max_size=5),
+                  max_size=60),
+    zeros=st.integers(0, 3),
+    repeat=st.booleans(),
+)
+@example(rows=[[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, 1e-17, 0.0, 0.0, 0.0]], zeros=0, repeat=False)
+@settings(max_examples=300, deadline=None)
+def test_skyline_mask_matches_bruteforce(rows, zeros, repeat):
+    # the explicit example: the second row dominates the first, and their
+    # float sums tie (1.0 + 1e-17 == 1.0), so a sort on the sum alone keeps
+    # the first
+    t = np.array(rows, dtype=float).reshape(-1, 5)
+    t = np.vstack([t, np.zeros((zeros, 5))])
+    if repeat:
+        t = np.vstack([t, t[::-1]])
+    assert np.array_equal(geometry._skyline_mask(t), _brute_skyline(t))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_tightened_columns_are_the_maxima_of_their_left_hand_sides(seed, n, tied):
+    rng = np.random.default_rng(seed)
+    B = rng.random((n, 5)) * rng.choice([0.0, 0.5, 1.0, 2.0], (n, 5))
+    if tied:  # shared values and zero bounds
+        B = np.round(B * 4) / 4
+    t = geometry._tight_five_bounds(B)
+    pts, owner = batch_vertices(geometry.A_FIVE_BOUNDS, B)
+    lhs = pts @ geometry.A_FIVE_BOUNDS.T
+    for i in range(n):
+        np.testing.assert_allclose(t[i], lhs[owner == i].max(axis=0), rtol=0, atol=1e-12)
 
 
 def test_fm_eliminate_box():
