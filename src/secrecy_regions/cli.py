@@ -170,22 +170,26 @@ _RUNNERS = {
 }
 
 
-def _check_targets(sf: ScenarioFile) -> None:
-    """Refuse an output or summary path that names a directory, or whose
-    directory does not exist, before anything runs or is written."""
-    for key in ("output", "summary"):
-        if key in sf.data:
-            path = os.path.realpath(sf.data[key])  # "" is the working directory
-            if os.path.isdir(path):
-                raise ValidationError(f"{key}: {sf.data[key]!r} is a directory")
-            if not os.path.isdir(os.path.dirname(path)):
-                raise ValidationError(f"{key}: the directory of {sf.data[key]!r} does not exist")
+def _check_targets(sf: ScenarioFile, source=None) -> None:
+    """Refuse, before anything runs or is written, a summary that is also the
+    output file, and an output or summary path that is the scenario file
+    source, names a directory or whose directory does not exist."""
+    paths = {key: os.path.realpath(sf.data[key]) for key in ("output", "summary") if key in sf.data}
+    if paths.get("summary") == paths["output"]:
+        raise ValidationError(f"summary: {sf.data['summary']!r} is also the output file")
+    for key, path in paths.items():
+        if source is not None and path == os.path.realpath(source):
+            raise ValidationError(f"{key}: {sf.data[key]!r} is the scenario file itself")
+        if os.path.isdir(path):  # "" is the working directory
+            raise ValidationError(f"{key}: {sf.data[key]!r} is a directory")
+        if not os.path.isdir(os.path.dirname(path)):
+            raise ValidationError(f"{key}: the directory of {sf.data[key]!r} does not exist")
 
 
-def run_scenario(sf: ScenarioFile) -> list:
-    """Dispatch a parsed scenario to its module, once its target paths are
-    checked; returns the written paths."""
-    _check_targets(sf)
+def run_scenario(sf: ScenarioFile, source=None) -> list:
+    """Dispatch a parsed scenario, read from the file source if any, to its
+    module once _check_targets passes its paths; returns the written paths."""
+    _check_targets(sf, source)
     return _RUNNERS[sf.kind](sf)
 
 
@@ -324,7 +328,7 @@ def figure(which, out_dir):
 @click.argument("path", type=click.Path(exists=True))
 def run(path):
     """Execute any scenario file, dispatching on its kind."""
-    for written in run_scenario(ScenarioFile.load(path)):
+    for written in run_scenario(ScenarioFile.load(path), path):
         click.echo(written)
 
 

@@ -49,65 +49,47 @@ _SCHEMAS = {
 _MAX_FLOW_DEPTH = 8
 
 
-def _check_tokens(text: str) -> None:
-    """Refuse text, before any parse, whose [ and { nest past _MAX_FLOW_DEPTH
-    levels, or that holds a YAML alias (nested ones expand a tiny file
-    k**depth-fold).  PyYAML's own scanner, fed one token at a time without
-    the parser's lookahead, finds only the brackets and aliases outside
-    quoted scalars and comments, and stops at the first fault; a parse
-    rescans every open level per token and recurses once per level, so it
-    is slow to reach any later refusal of a deep nest."""
-    scanner = yaml.SafeLoader(text)
-    try:
-        while not scanner.done:
-            scanner.fetch_more_tokens()  # an alias is the last token its fetch adds
-            if scanner.flow_level > _MAX_FLOW_DEPTH:
-                raise ValidationError(f"scenario file: nested too deeply (over {_MAX_FLOW_DEPTH} levels)")
-            if isinstance(scanner.tokens[-1], yaml.AliasToken):
-                raise ValidationError("scenario file: YAML aliases (*name) are not allowed")
-    finally:
-        scanner.dispose()
+def _fetch_checked(loader) -> None:
+    """yaml.SafeLoader.fetch_more_tokens, refusing [ and { nested past
+    _MAX_FLOW_DEPTH levels, or a YAML alias (nested ones expand a tiny file
+    k**depth-fold), as the scanner reaches it: only brackets and aliases
+    outside quoted scalars and comments count, and the refusal comes before
+    the composer, which recurses once per level, goes any deeper."""
+    yaml.SafeLoader.fetch_more_tokens(loader)
+    if loader.flow_level > _MAX_FLOW_DEPTH:
+        raise ValidationError(f"scenario file: nested too deeply (over {_MAX_FLOW_DEPTH} levels)")
+    if isinstance(loader.tokens[-1], yaml.AliasToken):  # an alias is the last token its fetch adds
+        raise ValidationError("scenario file: YAML aliases (*name) are not allowed")
 
 
-def _check_unique_keys(loader: yaml.SafeLoader, node) -> None:
-    """Refuse a mapping, at node or below it, in which two keys construct to
-    equal values.  The node graph is a tree, as aliases are refused first;
-    a key merged in by << may still be overridden."""
-    if isinstance(node, yaml.SequenceNode):
-        for child in node.value:
-            _check_unique_keys(loader, child)
-    if not isinstance(node, yaml.MappingNode):
-        return
-    for pair in node.value:
-        for child in pair:
-            _check_unique_keys(loader, child)
-    keys = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
-    loader.flatten_mapping(node)  # as construct_mapping does: resolves << and = keys
+def _unique_mapping(loader, node) -> None:
+    """yaml.SafeLoader.flatten_mapping, which construct_mapping runs on every
+    mapping and on each one merged in by <<, refusing two keys of node that
+    construct to equal values; a key merged in may still be overridden, and
+    a key that is no scalar is left to construct_mapping, which refuses it
+    as unhashable."""
+    keys = [key for key, _ in node.value
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge"]
+    yaml.SafeLoader.flatten_mapping(loader, node)  # resolves << and = keys
     seen = set()
     for key in keys:
-        value = loader.construct_object(key, deep=True)
-        try:
-            repeated = value in seen
-        except TypeError:  # unhashable: construct_document refuses it
-            continue
-        if repeated:
+        value = loader.construct_object(key)
+        if value in seen:
             line = key.start_mark.line + 1
             raise ValidationError(f"scenario file: duplicate key {value!r} (line {line})")
         seen.add(value)
 
 
+class _Loader(yaml.SafeLoader):
+    """yaml.SafeLoader with the scenario file's structural refusals."""
+
+    fetch_more_tokens = _fetch_checked
+    flatten_mapping = _unique_mapping
+
+
 def _load(text: str):
-    """yaml.safe_load(text), in its own steps, with _check_unique_keys run
-    between the compose and the construct."""
-    loader = yaml.SafeLoader(text)
-    try:
-        node = loader.get_single_node()
-        if node is None:  # no document
-            return None
-        _check_unique_keys(loader, node)
-        return loader.construct_document(node)
-    finally:
-        loader.dispose()
+    """yaml.safe_load(text), read by _Loader in one pass."""
+    return yaml.load(text, Loader=_Loader)
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -127,7 +109,7 @@ def _check_keys(data: dict, required, optional, where: str) -> None:
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """One validated scenario: a kind plus its plain-data payload."""
+    """One scenario, its structure checked: a kind plus its plain-data payload."""
 
     kind: str
     data: dict = field(repr=False)
@@ -140,9 +122,6 @@ class ScenarioFile:
         for key in ("output", "summary"):
             if key in self.data and (not isinstance(self.data[key], str) or "\0" in self.data[key]):
                 raise ValidationError(f"{key}: expected a file path, got {self.data[key]!r}")
-        summary = self.data.get("summary")
-        if summary is not None and os.path.realpath(summary) == os.path.realpath(self.data["output"]):
-            raise ValidationError(f"summary: {summary!r} is also the output file")
         for key, (required, optional) in schema["nested"].items():
             if key in self.data:
                 _check_keys(_require_mapping(self.data[key], key), required, optional, key)
@@ -161,7 +140,6 @@ class ScenarioFile:
         if not isinstance(text, str):
             raise ValidationError(f"scenario text: expected a str, got {type(text).__name__}")
         try:
-            _check_tokens(text)
             raw = _load(text)
         except yaml.YAMLError as exc:
             raise ValidationError(f"scenario parse error: {exc}") from exc
@@ -176,8 +154,8 @@ class ScenarioFile:
     @classmethod
     def load(cls, path) -> "ScenarioFile":
         """The scenario in the UTF-8 YAML file at path, a str or os.PathLike
-        (ValidationError otherwise, for a file that cannot be read, and for
-        an output or summary that is the file itself)."""
+        (ValidationError otherwise, and for a file that cannot be read); the
+        cli checks its output and summary paths."""
         if not isinstance(path, (str, os.PathLike)):
             raise ValidationError(f"scenario path: expected a str or path, got {type(path).__name__}")
         try:
@@ -185,8 +163,4 @@ class ScenarioFile:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"scenario file {os.fspath(path)!r}: {exc}") from exc
-        sf = cls.parse(text)
-        for key in ("output", "summary"):
-            if key in sf.data and os.path.realpath(sf.data[key]) == os.path.realpath(path):
-                raise ValidationError(f"{key}: {sf.data[key]!r} is the scenario file itself")
-        return sf
+        return cls.parse(text)

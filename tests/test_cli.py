@@ -159,13 +159,13 @@ def test_unknown_str_keys_are_listed_in_text_order():
 
 
 def test_parse_refuses_yaml_aliases(tmp_path, capsys, monkeypatch):
-    # nested aliases expand a small file k**depth-fold before any check; the
-    # token scan refuses them before the text is parsed
+    # nested aliases expand a small file k**depth-fold once parsed; the
+    # scanner refuses each alias as it reaches it, so none reaches the parser
     def refuse(*args, **kwargs):
-        raise AssertionError("the text was parsed")
+        raise AssertionError("an alias reached the parser")
 
     monkeypatch.setattr(yaml, "parse", refuse)
-    monkeypatch.setattr(scenario, "_load", refuse)
+    monkeypatch.setattr(yaml.events.AliasEvent, "__init__", refuse)
     text = "kind: dm\nbound: inner\nrow: &r [0.25, 0.25]\nchannel: [[*r, *r], [*r, *r]]\n"
     with pytest.raises(ValidationError, match="aliases"):
         ScenarioFile.parse(text + "output: r.csv\n")
@@ -181,8 +181,12 @@ def test_parse_refuses_yaml_aliases(tmp_path, capsys, monkeypatch):
     [lambda out: gaussian_scenario_text(out) + "resolution: 7\n",
      lambda out: (f"kind: dm\nbound: inner\nchannel: {np.full((2, 2, 2, 2), 0.25).tolist()}\n"
                   f"grid:\n  resolution: 2\n  u_size: 2\n  resolution: 3\noutput: {out}\n"),
-     lambda out: yaml.safe_dump(_dm_data(out)) + "1: 2\n1.0: 3\n"],
-    ids=["top-level", "nested", "1-and-1.0"],
+     lambda out: yaml.safe_dump(_dm_data(out)) + "1: 2\n1.0: 3\n",
+     lambda out: f"kind: dm\nbound: inner\nchannel: [{{a: 1, a: 2}}]\noutput: {out}\n",
+     lambda out: f"kind: dm\nbound: inner\nchannel:\n- a: 1\n  a: 2\noutput: {out}\n",
+     lambda out: f"kind: dm\nbound: inner\nchannel: !!set {{a, a}}\noutput: {out}\n",
+     lambda out: f"kind: dm\nbound: inner\nchannel: [[0.25]]\noutput: {out}\n<<: {{a: 1, a: 2}}\n"],
+    ids=["top-level", "nested", "1-and-1.0", "flow-list", "block-list", "set", "merged-mapping"],
 )
 def test_run_refuses_a_duplicate_key(tmp_path, capsys, text):
     # YAML keys are unique; the last value used to win without a word
@@ -196,7 +200,8 @@ def test_run_refuses_a_duplicate_key(tmp_path, capsys, text):
 
 @pytest.mark.parametrize(
     "text",
-    ["<<: {a: 1, b: 1}\nb: 2\n", "<<: [{a: 1}, {a: 2}]\na: 3\n", "=: 1\nb: 2\n", "a: {b: [1, {c: 2}]}\n", ""],
+    ["<<: {a: 1, b: 1}\nb: 2\n", "<<: [{a: 1}, {a: 2}]\na: 3\n", "=: 1\nb: 2\n", "a: {b: [1, {c: 2}]}\n", "",
+     "!!omap [{a: 1}, {a: 2}]\n"],
 )
 def test_the_duplicate_key_check_keeps_merge_and_value_keys(text):
     # a key merged in by << may be overridden, and "=" is a str key, as in yaml.safe_load
@@ -221,6 +226,16 @@ def test_run_refuses_a_summary_that_is_the_output(tmp_path, monkeypatch, capsys,
     assert main(["run", str(path)]) == 1
     assert f"summary: {summary!r} is also the output file" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_gaussian_command_refuses_a_summary_that_is_the_output(tmp_path, monkeypatch, capsys):
+    # the flags build a scenario with no file, so no other path checks it
+    monkeypatch.chdir(tmp_path)
+    args = ["--p1", "1", "--p2", "1", "--sigma1-sq", "0.1", "--sigma2-sq", "0.3", "--resolution", "5"]
+    assert main(["gaussian-inner", *args, "--output", "r.csv", "--summary", "./r.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "summary: './r.csv' is also the output file" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key", ["output", "summary"])
@@ -325,9 +340,10 @@ def test_run_refuses_a_scenario_nested_too_deeply(tmp_path, capsys, deep, star):
     # PyYAML recurses once per level: 900 brackets (1.8 KB) used to end in a
     # RecursionError traceback, and 20,000 (40 KB) took about 1 s to refuse.
     # A "*" in the text once ran a second, event-level parse for aliases,
-    # which took 41 s on them; the token scan now finds aliases too.
-    # Flow brackets are refused before any parse (about 1 ms); block nesting
-    # still reaches the parse and is refused from its RecursionError.
+    # which took 41 s on them; the scanner now refuses aliases too.
+    # Flow brackets are refused as the scanner reaches the ninth level (about
+    # 1 ms); block nesting reaches the composer and is refused from its
+    # RecursionError.
     text = f"kind: dm\nbound: inner\nchannel:{deep}\noutput: {tmp_path / 'r.csv'}\n"
     path = tmp_path / "s.yaml"
     path.write_text(text + ("# *\n" if star else ""))

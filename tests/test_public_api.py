@@ -97,6 +97,26 @@ def test_csv_cells_are_formatted_only_in_write_csv():
     }
 
 
+def test_the_filesystem_is_checked_only_in_check_targets():
+    """os.path.realpath and isdir are named in src/ only inside
+    cli._check_targets: a second owner of the output path rules cannot grow
+    back unnoticed."""
+    assert _named_in_src({"realpath", "isdir"}) == {
+        ("cli.py", "_check_targets", "realpath"),
+        ("cli.py", "_check_targets", "isdir"),
+    }
+
+
+def test_yaml_is_read_only_through_the_scenario_loader():
+    """yaml.SafeLoader is named in src/ only in scenario._Loader and its two
+    hooks: a second scanner or compose step cannot grow back unnoticed."""
+    assert _named_in_src({"SafeLoader"}) == {
+        ("scenario.py", "_Loader", "SafeLoader"),
+        ("scenario.py", "_fetch_checked", "SafeLoader"),
+        ("scenario.py", "_unique_mapping", "SafeLoader"),
+    }
+
+
 def test_scenario_imports_only_errors_from_the_package():
     """scenario.py names no module of the package but errors: it checks a
     file's structure, and the cli runners build the library types, so that
