@@ -21,7 +21,7 @@ from .binning import CodeConfig, check_simulation, run_simulation
 from .dm import AuxiliaryChain, GridSpec, fm_matches_direct, random_inner_chain, sweep_region
 from .errors import CapExceededError, ValidationError, check_choice, check_integer
 from .gaussian import GAUSSIAN_KINDS, GaussianScenario, sweep_gaussian
-from .geometry import RateRegion, project
+from .geometry import GEOM_TOL, RateRegion, project
 from .info import DiscreteChannel, FiniteDistribution
 from .scenario import ScenarioFile
 
@@ -75,12 +75,13 @@ def _region_rows(region: RateRegion) -> tuple:
     return region.kind, np.vstack([region.points.T, params.T])
 
 
-def _projected_rows(kind: str, points2d) -> tuple:
-    """The CSV block of a frontier projected onto the (r1, r2) plane; r0 and
-    the parameters left empty."""
+def _projected_rows(region: RateRegion) -> tuple:
+    """The CSV block of a swept frontier projected onto the (r1, r2) plane;
+    r0 and the parameters left empty."""
+    points2d = project(region.points, "r0")
     columns = np.full((6, len(points2d)), np.nan)
     columns[1:3] = points2d.T
-    return kind, columns
+    return region.kind, columns
 
 
 def _region_summary(region: RateRegion) -> dict:
@@ -170,26 +171,27 @@ _RUNNERS = {
 }
 
 
-def _check_targets(sf: ScenarioFile, source=None) -> None:
-    """Refuse, before anything runs or is written, a summary that is also the
-    output file, and an output or summary path that is the scenario file
+def _check_targets(targets: dict, source=None) -> None:
+    """Refuse, before any sweep runs or anything is written, a summary that
+    is also the output file, and an output or summary path of targets (a
+    scenario's data, or a figure's two files) that is the scenario file
     source, names a directory or whose directory does not exist."""
-    paths = {key: os.path.realpath(sf.data[key]) for key in ("output", "summary") if key in sf.data}
+    paths = {key: os.path.realpath(targets[key]) for key in ("output", "summary") if key in targets}
     if paths.get("summary") == paths["output"]:
-        raise ValidationError(f"summary: {sf.data['summary']!r} is also the output file")
+        raise ValidationError(f"summary: {targets['summary']!r} is also the output file")
     for key, path in paths.items():
         if source is not None and path == os.path.realpath(source):
-            raise ValidationError(f"{key}: {sf.data[key]!r} is the scenario file itself")
+            raise ValidationError(f"{key}: {targets[key]!r} is the scenario file itself")
         if os.path.isdir(path):  # "" is the working directory
-            raise ValidationError(f"{key}: {sf.data[key]!r} is a directory")
+            raise ValidationError(f"{key}: {targets[key]!r} is a directory")
         if not os.path.isdir(os.path.dirname(path)):
-            raise ValidationError(f"{key}: the directory of {sf.data[key]!r} does not exist")
+            raise ValidationError(f"{key}: the directory of {targets[key]!r} does not exist")
 
 
 def run_scenario(sf: ScenarioFile, source=None) -> list:
     """Dispatch a parsed scenario, read from the file source if any, to its
     module once _check_targets passes its paths; returns the written paths."""
-    _check_targets(sf, source)
+    _check_targets(sf.data, source)
     return _RUNNERS[sf.kind](sf)
 
 
@@ -197,10 +199,11 @@ def run_scenario(sf: ScenarioFile, source=None) -> list:
 # Figures
 # ---------------------------------------------------------------------------
 
-_FIGURE_SCENARIOS = {
-    "fig2": GaussianScenario(1.0, 1.0, 0.1, 0.3),
-    "fig3": GaussianScenario(1.0, 1.0, 0.1, 0.3),
-    "fig4": GaussianScenario(1.0, 1.0, 0.1, 0.6),
+# which -> (scenario, the two kinds swept, whether the CSV is projected onto (r1, r2))
+_FIGURES = {
+    "fig2": (GaussianScenario(1.0, 1.0, 0.1, 0.3), ("g_inner", "g_outer"), False),
+    "fig3": (GaussianScenario(1.0, 1.0, 0.1, 0.3), ("g_inner", "cmac"), True),
+    "fig4": (GaussianScenario(1.0, 1.0, 0.1, 0.6), ("g_inner", "cmac"), False),
 }
 
 
@@ -212,37 +215,27 @@ def run_figure(which: str, out_dir, resolution: int = 101, outer_resolution: int
           no-secrecy compound-MAC region for comparison.
     fig4: achievable region versus compound-MAC at the noisier eavesdropper
           setting (.1, .6), where secrecy enlarges the sum rate.
+
+    out_dir is created if missing; then _check_targets refuses, before any
+    sweep, a <which>.csv or <which>_summary.json in it that is a directory.
     """
-    check_choice(which, _FIGURE_SCENARIOS, "figure")
-    s = _FIGURE_SCENARIOS[which]
+    check_choice(which, _FIGURES, "figure")
+    s, kinds, projected = _FIGURES[which]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{which}.csv"
-    json_path = out_dir / f"{which}_summary.json"
-
-    if which == "fig2":
-        inner = sweep_gaussian(s, "g_inner", resolution)
-        outer = sweep_gaussian(s, "g_outer", outer_resolution)
-        _write_csv(csv_path, REGION_COLUMNS, [_region_rows(inner), _region_rows(outer)])
-        summary = {"g_inner": _region_summary(inner), "g_outer": _region_summary(outer)}
-    else:
-        inner = sweep_gaussian(s, "g_inner", resolution)
-        cmac = sweep_gaussian(s, "cmac", resolution)
-        if which == "fig3":
-            blocks = [_projected_rows(r.kind, project(r.points, "r0")) for r in (inner, cmac)]
-        else:
-            blocks = [_region_rows(inner), _region_rows(cmac)]
-        _write_csv(csv_path, REGION_COLUMNS, blocks)
-        inner_sum, cmac_sum = inner.max_sum_rate(), cmac.max_sum_rate()
-        summary = {
-            "g_inner": _region_summary(inner),
-            "cmac": _region_summary(cmac),
-            "inner_max_r1_plus_r2": _round10(inner_sum),
-            "cmac_max_r1_plus_r2": _round10(cmac_sum),
-            "inner_exceeds_cmac": bool(inner_sum > cmac_sum + 1e-9),
-        }
-    _write_json(json_path, summary)
-    return [str(csv_path), str(json_path)]
+    targets = {"output": str(out_dir / f"{which}.csv"), "summary": str(out_dir / f"{which}_summary.json")}
+    _check_targets(targets)
+    regions = [sweep_gaussian(s, k, outer_resolution if k == "g_outer" else resolution) for k in kinds]
+    rows = _projected_rows if projected else _region_rows
+    _write_csv(targets["output"], REGION_COLUMNS, [rows(r) for r in regions])
+    summary = {r.kind: _region_summary(r) for r in regions}
+    if "cmac" in kinds:
+        inner_sum, cmac_sum = (r.max_sum_rate() for r in regions)
+        summary["inner_max_r1_plus_r2"] = _round10(inner_sum)
+        summary["cmac_max_r1_plus_r2"] = _round10(cmac_sum)
+        summary["inner_exceeds_cmac"] = bool(inner_sum > cmac_sum + GEOM_TOL)
+    _write_json(targets["summary"], summary)
+    return list(targets.values())
 
 
 # ---------------------------------------------------------------------------

@@ -518,8 +518,8 @@ def _block_chains(grid: GridSpec, transition: np.ndarray) -> int:
     return max(1, _BLOCK_CELLS // (largest * grid.v1_size * y1 * y2))
 
 
-def _canonical_index(blocks, grid: GridSpec, total: int) -> np.ndarray:
-    """The grid indices below `total` whose p(x1|v1) option digits never
+def _canonical_index(blocks, grid: GridSpec) -> np.ndarray:
+    """The indices of the grid of `blocks` whose p(x1|v1) option digits never
     fall, nor do their p(x2|v2) ones, ascending.  Relabelling V1 permutes
     the v1 cells of p(v1|u) (or of p(v1,v2|u)) with the rows of p(x1|v1) and
     leaves every entropy as it was, and simplex_grid is closed under
@@ -531,20 +531,21 @@ def _canonical_index(blocks, grid: GridSpec, total: int) -> np.ndarray:
         rising = np.array(list(combinations_with_replacement(range(n), size)))
         suffix = (suffix[:, None] * n**size + np.ravel_multi_index(rising.T, (n,) * size)).ravel()
     radix = counts[0] ** grid.v1_size * counts[1] ** grid.v2_size
-    return (np.arange(total // radix)[:, None] * radix + suffix).ravel()
+    heads = math.prod(len(b) for b in blocks[: -grid.v1_size - grid.v2_size])
+    return (np.arange(heads)[:, None] * radix + suffix).ravel()
 
 
-def _grid_bounds(ch: DiscreteChannel, grid: GridSpec, sweep_class: str, kind: str, total: int):
-    """Bounds of the _canonical_index chains below `total`, one row each,
-    evaluated a fixed-size block at a time."""
+def _grid_bounds(ch: DiscreteChannel, grid: GridSpec, sweep_class: str, kind: str):
+    """(index, bounds): the _canonical_index chains of the grid and their
+    bounds, one row each, evaluated a fixed-size block at a time."""
     blocks = _chain_blocks(grid, ch, sweep_class)
-    index = _canonical_index(blocks, grid, total)
+    index = _canonical_index(blocks, grid)
     step = _block_chains(grid, ch.transition)
     parts = []
     for first in range(0, len(index), step):
         tables = _chain_tables(blocks, grid, sweep_class, index[first : first + step])
         parts.append(_bounds(_information(_entropies(_joint5(*tables, ch.transition))), kind))
-    return np.concatenate(parts)
+    return index, np.concatenate(parts)
 
 
 def default_workers() -> int:
@@ -571,10 +572,9 @@ def sweep_region(ch: DiscreteChannel, sweep_class: str, grid: GridSpec) -> RateR
     Deterministic given the grid; the chains are evaluated in this process,
     a block at a time.
     """
-    total = _capped_chain_count(grid, ch, sweep_class)
+    _capped_chain_count(grid, ch, sweep_class)
     kind = "dm_inner" if sweep_class == "inner" else "dm_outer"
-    index = _canonical_index(_chain_blocks(grid, ch, sweep_class), grid, total)
-    bounds = _grid_bounds(ch, grid, sweep_class, kind, total)
+    index, bounds = _grid_bounds(ch, grid, sweep_class, kind)
     live = np.flatnonzero(_skyline_mask(_tight_five_bounds(bounds)))
 
     A = CONSTRAINT_PATTERNS[kind]

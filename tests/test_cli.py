@@ -474,6 +474,31 @@ def test_run_figure_rejects_unknown():
         run_figure("fig9", ".")
 
 
+def test_figure_command_echoes_its_two_paths(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["figure", "fig3", "--out-dir", "./x/"]) == 0
+    assert capsys.readouterr().out == "x/fig3.csv\nx/fig3_summary.json\n"
+    assert sorted(p.name for p in (tmp_path / "x").iterdir()) == ["fig3.csv", "fig3_summary.json"]
+
+
+@pytest.mark.parametrize("which", ["fig2", "fig3", "fig4"])
+@pytest.mark.parametrize("key, name", [("output", "{}.csv"), ("summary", "{}_summary.json")])
+def test_figure_refuses_a_target_that_is_a_directory_before_the_sweep(
+    tmp_path, monkeypatch, capsys, which, key, name
+):
+    # a directory fig3_summary.json used to exit 1 only after both sweeps,
+    # with a fresh fig3.csv written
+    monkeypatch.chdir(tmp_path)
+    target = Path("d", name.format(which))
+    target.mkdir(parents=True)
+    monkeypatch.setattr(cli, "sweep_gaussian", _refuse_to_sweep)
+    before = _tree(tmp_path)
+    assert main(["figure", which, "--out-dir", "d"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key}: {str(target)!r} is a directory" in err and "Traceback" not in err
+    assert _tree(tmp_path) == before
+
+
 # -- exit codes -------------------------------------------------------------
 
 

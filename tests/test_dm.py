@@ -379,9 +379,7 @@ def test_sweep_rows_match_single_chain_bounds(degraded_channel, sweep_class):
     evaluator decodes every canonical grid index the way chain_at does."""
     grid = GridSpec(u_size=1, v1_size=2, v2_size=2, resolution=4)
     kind = f"dm_{sweep_class}"
-    total = chain_count(grid, degraded_channel, sweep_class)
-    index = dm._canonical_index(dm._chain_blocks(grid, degraded_channel, sweep_class), grid, total)
-    rows = dm._grid_bounds(degraded_channel, grid, sweep_class, kind, total)
+    index, rows = dm._grid_bounds(degraded_channel, grid, sweep_class, kind)
     assert len(rows) == len(index) > 700
     for i, row in zip(index.tolist(), rows):
         aux = chain_at(grid, degraded_channel, sweep_class, i)
@@ -395,7 +393,7 @@ def test_the_benchmark_grid_evaluates_its_canonical_chains():
     for sweep_class, total, evaluated in (("inner", 19_683, 8_748), ("outer", 24_300, 10_800)):
         assert chain_count(grid, ch, sweep_class) == total
         blocks = dm._chain_blocks(grid, ch, sweep_class)
-        assert len(dm._canonical_index(blocks, grid, total)) == evaluated
+        assert len(dm._canonical_index(blocks, grid)) == evaluated
 
 
 def _every_chain_bounds(ch, grid, sweep_class):
@@ -456,13 +454,11 @@ def _random_channel(seed, x1, x2):
 @settings(max_examples=50, deadline=None)
 def test_every_chains_sorted_relabel_is_evaluated_with_its_bounds(seed, shape, sweep_class):
     ch, grid = _random_channel(seed, *shape[:2]), GridSpec(*shape[2:])
-    total = chain_count(grid, ch, sweep_class)
-    index = dm._canonical_index(dm._chain_blocks(grid, ch, sweep_class), grid, total)
+    index, evaluated = dm._grid_bounds(ch, grid, sweep_class, f"dm_{sweep_class}")
     twins = _sorted_relabel(ch, grid, sweep_class)
     pos = np.searchsorted(index, twins)
     assert (pos < len(index)).all() and (index[pos.clip(0, len(index) - 1)] == twins).all()
     assert np.array_equal(np.unique(twins), index)  # every evaluated chain is a twin
-    evaluated = dm._grid_bounds(ch, grid, sweep_class, f"dm_{sweep_class}", total)
     np.testing.assert_allclose(evaluated[pos], _every_chain_bounds(ch, grid, sweep_class),
                                rtol=0, atol=1e-12)
 
@@ -606,11 +602,11 @@ def test_grid_bounds_match_the_numpy_sum_evaluator(monkeypatch, shape, grid, swe
     rng = np.random.default_rng(41)
     rows = rng.dirichlet(np.ones(shape[2] * shape[3]), size=shape[0] * shape[1])
     ch = DiscreteChannel(rows.reshape(shape))
-    args = ch, grid, sweep_class, f"dm_{sweep_class}", chain_count(grid, ch, sweep_class)
-    folded = dm._grid_bounds(*args)
+    args = ch, grid, sweep_class, f"dm_{sweep_class}"
+    folded = dm._grid_bounds(*args)[1]
     monkeypatch.setattr(dm, "_joint5", _numpy_sum_joint5)
     monkeypatch.setattr(dm, "_entropies", _numpy_sum_entropies)
-    assert folded.tobytes() == dm._grid_bounds(*args).tobytes()
+    assert folded.tobytes() == dm._grid_bounds(*args)[1].tobytes()
 
 
 def test_sweep_refinement_monotone(degraded_channel):
