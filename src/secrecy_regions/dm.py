@@ -29,10 +29,11 @@ binning scheme's raw system over (r0, r1, r2, r1p, r2p).  Its coefficients
 do not depend on the chain, so the bin rates are eliminated once per process
 with every right-hand side carried as a variable over 8 information terms
 (_fm_table, 21 rows); a chain's projection is that table times its terms.
-A chain whose projection differs from the direct polytope is raw_infeasible
-when the projection is empty: the raw system has no non-negative solution,
-while the direct bounds, clamped at zero, still give a polytope.  Any other
-difference is a mismatch.
+A block of chains is checked at once, with stacked terms, right-hand sides,
+kept rows and vertices.  A chain whose projection differs from the direct
+polytope is raw_infeasible when the projection is empty: the raw system has
+no non-negative solution, while the direct bounds, clamped at zero, still
+give a polytope.  Any other difference is a mismatch.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .geometry import (
     GEOM_TOL,
     FrontierAccumulator,
     RateRegion,
-    _prune_pairwise,
     _skyline_mask,
     _tight_five_bounds,
     batch_vertices,
@@ -342,21 +342,46 @@ def _fm_table():
     return A[:, :3], -A[:, 3:]
 
 
-def _fm_rows(mi: dict):
-    """(A, b): the table evaluated at one chain's terms, parallel rows merged,
-    without the rows that every r >= 0 satisfies (no positive coefficient,
-    b >= 0); the infeasibility markers 0 <= negative stay."""
+def _fm_block(mi: dict):
+    """(A, B, keep): the _fm_table rows, each chain's right-hand sides T @
+    terms (a row per chain of mi), and the rows _prune_pairwise keeps of
+    each, less those every r >= 0 satisfies (no positive coefficient,
+    b >= 0).  A's groups of parallel rows do not depend on the chain: each
+    keeps its row of least b / scale, the first of equal ones."""
     A, T = _fm_table()
-    A, b = _prune_pairwise(A, T @ [mi[name][0] for name in _RAW_TERMS])
-    keep = (A > 0).any(axis=1) | (b < 0)
-    return A[keep], b[keep]
+    B = np.stack([mi[name] for name in _RAW_TERMS], axis=1) @ T.T
+    scale = np.abs(A).max(axis=1, initial=0.0)
+    keep = (scale < GEOM_TOL) & (B < -GEOM_TOL)
+    rows = np.flatnonzero(scale >= GEOM_TOL)
+    _, group = np.unique(A[rows] / scale[rows, None], axis=0, return_inverse=True)
+    for g in np.unique(group):
+        members = rows[group.ravel() == g]
+        keep[np.arange(len(B)), members[np.argmin(B[:, members] / scale[members], axis=1)]] = True
+    return A, B, keep & ((A > 0).any(axis=1) | (B < 0))
+
+
+def _block_information(chains, ch: DiscreteChannel) -> dict:
+    """The information terms of a non-empty sequence of inner-class chains
+    of one shape (u, v1, v2) that match `ch`, on a chain axis, from the
+    block evaluator; anything else is refused (ValidationError)."""
+    if not isinstance(chains, (list, tuple)) or not chains:
+        raise ValidationError("expected an AuxiliaryChain or a non-empty sequence of them")
+    for aux in chains:
+        if not isinstance(aux, AuxiliaryChain):
+            raise ValidationError(f"a chain block holds a {type(aux).__name__}, not a chain")
+        _require_inner(aux)
+        aux.check_channel(ch)
+    if len({aux.p_v1v2_given_u.shape for aux in chains}) > 1:
+        raise ValidationError("the chains of a block differ in their (u, v1, v2) alphabets")
+    tables = [(a.p_u.probs, a.p_v1v2_given_u, a.p_x1_given_v1, a.p_x2_given_v2) for a in chains]
+    return _information(_entropies(_joint5(*map(np.stack, zip(*tables)), ch.transition)))
 
 
 def fm_region_polytope(aux: AuxiliaryChain, ch: DiscreteChannel):
     """(A, b), the polytope {r >= 0 : A r <= b} over (r0, r1, r2): the raw
     constraint system projected, both bin rates eliminated by Fourier-Motzkin."""
-    _require_inner(aux)
-    return _fm_rows(chain_information(aux, ch))
+    A, B, keep = _fm_block(_block_information([aux], ch))
+    return A[keep[0]], B[0, keep[0]]
 
 
 def random_inner_chain(ch: DiscreteChannel, rng: np.random.Generator) -> AuxiliaryChain:
@@ -375,30 +400,34 @@ def random_inner_chain(ch: DiscreteChannel, rng: np.random.Generator) -> Auxilia
     )
 
 
-def _vertices_inside(A, b, A2, b2) -> bool:
-    """Every vertex batch_vertices gives of {r >= 0 : A r <= b}, the maximal
-    ones, satisfies A2 r <= b2 within GEOM_TOL.  Both systems are down-closed
-    in the orthant, so that decides containment: each point of a polytope
-    lies below a convex combination of its maximal vertices."""
-    verts, _ = batch_vertices(A, b)
-    return bool((verts @ A2.T <= b2 + GEOM_TOL).all())
-
-
-def fm_matches_direct(aux: AuxiliaryChain, ch: DiscreteChannel) -> str:
+def fm_matches_direct(aux: AuxiliaryChain | list, ch: DiscreteChannel) -> str | list:
     """Compare the Fourier-Motzkin projection with the direct five-inequality
-    polytope for one inner-class chain, both in r >= 0.  "equal" when each
-    contains the other's maximal vertices within GEOM_TOL.  Otherwise
-    "raw_infeasible" when the projection is empty, which is exactly when it
-    excludes the origin, since none of its rows has a negative rate
-    coefficient: the raw system has no solution, and the direct bounds hide
-    that by clamping at zero.  Else "mismatch"."""
-    _require_inner(aux)
-    mi = chain_information(aux, ch)
-    direct = A_FIVE_BOUNDS, _bounds(mi, "dm_inner")[0]
-    A, b = _fm_rows(mi)
-    if _vertices_inside(*direct, A, b) and _vertices_inside(A, b, *direct):
-        return "equal"
-    return "mismatch" if (0.0 <= b + GEOM_TOL).all() else "raw_infeasible"
+    polytope, both in r >= 0, for one inner-class chain `aux`, or for each
+    of a sequence of chains of one shape (a list of verdicts, the same as
+    one call per chain).  "equal" when each contains the other's maximal
+    vertices within GEOM_TOL, which decides containment, as both are
+    down-closed in the orthant.  Otherwise "raw_infeasible" when the
+    projection is empty, which is exactly when it excludes the origin, since
+    none of its rows has a negative rate coefficient: the raw system has no
+    solution, and the direct bounds hide that by clamping at zero.  Else
+    "mismatch"."""
+    single = isinstance(aux, AuxiliaryChain)
+    mi = _block_information([aux] if single else aux, ch)
+    direct = _bounds(mi, "dm_inner")
+    A, B, keep = _fm_block(mi)
+    pts, owner = batch_vertices(A_FIVE_BOUNDS, direct)
+    outside = ((pts @ A.T > B[owner] + GEOM_TOL) & keep[owner]).any(axis=1)
+    equal = np.bincount(owner[outside], minlength=len(B)) == 0
+    ids = np.flatnonzero(equal)  # the FM vertices, one call per pattern of kept rows
+    patterns, which = np.unique(keep[ids], axis=0, return_inverse=True)
+    for p, rows in enumerate(patterns):
+        own = ids[which.ravel() == p]
+        pts, owner = batch_vertices(A[rows], B[own][:, rows])
+        outside = (pts @ A_FIVE_BOUNDS.T > direct[own][owner] + GEOM_TOL).any(axis=1)
+        equal[own[owner[outside]]] = False
+    holds_origin = ((0.0 <= B + GEOM_TOL) | ~keep).all(axis=1)
+    verdicts = np.where(equal, "equal", np.where(holds_origin, "mismatch", "raw_infeasible"))
+    return verdicts.tolist()[0] if single else verdicts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +539,12 @@ def chain_at(grid: GridSpec, ch: DiscreteChannel, sweep_class: str, index: int) 
 _BLOCK_CELLS = 1 << 17
 
 
-def _block_chains(grid: GridSpec, transition: np.ndarray) -> int:
-    """Chains per evaluation block.  Per chain, the largest table is one of
-    the x1 and x2 products _joint5 sums over, or the joint itself."""
-    x1, x2, y1, y2 = transition.shape
-    largest = max(x1 * x2, grid.v2_size * x2, grid.u_size * grid.v2_size)
-    return max(1, _BLOCK_CELLS // (largest * grid.v1_size * y1 * y2))
+def _block_chains(sizes, transition: np.ndarray) -> int:
+    """Chains per evaluation block, for chains of aux alphabet sizes
+    (u, v1, v2).  Per chain, the largest table is one of the x1 and x2
+    products _joint5 sums over, or the joint itself."""
+    (u, v1, v2), (x1, x2, y1, y2) = sizes, transition.shape
+    return max(1, _BLOCK_CELLS // (max(x1 * x2, v2 * x2, u * v2) * v1 * y1 * y2))
 
 
 def _canonical_index(blocks, grid: GridSpec) -> np.ndarray:
@@ -540,7 +569,7 @@ def _grid_bounds(ch: DiscreteChannel, grid: GridSpec, sweep_class: str, kind: st
     bounds, one row each, evaluated a fixed-size block at a time."""
     blocks = _chain_blocks(grid, ch, sweep_class)
     index = _canonical_index(blocks, grid)
-    step = _block_chains(grid, ch.transition)
+    step = _block_chains((grid.u_size, grid.v1_size, grid.v2_size), ch.transition)
     parts = []
     for first in range(0, len(index), step):
         tables = _chain_tables(blocks, grid, sweep_class, index[first : first + step])

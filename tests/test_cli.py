@@ -984,6 +984,37 @@ def test_fm_check_json_matches_its_golden_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_FM
 
 
+def test_fm_check_calls_fm_matches_direct_once_per_block(tmp_path, monkeypatch):
+    """The tracer wraps cli.fm_matches_direct by name, so the CLI must call
+    it through that name: once per block of chains.  Blocks of 7 give the
+    report of blocks of 1, byte for byte."""
+    real, calls = cli.fm_matches_direct, []
+
+    def counting(aux, ch):
+        calls.append(len(aux))
+        return real(aux, ch)
+
+    monkeypatch.setattr(cli, "fm_matches_direct", counting)
+
+    def report(block_cells):
+        monkeypatch.setattr(dm, "_BLOCK_CELLS", block_cells)
+        calls.clear()
+        out = tmp_path / f"{block_cells}.json"
+        data = _benchmark_shaped_fm_check(out)
+        data["chains"] = 20
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["run", str(path)]) == 0
+        return list(calls), out.read_bytes()
+
+    blocks, text = report(7 * 32)  # 32 cells per chain on a binary channel
+    assert blocks == [7, 7, 6]
+    ones, single_text = report(1)
+    assert ones == [1] * 20 and text == single_text
+    verdicts = {r["verdict"] for r in json.loads(text)["results"]}
+    assert verdicts == {"equal", "raw_infeasible"}
+
+
 def _region_outputs(tmp_path, data):
     """Run a region scenario; its CSV bytes followed by its summary bytes."""
     data = {**data, "output": str(tmp_path / "r.csv"), "summary": str(tmp_path / "r.json")}

@@ -190,21 +190,32 @@ def _same_vertices(a, b, tol=1e-9):
     return near(a, b) and near(b, a)
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
-@settings(max_examples=60, deadline=None)
-def test_fm_table_matches_per_chain_elimination(seed, k):
-    """The table eliminated once, evaluated at a chain, has the vertices of
-    that chain's own raw system with r1p and r2p eliminated."""
-    rng = np.random.default_rng(seed)
-    ch = DiscreteChannel(rng.dirichlet(np.ones(k * k), size=k * k).reshape(k, k, k, k))
-    nu, nv1, nv2 = (int(n) for n in rng.integers(1, 4, size=3))
-    aux = AuxiliaryChain.inner(
+def _square_channel(rng, k: int) -> DiscreteChannel:
+    """A flat-Dirichlet channel with every alphabet of k symbols."""
+    return DiscreteChannel(rng.dirichlet(np.ones(k * k), size=k * k).reshape(k, k, k, k))
+
+
+def _random_chain(rng, k: int, sizes) -> AuxiliaryChain:
+    """A flat-Dirichlet inner chain with (|U|, |V1|, |V2|) = sizes into
+    k-symbol channel inputs."""
+    nu, nv1, nv2 = (int(n) for n in sizes)
+    return AuxiliaryChain.inner(
         FiniteDistribution(rng.dirichlet(np.ones(nu))),
         rng.dirichlet(np.ones(nv1), size=nu),
         rng.dirichlet(np.ones(nv2), size=nu),
         rng.dirichlet(np.ones(k), size=nv1),
         rng.dirichlet(np.ones(k), size=nv2),
     )
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_fm_table_matches_per_chain_elimination(seed, k):
+    """The table eliminated once, evaluated at a chain, has the vertices of
+    that chain's own raw system with r1p and r2p eliminated."""
+    rng = np.random.default_rng(seed)
+    ch = _square_channel(rng, k)
+    aux = _random_chain(rng, k, rng.integers(1, 4, size=3))
     A, b = achievability_constraint_system(aux, ch)
     j = dm.RAW_VARS.index("r1p")  # then r2p, which has moved into column j
     oracle, _ = batch_vertices(*fm_eliminate(*fm_eliminate(A, b, j), j))
@@ -267,6 +278,86 @@ def test_fm_polytope_vertices_feasible(degraded_channel):
     verts, _ = batch_vertices(A, b)
     assert len(verts)
     assert (verts @ A.T <= b + GEOM_TOL).all()
+
+
+def _fm_reference_rows(aux, ch):
+    """The Fourier-Motzkin rows of one chain as _fm_table's rows were first
+    kept chain by chain: the table at the chain's terms, parallel rows merged
+    by _prune_pairwise, then only the rows with a positive coefficient or a
+    negative right-hand side."""
+    A, T = dm._fm_table()
+    mi = chain_information(aux, ch)
+    A, b = geometry._prune_pairwise(A, T @ [mi[name][0] for name in dm._RAW_TERMS])
+    keep = (A > 0).any(axis=1) | (b < 0)
+    return A[keep], b[keep]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 3]),
+    sizes=st.tuples(*[st.integers(1, 3)] * 3),
+    n=st.integers(1, 30),
+)
+@settings(max_examples=40, deadline=None)
+def test_fm_block_verdicts_equal_one_chain_verdicts(seed, k, sizes, n):
+    """A block of chains gets the verdicts of one call per chain, and the
+    block's kept rows are, bit for bit, those _prune_pairwise keeps."""
+    rng = np.random.default_rng(seed)
+    ch = _square_channel(rng, k)
+    chains = [_random_chain(rng, k, sizes) for _ in range(n)]
+    assert fm_matches_direct(chains, ch) == [fm_matches_direct(aux, ch) for aux in chains]
+    assert fm_matches_direct(tuple(chains), ch) == fm_matches_direct(chains, ch)
+    for aux in chains[:3]:
+        for got, want in zip(fm_region_polytope(aux, ch), _fm_reference_rows(aux, ch)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_SEED7_CHANNEL = np.random.default_rng(7).dirichlet(np.ones(4), size=4).reshape(2, 2, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "channel, halved, verdict",
+    [(None, False, "equal"), (_SEED7_CHANNEL, False, "raw_infeasible"), (None, True, "mismatch")],
+    ids=["degraded", "seed7", "halved"],
+)
+def test_fm_block_reaches_every_verdict(monkeypatch, channel, halved, verdict):
+    """The degraded channel gives equal, the benchmark's seed-7 channel
+    raw_infeasible, and a table with every right-hand side halved (which
+    still holds the origin) mismatch; a block agrees with one call per
+    chain on each."""
+    ch = degraded_binary_channel() if channel is None else DiscreteChannel(channel)
+    if halved:
+        A, T = dm._fm_table()
+        monkeypatch.setattr(dm, "_fm_table", lambda: (A, 0.5 * T))
+    rng = np.random.default_rng(1)
+    chains = [random_inner_chain(ch, rng) for _ in range(30)]
+    verdicts = fm_matches_direct(chains, ch)
+    assert verdicts == [fm_matches_direct(aux, ch) for aux in chains]
+    assert verdict in verdicts
+
+
+def _fm_bad_blocks():
+    aux = identity_uniform_chain()
+    outer = AuxiliaryChain(aux.p_u, aux.p_v1v2_given_u, np.eye(2), np.eye(2), kind="outer")
+    wide = AuxiliaryChain.inner(
+        aux.p_u, [[0.5, 0.5]], [[0.5, 0.5]], np.full((2, 3), 1 / 3), np.eye(2)
+    )
+    return {
+        "empty": ([], "non-empty sequence"),
+        "empty tuple": ((), "non-empty sequence"),
+        "not a sequence": (iter([aux]), "non-empty sequence"),
+        "not a chain": ([aux, "chain"], "holds a str, not a chain"),
+        "outer-class": ([aux, outer], "need an inner-class chain"),
+        "two shapes": ([aux, identity_uniform_chain(u_size=2)], "differ in their"),
+        "input alphabets": ([aux, wide], "input alphabets do not match"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fm_bad_blocks()))
+def test_fm_block_refuses_a_bad_sequence(degraded_channel, case):
+    block, message = _fm_bad_blocks()[case]
+    with pytest.raises(ValidationError, match=message):
+        fm_matches_direct(block, degraded_channel)
 
 
 def test_simplex_grid_resolution_one_is_uniform():
@@ -364,7 +455,7 @@ def test_sweep_deterministic_and_block_invariant(monkeypatch, degraded_channel):
     rerun = sweep_region(degraded_channel, "inner", grid)
     # many small blocks, the last one shorter than the rest
     monkeypatch.setattr(dm, "_BLOCK_CELLS", dm._BLOCK_CELLS // 5)
-    step = dm._block_chains(grid, degraded_channel.transition)
+    step = dm._block_chains((grid.u_size, grid.v1_size, grid.v2_size), degraded_channel.transition)
     total = chain_count(grid, degraded_channel, "inner")
     assert total > 8 * step and total % step
     small = sweep_region(degraded_channel, "inner", grid)
